@@ -18,22 +18,27 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cluster_swap import Triplet, shifted_analysis, swappable_set
+from .cluster_swap import Triplet, shifted_analysis
 from .errors import ConfigParse, GradsurfError
 from .feasibility import (
     FeasibilityGraph,
     allowed_slope_polytope,
+    distances_csv,
     extend_boundary,
+    shortest_distances,
     torus_slope_feasible,
 )
-from .lattice import box_region, outer_boundary
+from .heights import HeightConfig
+from .lattice import outer_boundary
 from .observables import EXACT_SUM, convexity_margin, sigma_estimate
 from .potential import PeriodicPotential, validate_sap
 from .rng import RngStream
 from .sampler import cftp_sample, heat_bath_sweep, torus_sample
 from .tilings import (
+    BRUTE_FORCE_LIMIT,
     count_tilings_bruteforce,
     count_tilings_kasteleyn,
+    matching_to_height,
     uniform_tiling_sample,
 )
 from .verification import run_battery
@@ -99,7 +104,7 @@ def _manifest(command: str, cfg: dict, seed: int, pot: PeriodicPotential | None)
     }
 
 
-def _config_csv(config, name: Path, sample_id=None) -> list[str]:
+def _config_csv(config, sample_id=None) -> list[str]:
     rows = []
     for (x, y), h in config.sorted_items():
         prefix = f"{sample_id}," if sample_id is not None else ""
@@ -122,7 +127,7 @@ def cmd_sample(cfg, seed, out: Path):
         slope = _slope(cfg.get("slope", [0, 0]))
         for s in range(samples):
             config = torus_sample(pot, n, slope, sweeps, RngStream(seed, s))
-            rows.extend(_config_csv(config, out, s))
+            rows.extend(_config_csv(config, s))
     else:
         region = sorted(_region_from_spec(cfg["region"]))
         level = int(cfg.get("boundary_level", 0))
@@ -134,15 +139,13 @@ def cmd_sample(cfg, seed, out: Path):
             stream = RngStream(seed, s)
             for t in range(sweeps):
                 config = heat_bath_sweep(pot, config, boundary=boundary, rng=stream.at(t))
-            rows.extend(_config_csv(config, out, s))
+            rows.extend(_config_csv(config, s))
     _write(out / "samples.csv", "\n".join(rows) + "\n")
     _write_json(out / "manifest.json", _manifest("sample", cfg, seed, pot))
     return 0
 
 
 def _restrict(config, region):
-    from .heights import HeightConfig
-
     values = {v: config.values[v] for v in region}
     return HeightConfig(values, reference=sorted(region)[0])
 
@@ -156,20 +159,17 @@ def cmd_cftp(cfg, seed, out: Path):
     rows = ["sample,x,y,height"]
     for s in range(samples):
         config = cftp_sample(pot, region, boundary, RngStream(seed, s))
-        for (x, y), h in sorted(config.values.items()):
-            rows.append(f"{s},{x},{y},{h}")
+        rows.extend(_config_csv(config, s))
     _write(out / "samples.csv", "\n".join(rows) + "\n")
     _write_json(out / "manifest.json", _manifest("cftp", cfg, seed, pot))
     return 0
 
 
 def cmd_tile(cfg, seed, out: Path):
-    from .tilings import matching_to_height
-
     region = _region_from_spec(cfg["region"])
     result: dict = {"squares": len(region)}
     if cfg.get("count", True):
-        brute = count_tilings_bruteforce(region) if len(region) <= 36 else None
+        brute = count_tilings_bruteforce(region) if len(region) <= BRUTE_FORCE_LIMIT else None
         kast = count_tilings_kasteleyn(region)
         result["count_kasteleyn"] = kast
         result["count_bruteforce"] = brute
@@ -193,8 +193,6 @@ def cmd_tile(cfg, seed, out: Path):
 
 
 def cmd_feasibility(cfg, seed, out: Path):
-    from .feasibility import distances_csv, shortest_distances
-
     pot = _resolve_potential(cfg)
     bound = cfg.get("cycle_length_bound")
     poly = allowed_slope_polytope(pot, None if bound is None else int(bound))
@@ -272,8 +270,8 @@ def cmd_swap(cfg, seed, out: Path):
                 "gap": analysis.b_plus - analysis.b_minus,
             }
         )
-        ss = swappable_set(pot, trip, window)
-        for ci, cl in enumerate(sorted(ss.clusters, key=lambda c: c.anchor)):
+        clusters = sorted(analysis.swappable.clusters, key=lambda c: c.anchor)
+        for ci, cl in enumerate(clusters):
             for (x, y) in sorted(cl.vertices):
                 cluster_rows.append(
                     f"{t},{x},{y},{cl.zeta},{ci},{int(cl.touches_boundary)}"
@@ -332,7 +330,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--threads", type=int, default=1, help="accepted; chains run sequentially")
     args = parser.parse_args(argv)
     cfg = _load_config(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .errors import InfiniteEnergy, NegativeResidual
 from .heights import HeightConfig
-from .lattice import AXIS_VECTORS, Edge, Vertex, add, edges_within
+from .lattice import AXIS_VECTORS, Edge, Vertex, add, edges_within, neighbors
 from .potential import INF, PeriodicPotential
 
 
@@ -235,7 +235,7 @@ def swappable_set(
     support = set(triplet.phi1.values)
     window = support if window is None else set(window)
     inner_boundary = {
-        v for v in window if any(w not in window for w in _nbrs(v))
+        v for v in window if any(w not in window for w in neighbors(v))
     }
     closed = set()
     open_adj: dict[Vertex, list[Vertex]] = {v: [] for v in support}
@@ -290,10 +290,6 @@ def _cluster_zeta(p1, p2, comp) -> int:
         signs.add(1 if a > b else (-1 if a < b else 0))
     assert len(signs) == 1, "zeta must be constant on an open cluster"
     return signs.pop()
-
-
-def _nbrs(v):
-    return ((v[0] + 1, v[1]), (v[0] - 1, v[1]), (v[0], v[1] + 1), (v[0], v[1] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +376,7 @@ def swendsen_wang_update(
 @dataclass
 class ShiftedAnalysis:
     shift: Fraction | int
-    closed_edges: frozenset[Edge]
+    swappable: SwappableSet  # of the shifted triplet (phi1 + shift, phi2, r)
     t_plus: frozenset[Vertex]
     t_minus: frozenset[Vertex]
     b_plus: int | float
@@ -442,7 +438,7 @@ def shifted_analysis(
             break
     return ShiftedAnalysis(
         shift=c,
-        closed_edges=ss.closed_edges,
+        swappable=ss,
         t_plus=t_plus,
         t_minus=t_minus,
         b_plus=b_plus if b_plus is not None else INF,

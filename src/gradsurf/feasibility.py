@@ -23,7 +23,10 @@ from .lattice import (
     Vertex,
     add,
     dot,
+    edge_head,
+    edges_meeting,
     edges_within,
+    neighbors,
     round_slope,
     sub,
 )
@@ -73,9 +76,12 @@ class FeasibilityGraph:
     @staticmethod
     def from_potential(pot: PeriodicPotential, region: Iterable[Vertex]) -> "FeasibilityGraph":
         """Arcs for every edge with both endpoints in the region."""
-        region = set(region)
+        return FeasibilityGraph._from_edges(pot, edges_within(region))
+
+    @staticmethod
+    def _from_edges(pot: PeriodicPotential, edges: Iterable[Edge]) -> "FeasibilityGraph":
         arcs: dict[Arc, float] = {}
-        for edge in edges_within(region):
+        for edge in edges:
             base, axis = edge
             head = add(base, AXIS_VECTORS[axis])
             b = increment_bounds(pot, edge)
@@ -111,6 +117,14 @@ class FeasibilityGraph:
         for v in vertices:
             g.adjacency.setdefault(v, [])
         return g
+
+    def reversed(self) -> "FeasibilityGraph":
+        """Every arc flipped, so distances_from(x) gives D(., x)."""
+        radj: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in self.vertices}
+        for x, outs in self.adjacency.items():
+            for y, w in outs:
+                radj[y].append((x, w))
+        return FeasibilityGraph(self.vertices, radj)
 
     def distances_from(self, source: Vertex) -> dict[Vertex, float]:
         if source not in self._distance_cache:
@@ -237,12 +251,7 @@ def extend_boundary_min(graph: FeasibilityGraph, partial: Mapping[Vertex, float]
         raise ValueError("partial assignment must be nonempty")
     pinned = sorted(partial)
     dists = shortest_distances(graph, pinned)
-    # D(v, x) = distance from v to x; compute by reversing arcs
-    reversed_adj: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in graph.vertices}
-    for x, outs in graph.adjacency.items():
-        for y, w in outs:
-            reversed_adj[y].append((x, w))
-    rgraph = FeasibilityGraph(graph.vertices, reversed_adj)
+    rgraph = graph.reversed()  # D(v, x) = distance from v to x
     rdists = {x: rgraph.distances_from(x) for x in pinned}
     for x, y in itertools.permutations(pinned, 2):
         if dists[x][y] < partial[y] - partial[x]:
@@ -449,16 +458,65 @@ def _max_objective(halfspaces: list[Halfspace], objective: tuple[int, int]):
 
 
 # ---------------------------------------------------------------------------
+# Site energies
+
+
+def _neighbor_terms(pot, values, x, torus: TorusInfo | None):
+    """(edge potential, effective neighbor height, orientation) per neighbor.
+
+    Orientation +1 means x is the edge base, so the energy term at height a
+    is V(h - a); orientation -1 gives V(a - h).  Only neighbors present in
+    ``values`` contribute.  On the 2-torus the same neighbor sits on both
+    sides through distinct parallel edges, and both are counted.
+    """
+    terms = []
+    h = torus.holonomy() if torus is not None else None
+    for axis in (0, 1):
+        raw = add(x, AXIS_VECTORS[axis])
+        key = torus.wrap(raw) if torus is not None else raw
+        if key in values and key != x:  # self-loops contribute a constant
+            delta = h[axis] if (torus is not None and key != raw) else 0
+            terms.append((pot.edge_potential((x, axis)), values[key] + delta, +1))
+        raw = sub(x, AXIS_VECTORS[axis])
+        key = torus.wrap(raw) if torus is not None else raw
+        if key in values and key != x:
+            delta = h[axis] if (torus is not None and key != raw) else 0
+            terms.append((pot.edge_potential((key, axis)), values[key] - delta, -1))
+    return terms
+
+
+def _local_energy(terms, a) -> float:
+    """Energy of the terms' edges with the site at height a."""
+    total = 0.0
+    for pot, h, orient in terms:
+        e = pot(h - a) if orient > 0 else pot(a - h)
+        if e == INF:
+            return INF
+        total += e
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Exact enumeration and ground states
 
 
 def _region_value_windows(pot, region, boundary):
-    """Per-vertex [lo, hi] windows containing all finite-energy configs."""
+    """Per-vertex height ranges containing all finite-energy configs.
+
+    Only edges meeting the region constrain them: an edge joining two
+    boundary vertices has a fixed energy, which the enumeration leaves out.
+    """
     universe = set(region) | set(boundary)
-    graph = FeasibilityGraph.from_potential(pot, universe)
+    graph = FeasibilityGraph._from_edges(
+        pot, [e for e in edges_meeting(region) if e[0] in universe and edge_head(e) in universe]
+    )
+    # a boundary vertex with no edge into the region stays, isolated
+    graph.vertices = sorted(universe)
+    for v in graph.vertices:
+        graph.adjacency.setdefault(v, [])
     top = extend_boundary(graph, boundary)
     bot = extend_boundary_min(graph, boundary)
-    return {v: (bot.values[v], top.values[v]) for v in region}
+    return {v: range(int(bot.values[v]), int(top.values[v]) + 1) for v in region}
 
 
 def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_000):
@@ -472,10 +530,8 @@ def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_00
     if not pot.discrete or not pot.is_lipschitz():
         raise StateSpaceTooLarge("exact enumeration needs a discrete Lipschitz potential")
     windows = _region_value_windows(pot, set(region), boundary)
-    known = dict(boundary)
     order = _propagation_order(region, set(boundary))
-    budget = [node_budget]
-    yield from _dfs_region(pot, order, 0, known, 0.0, windows, budget)
+    yield from _dfs(pot, None, order, order, 0, dict(boundary), 0.0, windows, [node_budget])
 
 
 def _propagation_order(region, anchors):
@@ -485,7 +541,7 @@ def _propagation_order(region, anchors):
     frontier = set(anchors)
     while remaining:
         nxt = sorted(
-            v for v in remaining if any(w in frontier for w in _nbrs(v))
+            v for v in remaining if any(w in frontier for w in neighbors(v))
         )
         if not nxt:  # disconnected piece; take the smallest vertex
             nxt = [min(remaining)]
@@ -496,46 +552,52 @@ def _propagation_order(region, anchors):
     return order
 
 
-def _nbrs(v):
-    return ((v[0] + 1, v[1]), (v[0] - 1, v[1]), (v[0], v[1] + 1), (v[0], v[1] - 1))
-
-
-def _dfs_region(pot, order, idx, known, energy, windows, budget):
+def _dfs(pot, torus, order, keys, idx, known, energy, windows, budget):
+    """Yield ({k: height for k in keys}, energy) over every assignment of
+    order[idx:] with finite energy, given the heights in ``known``."""
     if idx == len(order):
-        yield dict((v, known[v]) for v in order), energy
+        yield {k: known[k] for k in keys}, energy
         return
     v = order[idx]
-    lo, hi = windows[v]
-    lo, hi = int(lo), int(hi)
-    for a in range(lo, hi + 1):
+    terms = _neighbor_terms(pot, known, v, torus)
+    for a in windows[v]:
         budget[0] -= 1
         if budget[0] < 0:
             raise StateSpaceTooLarge("enumeration node budget exhausted")
-        de = _local_energy(pot, v, a, known)
+        de = _local_energy(terms, a)
         if de == INF:
             continue
         known[v] = a
-        yield from _dfs_region(pot, order, idx + 1, known, energy + de, windows, budget)
+        yield from _dfs(pot, torus, order, keys, idx + 1, known, energy + de, windows, budget)
         del known[v]
 
 
-def _local_energy(pot, v, a, known) -> float:
-    """Energy of edges from v to already-assigned vertices."""
-    total = 0.0
+def _torus_frame(pot, n: int, slope):
+    """The slope class on the n-torus, pinned at the origin x0 = (0, 0).
+
+    Returns (info, windows, order, base_energy): per-vertex height ranges
+    [-D(v, x0), D(x0, v)] holding every finite-energy config, the other
+    vertices in sorted order, and the energy of the x0 self-loops, which
+    only exist at n = 1.  Raises Infeasible for an empty class.
+    """
+    info = torus_info(pot, n, slope)
+    graph = FeasibilityGraph.from_torus(pot, n, slope)
+    if graph.negative_cycle() is not None:
+        raise Infeasible(f"slope {slope} on the {n}-torus")
+    x0 = (0, 0)
+    dist_from = graph.distances_from(x0)
+    dist_to = graph.reversed().distances_from(x0)
+    windows = {
+        v: range(math.ceil(-dist_to[v]), math.floor(dist_from[v]) + 1)
+        for v in graph.vertices
+    }
+    order = [v for v in sorted(graph.vertices) if v != x0]
+    h = info.holonomy()
+    base_energy = 0.0
     for axis in (0, 1):
-        head = add(v, AXIS_VECTORS[axis])
-        if head in known:
-            e = pot.edge_energy((v, axis), known[head] - a)
-            if e == INF:
-                return INF
-            total += e
-        base = sub(v, AXIS_VECTORS[axis])
-        if base in known:
-            e = pot.edge_energy((base, axis), a - known[base])
-            if e == INF:
-                return INF
-            total += e
-    return total
+        if info.wrap(add(x0, AXIS_VECTORS[axis])) == x0:
+            base_energy += pot.edge_energy((x0, axis), h[axis])
+    return info, windows, order, base_energy
 
 
 def enumerate_torus_configs(pot, n: int, slope, node_budget: int = 10_000_000):
@@ -544,80 +606,12 @@ def enumerate_torus_configs(pot, n: int, slope, node_budget: int = 10_000_000):
     ``values`` maps fundamental-domain vertices to heights pinned at the
     origin; the energy sums all 2 n^2 torus edges.
     """
-    info = torus_info(pot, n, slope)
-    graph = FeasibilityGraph.from_torus(pot, n, slope)
-    cyc = graph.negative_cycle()
-    if cyc is not None:
-        raise Infeasible(f"slope {slope} on the {n}-torus")
-    x0 = (0, 0)
-    dist_from = graph.distances_from(x0)
-    radj: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in graph.vertices}
-    for x, outs in graph.adjacency.items():
-        for y, w in outs:
-            radj[y].append((x, w))
-    dist_to, _, _ = _bellman_ford(graph.vertices, radj, {x0: 0.0})
-    windows = {v: (-dist_to[v], dist_from[v]) for v in graph.vertices}
-    h = info.holonomy()
-    order = [v for v in sorted(graph.vertices) if v != x0]
-    known = {x0: 0}
-    base_energy = 0.0
-    for axis in (0, 1):  # n = 1 leaves only self-loops, handled upfront
-        if info.wrap(add(x0, AXIS_VECTORS[axis])) == x0:
-            e = pot.edge_energy((x0, axis), h[axis])
-            if e == INF:
-                return
-            base_energy += e
-    budget = [node_budget]
-    yield from _dfs_torus(pot, info, h, order, 0, known, base_energy, windows, budget)
-
-
-def _torus_local_energy(pot, info, h, v, a, known) -> float:
-    total = 0.0
-    for axis in (0, 1):
-        raw = add(v, AXIS_VECTORS[axis])
-        head = info.wrap(raw)
-        delta = h[axis] if raw != head else 0
-        if head == v:
-            # n = 1 self-loop: increment is forced to the holonomy itself
-            e = pot.edge_energy((v, axis), delta)
-            if e == INF:
-                return INF
-            total += e
-            continue
-        if head in known:
-            e = pot.edge_energy((v, axis), known[head] + delta - a)
-            if e == INF:
-                return INF
-            total += e
-        raw_b = sub(v, AXIS_VECTORS[axis])
-        base = info.wrap(raw_b)
-        delta_b = h[axis] if raw_b != base else 0
-        if base in known:
-            # for n = 2 the same neighbor sits on both sides through
-            # distinct parallel edges; both must be counted
-            e = pot.edge_energy((base, axis), a - (known[base] - delta_b))
-            if e == INF:
-                return INF
-            total += e
-    return total
-
-
-def _dfs_torus(pot, info, h, order, idx, known, energy, windows, budget):
-    if idx == len(order):
-        yield dict(known), energy
+    info, windows, order, base_energy = _torus_frame(pot, n, slope)
+    if base_energy == INF:
         return
-    v = order[idx]
-    lo, hi = windows[v]
-    for a in range(int(math.ceil(lo)), int(math.floor(hi)) + 1):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise StateSpaceTooLarge("enumeration node budget exhausted")
-        de = _torus_local_energy(pot, info, h, v, a, known)
-        if de == INF:
-            continue
-        known[v] = a
-        yield from _dfs_torus(pot, info, h, order, idx + 1, known, energy + de, windows, budget)
-        del known[v]
+    keys = [(0, 0)] + order
+    known = {(0, 0): 0}
+    yield from _dfs(pot, info, order, keys, 0, known, base_energy, windows, [node_budget])
 
 
 def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int = 10_000_000):
@@ -629,28 +623,9 @@ def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int 
     """
     if not pot.discrete or not pot.is_lipschitz():
         raise StateSpaceTooLarge("ground-state search needs a discrete Lipschitz potential")
-    info = torus_info(pot, n, slope)
-    graph = FeasibilityGraph.from_torus(pot, n, slope)
-    if graph.negative_cycle() is not None:
-        raise Infeasible(f"slope {slope} on the {n}-torus")
+    info, windows, order, base_energy = _torus_frame(pot, n, slope)
     x0 = (0, 0)
-    dist_from = graph.distances_from(x0)
-    radj: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in graph.vertices}
-    for x, outs in graph.adjacency.items():
-        for y, w in outs:
-            radj[y].append((x, w))
-    dist_to, _, _ = _bellman_ford(graph.vertices, radj, {x0: 0.0})
-    windows = {v: (-dist_to[v], dist_from[v]) for v in graph.vertices}
-    h = info.holonomy()
-    order = [v for v in sorted(graph.vertices) if v != x0]
     known = {x0: 0}
-    base_energy = 0.0
-    for axis in (0, 1):
-        if info.wrap(add(x0, AXIS_VECTORS[axis])) == x0:
-            e = pot.edge_energy((x0, axis), h[axis])
-            if e == INF:
-                raise Infeasible(f"slope {slope} on the {n}-torus")
-            base_energy += e
     best = [INF, None]
     budget = [node_budget]
 
@@ -661,13 +636,13 @@ def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int 
                 best[1] = dict(known)
             return
         v = order[idx]
-        lo, hi = windows[v]
+        terms = _neighbor_terms(pot, known, v, info)
         candidates = []
-        for a in range(int(math.ceil(lo)), int(math.floor(hi)) + 1):
+        for a in windows[v]:
             budget[0] -= 1
             if budget[0] < 0:
                 raise StateSpaceTooLarge("ground-state node budget exhausted")
-            de = _torus_local_energy(pot, info, h, v, a, known)
+            de = _local_energy(terms, a)
             if de < INF and energy + de < best[0]:
                 candidates.append((de, a))
         candidates.sort()

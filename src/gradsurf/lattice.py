@@ -1,4 +1,4 @@
-"""Square-lattice plumbing: vertices, canonical edges, periodicity, tori.
+"""Square-lattice plumbing: vertices, canonical edges, periodicity, slopes.
 
 Vertices are integer pairs ``(i, j)``.  A lattice edge is stored in the
 canonical form ``(base, axis)`` where ``axis`` is 0 for e1=(1,0) and 1 for
@@ -30,10 +30,6 @@ def sub(v: Vertex, w: Vertex) -> Vertex:
     return (v[0] - w[0], v[1] - w[1])
 
 
-def scale(k: int, v: Vertex) -> Vertex:
-    return (k * v[0], k * v[1])
-
-
 def neighbors(v: Vertex) -> tuple[Vertex, Vertex, Vertex, Vertex]:
     return ((v[0] + 1, v[1]), (v[0] - 1, v[1]), (v[0], v[1] + 1), (v[0], v[1] - 1))
 
@@ -41,23 +37,6 @@ def neighbors(v: Vertex) -> tuple[Vertex, Vertex, Vertex, Vertex]:
 def edge_head(edge: Edge) -> Vertex:
     base, axis = edge
     return add(base, AXIS_VECTORS[axis])
-
-
-def edge_between(x: Vertex, y: Vertex) -> tuple[Edge, int]:
-    """Canonical edge joining adjacent x, y and the sign of (y - x).
-
-    Sign +1 means x is the base (x precedes y), -1 means y is the base.
-    """
-    d = sub(y, x)
-    if d == (1, 0):
-        return (x, 0), 1
-    if d == (-1, 0):
-        return (y, 0), -1
-    if d == (0, 1):
-        return (x, 1), 1
-    if d == (0, -1):
-        return (y, 1), -1
-    raise ValueError(f"{x} and {y} are not adjacent")
 
 
 def dot(u: tuple, v: Vertex):
@@ -192,28 +171,7 @@ def edges_meeting(region: Iterable[Vertex]) -> list[Edge]:
 
 
 # ---------------------------------------------------------------------------
-# Tori
-
-
-@dataclass(frozen=True)
-class Torus:
-    """The n x n torus Z^2 / nZ^2."""
-
-    n: int
-
-    def wrap(self, v: Vertex) -> Vertex:
-        return (v[0] % self.n, v[1] % self.n)
-
-    def vertices(self) -> list[Vertex]:
-        return [(i, j) for i in range(self.n) for j in range(self.n)]
-
-    def edges(self) -> list[Edge]:
-        """One canonical edge (base, axis) per torus edge; heads wrap."""
-        return [(v, axis) for v in self.vertices() for axis in (0, 1)]
-
-    @property
-    def volume(self) -> int:
-        return self.n * self.n
+# Slopes
 
 
 def floor_frac(q: Fraction | int) -> int:

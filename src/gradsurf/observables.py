@@ -9,20 +9,23 @@ enumerable fixtures and report violations rather than raising.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     BoxExceedsSupport,
+    Infeasible,
     InsufficientBudget,
     NotIncreasing,
     SlopeMismatch,
     StateSpaceTooLarge,
 )
 from .feasibility import (
+    _torus_frame,
     enumerate_region_configs,
     enumerate_torus_configs,
     torus_info,
@@ -32,7 +35,7 @@ from .heights import HeightConfig
 from .lattice import AXIS_VECTORS, Sublattice, Vertex, add, edges_meeting
 from .potential import INF, PeriodicPotential, TablePotential
 from .rng import RngStream
-from .sampler import checkerboard_order, heat_bath_sweep
+from .sampler import _torus_start, heat_bath_sweep
 
 EXACT_SUM = "ExactSum"
 TRANSFER_MATRIX = "TransferMatrix"
@@ -69,56 +72,24 @@ def log_partition_exact(
     """
     if torus is not None:
         if method == TRANSFER_MATRIX:
-            log_z = _transfer_matrix_log_z(pot, torus, slope, weighted=True)
+            log_z = _transfer_matrix_log_z(pot, torus, slope)
         else:
-            terms = []
             try:
-                for _, energy in enumerate_torus_configs(pot, torus, slope, node_budget):
-                    terms.append(-energy)
-            except Exception as exc:
-                from .errors import Infeasible
-
-                if isinstance(exc, Infeasible):
-                    return -INF
-                raise
-            log_z = _logsumexp(terms)
+                configs = enumerate_torus_configs(pot, torus, slope, node_budget)
+                log_z = _logsumexp([-energy for _, energy in configs])
+            except Infeasible:
+                return -INF
         per_class_edges = torus * torus // pot.lattice.index
         raw_offset = sum(pot.offsets.values()) * per_class_edges
         return log_z - raw_offset if log_z > -INF else -INF
     if method == TRANSFER_MATRIX:
         raise ValueError("transfer-matrix mode applies to torus classes")
-    terms = []
-    if pot.is_lipschitz():
-        for _, energy in enumerate_region_configs(pot, region, boundary, node_budget):
-            terms.append(-energy)
-    else:
-        terms = _unbounded_region_terms(pot, region, boundary)
-    log_z = _logsumexp(terms)
+    states = _enumerate_states(pot, region, boundary, node_budget)
+    log_z = _logsumexp([-energy for _, energy in states])
     if log_z == -INF:
         return -INF
     offset = sum(pot.edge_offset(e) for e in edges_meeting(region))
     return log_z - offset
-
-
-def _unbounded_region_terms(pot, region, boundary, radius: int = 45):
-    """Direct summation with superlinear-tail truncation; tiny regions only.
-
-    The window keeps terms down to relative weight exp(-radius), far below
-    double precision at the default.
-    """
-    import itertools
-
-    region = sorted(region)
-    if len(region) > 2:
-        raise StateSpaceTooLarge("unbounded supports allow at most 2 free sites")
-    lo = int(min(boundary.values())) - radius
-    hi = int(max(boundary.values())) + radius
-    terms = []
-    for combo in itertools.product(range(lo, hi + 1), repeat=len(region)):
-        e = _region_energy(pot, region, boundary, dict(zip(region, combo)))
-        if e < INF:
-            terms.append(-e)
-    return terms
 
 
 def _region_energy(pot, region, boundary, assignment):
@@ -136,13 +107,15 @@ def _region_energy(pot, region, boundary, assignment):
     return total
 
 
-def _enumerate_states(pot, region, boundary, radius: int = 45):
+def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radius: int = 45):
     """(values, energy) pairs; unbounded supports fall back to a direct
-    tail-truncated window scan on very small regions."""
-    import itertools
+    tail-truncated window scan on very small regions.
 
+    The window keeps terms down to relative weight exp(-radius), far below
+    double precision at the default.
+    """
     if pot.is_lipschitz():
-        yield from enumerate_region_configs(pot, region, boundary)
+        yield from enumerate_region_configs(pot, region, boundary, node_budget)
         return
     region = sorted(region)
     if len(region) > 2:
@@ -160,12 +133,17 @@ def _enumerate_states(pot, region, boundary, radius: int = 45):
 # Transfer matrix over torus columns
 
 
-def _transfer_matrix_log_z(pot, n, slope, weighted=True):
+def _transfer_matrix_log_z(pot, n, slope):
     """Column-to-column product over profile states with anchored offsets."""
     info = torus_info(pot, n, slope)
     h = info.holonomy()
     if not pot.is_lipschitz() or not pot.discrete:
         raise StateSpaceTooLarge("transfer matrix needs a discrete Lipschitz potential")
+    try:
+        _, windows, _, _ = _torus_frame(pot, n, slope)
+    except Infeasible:
+        return -INF
+    anchor_window = {c: windows[(c, 0)] for c in range(n)}
 
     # vertical support bounds per column position (class of edge ((c, j), e2))
     def vert_support(c, j):
@@ -202,25 +180,6 @@ def _transfer_matrix_log_z(pot, n, slope, weighted=True):
 
         rec(())
         return out
-
-    # anchor windows from the feasibility distances
-    from .feasibility import FeasibilityGraph, _bellman_ford
-
-    graph = FeasibilityGraph.from_torus(pot, n, slope)
-    if graph.negative_cycle() is not None:
-        return -INF
-    dist_from = graph.distances_from((0, 0))
-    radj = {v: [] for v in graph.vertices}
-    for x, outs in graph.adjacency.items():
-        for y, w in outs:
-            radj[y].append((x, w))
-    dist_to, _, _ = _bellman_ford(graph.vertices, radj, {(0, 0): 0.0})
-    anchor_window = {
-        c: range(
-            int(-dist_to[(c, 0)]), int(dist_from[(c, 0)]) + 1
-        )
-        for c in range(n)
-    }
 
     profiles = {c: column_profiles(c) for c in range(n)}
 
@@ -306,7 +265,7 @@ def sigma_estimate(
     if method != THERMODYNAMIC_INTEGRATION:
         raise ValueError(f"unknown sigma method {method!r}")
     integral, int_err = _ti_energy_integral(pot, n, slope, budget, rng)
-    log_n0 = _transfer_matrix_log_z(_flatten_potential(pot), n, slope)
+    log_n0 = _transfer_matrix_log_z(_scale_potential(pot, 0.0), n, slope)
     raw_offset = sum(pot.offsets.values()) * (volume // pot.lattice.index)
     log_z = log_n0 - integral - raw_offset
     value = -log_z / volume
@@ -314,17 +273,6 @@ def sigma_estimate(
     if tolerance is not None and stderr > tolerance:
         raise InsufficientBudget(f"stderr {stderr} exceeds tolerance {tolerance}")
     return SigmaEstimate(info.slope, n, value, THERMODYNAMIC_INTEGRATION, stderr)
-
-
-def _flatten_potential(pot) -> PeriodicPotential:
-    """All finite energies to 0: the beta = 0 reference model."""
-    classes = {}
-    for cls, p in pot.class_potentials.items():
-        lo, hi = p.support()
-        classes[cls] = TablePotential.from_dict(
-            {k: 0.0 for k in range(int(lo), int(hi) + 1) if p(k) < INF}
-        )
-    return PeriodicPotential.build(pot.domain, pot.lattice, classes)
 
 
 def _scale_potential(pot, beta: float) -> PeriodicPotential:
@@ -353,8 +301,6 @@ def _torus_energy(pot, config) -> float:
 
 def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):
     """Integral of the mean energy over beta in [0, 1], with stderr."""
-    from .feasibility import ground_state_energy
-
     if rng is None:
         rng = RngStream(0, 0)
     grid = _chebyshev_grid()
@@ -362,8 +308,7 @@ def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):
     per_batch = max(1, budget // batches)
     means, errs = [], []
     counter = 0
-    _, init = ground_state_energy(pot, n, slope)
-    order = checkerboard_order([v for v in init.values if v != init.reference])
+    init, order = _torus_start(pot, n, slope)
     for bi, beta in enumerate(grid):
         scaled = _scale_potential(pot, beta)
         config = init.copy()
@@ -511,13 +456,10 @@ def variance_profile(
     C-hat is the largest sampled single-increment variance over unit edges;
     the verdict checks every requested distance at three standard errors.
     """
-    from .feasibility import ground_state_energy
-
     distances = tuple(sorted(distances))
     if max(distances) >= n:
         raise ValueError("distances must fit inside the torus")
-    _, config = ground_state_energy(pot, n, slope)
-    order = checkerboard_order([v for v in config.values if v != config.reference])
+    config, order = _torus_start(pot, n, slope)
     counter = 0
     for _ in range(burn_in):
         config = heat_bath_sweep(pot, config, order=order, rng=rng.at(counter))

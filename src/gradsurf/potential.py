@@ -26,7 +26,6 @@ from .lattice import (
     Sublattice,
     Vertex,
     add,
-    edge_between,
     edges_within,
 )
 

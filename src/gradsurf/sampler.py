@@ -15,16 +15,17 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import EmptySupport, Infeasible, NoCoalescence
+from .errors import EmptySupport, NoCoalescence
 from .feasibility import (
     FeasibilityGraph,
+    _local_energy,
+    _neighbor_terms,
     extend_boundary,
     extend_boundary_min,
     ground_state_energy,
-    torus_info,
 )
-from .heights import HeightConfig, TorusInfo
-from .lattice import AXIS_VECTORS, Vertex, add, sub
+from .heights import HeightConfig
+from .lattice import Vertex
 from .potential import INF, PeriodicPotential, QuadraticPotential
 from .rng import RngStream
 
@@ -86,38 +87,6 @@ class TabulatedDistribution:
             return self.xs[lo]
         t = (u - c0) / (c1 - c0)
         return self.xs[lo] + t * (self.xs[hi] - self.xs[lo])
-
-
-def _neighbor_terms(pot, values, x, torus: TorusInfo | None):
-    """(edge potential, effective neighbor height, orientation) per neighbor.
-
-    Orientation +1 means x is the edge base, so the energy term at height a
-    is V(h - a); orientation -1 gives V(a - h).
-    """
-    terms = []
-    h = torus.holonomy() if torus is not None else None
-    for axis in (0, 1):
-        raw = add(x, AXIS_VECTORS[axis])
-        key = torus.wrap(raw) if torus is not None else raw
-        if key in values and key != x:  # self-loops contribute a constant
-            delta = h[axis] if (torus is not None and key != raw) else 0
-            terms.append((pot.edge_potential((x, axis)), values[key] + delta, +1))
-        raw = sub(x, AXIS_VECTORS[axis])
-        key = torus.wrap(raw) if torus is not None else raw
-        if key in values and key != x:
-            delta = h[axis] if (torus is not None and key != raw) else 0
-            terms.append((pot.edge_potential((key, axis)), values[key] - delta, -1))
-    return terms
-
-
-def _local_energy(terms, a) -> float:
-    total = 0.0
-    for pot, h, orient in terms:
-        e = pot(h - a) if orient > 0 else pot(a - h)
-        if e == INF:
-            return INF
-        total += e
-    return total
 
 
 def site_conditional(pot: PeriodicPotential, config, x: Vertex, boundary=None):
@@ -304,13 +273,20 @@ def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfi
     Starts at an exact ground state and sweeps the pinned periodic part;
     the homology class is conserved exactly by single-site updates.
     """
-    _, config = ground_state_energy(pot, n, slope)
-    order = checkerboard_order([v for v in config.values if v != config.reference])
+    config, order = _torus_start(pot, n, slope)
     holonomy_before = _cycle_sums(config)
     for t in range(sweeps):
         config = heat_bath_sweep(pot, config, order=order, rng=rng.at(t))
     assert _cycle_sums(config) == holonomy_before, "homology class moved"
     return config.pin()
+
+
+def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, list[Vertex]]:
+    """An exact ground state of the slope class and the checkerboard order
+    of its free (non-reference) sites: the start of every torus chain."""
+    _, config = ground_state_energy(pot, n, slope)
+    order = checkerboard_order([v for v in config.values if v != config.reference])
+    return config, order
 
 
 def _cycle_sums(config: HeightConfig) -> tuple:

@@ -22,7 +22,7 @@ from .errors import (
     Untileable,
 )
 from .heights import HeightConfig
-from .lattice import Vertex, add
+from .lattice import Vertex, add, neighbors
 from .potential import domino_potential, parity_label
 from .rng import RngStream
 
@@ -93,7 +93,9 @@ def matching_to_height(matching: DominoMatching) -> HeightConfig:
     stack = [pin]
     while stack:
         x = stack.pop()
-        for y in _vertex_neighbors(x, verts):
+        for y in neighbors(x):
+            if y not in verts:
+                continue
             a, b = (x, y) if x < y else (y, x)
             s1, s2 = _edge_squares(a, b)
             both_in = s1 in region and s2 in region
@@ -115,12 +117,6 @@ def matching_to_height(matching: DominoMatching) -> HeightConfig:
     return HeightConfig(values, reference=pin)
 
 
-def _vertex_neighbors(x: Vertex, verts):
-    for y in ((x[0] + 1, x[1]), (x[0] - 1, x[1]), (x[0], x[1] + 1), (x[0], x[1] - 1)):
-        if y in verts:
-            yield y
-
-
 def _squares_from_vertices(verts: frozenset[Vertex]) -> frozenset[Square]:
     # simply connected regions have no holes, so a square belongs to the
     # region exactly when all four corners are vertices
@@ -137,8 +133,8 @@ def height_to_matching(config, region: Iterable[Square] | None = None) -> Domino
     psi = {v: 4 * values[v] + parity_label(v) for v in verts}
     dominoes: set[Domino] = set()
     for x in verts:
-        for y in _vertex_neighbors(x, verts):
-            if not x < y:
+        for y in neighbors(x):
+            if y not in verts or not x < y:
                 continue
             s1, s2 = _edge_squares(x, y)
             both_in = s1 in region and s2 in region
@@ -253,7 +249,9 @@ def boundary_heights(region: Iterable[Square]) -> dict[Vertex, int]:
     stack = [pin]
     while stack:
         x = stack.pop()
-        for y in _vertex_neighbors(x, boundary):
+        for y in neighbors(x):
+            if y not in boundary:
+                continue
             a, b = (x, y) if x < y else (y, x)
             s1, s2 = _edge_squares(a, b)
             if s1 in squares and s2 in squares:

@@ -19,7 +19,6 @@ from .cluster_swap import (
     Triplet,
     cluster_swap_at,
     edge_coupling_constant,
-    swappable_set,
     synchronized_domination_coupling,
     total_energy,
 )

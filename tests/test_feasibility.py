@@ -9,6 +9,7 @@ from gradsurf.errors import Infeasible, NegativeCycle
 from gradsurf.feasibility import (
     FeasibilityGraph,
     allowed_slope_polytope,
+    enumerate_region_configs,
     enumerate_torus_configs,
     extend_boundary,
     extend_boundary_min,
@@ -17,7 +18,7 @@ from gradsurf.feasibility import (
     shortest_distances,
     torus_slope_feasible,
 )
-from gradsurf.lattice import box_region, outer_boundary
+from gradsurf.lattice import Sublattice, box_region, outer_boundary
 from gradsurf.potential import (
     INF,
     PeriodicPotential,
@@ -27,7 +28,11 @@ from gradsurf.potential import (
     hamiltonian_interior,
 )
 
-from oracles import all_simple_path_distances, enumerate_feasible_configs
+from oracles import (
+    all_simple_path_distances,
+    enumerate_feasible_configs,
+    torus_class_enumerate,
+)
 
 F = Fraction
 
@@ -315,3 +320,68 @@ def test_chi_convex_along_segment(sos_trunc2):
     hi = chi((F(1, 2), F(0)))
     assert 2 * mid <= lo + hi
     assert lo <= mid <= hi
+
+
+def _random_periodic_potential(rng):
+    """Random 2Z^2-periodic table classes: half-integer energies on
+    supports of two or three consecutive increments inside [-1, 2]."""
+    lat = Sublattice(2, 2, 0)
+    classes = {}
+    for axis in (0, 1):
+        for base in lat.fundamental_domain():
+            lo = rng.randint(-1, 0)
+            hi = rng.randint(lo + 1, lo + 2)
+            classes[(axis, base)] = TablePotential.from_dict(
+                {k: 0.5 * rng.randint(0, 3) for k in range(lo, hi + 1)}
+            )
+    return PeriodicPotential.build("int", lat, classes)
+
+
+def _configs(pairs):
+    return sorted((tuple(sorted(values.items())), energy) for values, energy in pairs)
+
+
+def test_torus_enumeration_and_ground_state_vs_oracle_random_potentials():
+    # anisotropic classes exercise every orientation of the shared site
+    # energy kernel, including the doubled parallel edges of the 2-torus
+    rng = random.Random(4242)
+    nonempty = 0
+    for _ in range(8):
+        pot = _random_periodic_potential(rng)
+        for holonomy in ((0, 0), (1, 0), (0, 1), (-1, 1)):
+            slope = (F(holonomy[0], 2), F(holonomy[1], 2))
+            oracle = _configs(torus_class_enumerate(pot, 2, holonomy))
+            if not oracle:
+                with pytest.raises(Infeasible):
+                    list(enumerate_torus_configs(pot, 2, slope))
+                with pytest.raises(Infeasible):
+                    ground_state_energy(pot, 2, slope)
+                continue
+            nonempty += 1
+            assert _configs(enumerate_torus_configs(pot, 2, slope)) == oracle
+            chi, witness = ground_state_energy(pot, 2, slope)
+            assert chi == min(e for _, e in oracle)
+            assert (tuple(witness.sorted_items()), chi) in oracle
+    assert nonempty >= 16
+
+
+def test_region_enumeration_vs_oracle_random_potentials():
+    # random levels on the boundary, plus the flat boundary, which every
+    # drawn support admits; edges between boundary vertices stay out of
+    # both the energy and the feasibility windows
+    rng = random.Random(4243)
+    interior = box_region(2, 2)
+    ring = sorted(outer_boundary(interior))
+    nonempty = 0
+    for _ in range(96):
+        pot = _random_periodic_potential(rng)
+        levels = {v: rng.randint(-1, 1) for v in ring}
+        for boundary in (levels, dict.fromkeys(ring, 0)):
+            oracle = _configs(enumerate_feasible_configs(pot, interior, boundary))
+            try:
+                got = _configs(enumerate_region_configs(pot, interior, boundary))
+            except (Infeasible, NegativeCycle):
+                got = []
+            assert got == oracle
+            nonempty += bool(oracle)
+    assert nonempty >= 96 + 16
