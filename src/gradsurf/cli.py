@@ -22,6 +22,7 @@ from .cluster_swap import Triplet, shifted_analysis
 from .errors import ConfigParse, GradsurfError
 from .feasibility import (
     FeasibilityGraph,
+    _region_graph,
     allowed_slope_polytope,
     distances_csv,
     extend_boundary,
@@ -132,7 +133,7 @@ def cmd_sample(cfg, seed, out: Path):
         region = sorted(_region_from_spec(cfg["region"]))
         level = int(cfg.get("boundary_level", 0))
         boundary = {v: level for v in outer_boundary(region)}
-        graph = FeasibilityGraph.from_potential(pot, set(region) | set(boundary))
+        graph = _region_graph(pot, region, boundary)
         for s in range(samples):
             config = extend_boundary(graph, boundary)
             config = _restrict(config, region)

@@ -66,8 +66,13 @@ class FeasibilityGraph:
     _distance_cache: dict[Vertex, dict[Vertex, float]] = field(default_factory=dict)
 
     @staticmethod
-    def from_arcs(arcs: Mapping[Arc, float]) -> "FeasibilityGraph":
-        vertices = sorted({v for arc in arcs for v in arc})
+    def from_arcs(
+        arcs: Mapping[Arc, float], vertices: Iterable[Vertex] | None = None
+    ) -> "FeasibilityGraph":
+        """Graph on the given vertices (default: the arc endpoints)."""
+        if vertices is None:
+            vertices = {v for arc in arcs for v in arc}
+        vertices = sorted(vertices)
         adjacency: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in vertices}
         for (x, y), w in sorted(arcs.items()):
             adjacency[x].append((y, w))
@@ -76,18 +81,7 @@ class FeasibilityGraph:
     @staticmethod
     def from_potential(pot: PeriodicPotential, region: Iterable[Vertex]) -> "FeasibilityGraph":
         """Arcs for every edge with both endpoints in the region."""
-        return FeasibilityGraph._from_edges(pot, edges_within(region))
-
-    @staticmethod
-    def _from_edges(pot: PeriodicPotential, edges: Iterable[Edge]) -> "FeasibilityGraph":
-        arcs: dict[Arc, float] = {}
-        for edge in edges:
-            base, axis = edge
-            head = add(base, AXIS_VECTORS[axis])
-            b = increment_bounds(pot, edge)
-            arcs[(base, head)] = b.up
-            arcs[(head, base)] = b.down
-        return FeasibilityGraph.from_arcs(arcs)
+        return FeasibilityGraph.from_arcs(_edge_arcs(pot, edges_within(region)))
 
     @staticmethod
     def from_torus(pot: PeriodicPotential, n: int, slope) -> "FeasibilityGraph":
@@ -112,11 +106,7 @@ class FeasibilityGraph:
                 a1, a2 = (x, head), (head, x)
                 arcs[a1] = min(arcs.get(a1, INF), up)
                 arcs[a2] = min(arcs.get(a2, INF), down)
-        g = FeasibilityGraph.from_arcs(arcs)
-        g.vertices = vertices  # keep all torus vertices even if isolated
-        for v in vertices:
-            g.adjacency.setdefault(v, [])
-        return g
+        return FeasibilityGraph.from_arcs(arcs, vertices)
 
     def reversed(self) -> "FeasibilityGraph":
         """Every arc flipped, so distances_from(x) gives D(., x)."""
@@ -139,6 +129,30 @@ class FeasibilityGraph:
         init = {v: 0 for v in self.vertices}  # virtual super-source
         _, _, cycle = _bellman_ford(self.vertices, self.adjacency, init)
         return cycle
+
+
+def _edge_arcs(pot: PeriodicPotential, edges: Iterable[Edge]) -> dict[Arc, float]:
+    """Up and down increment bounds of each edge as a pair of arcs."""
+    arcs: dict[Arc, float] = {}
+    for edge in edges:
+        base, axis = edge
+        head = add(base, AXIS_VECTORS[axis])
+        b = increment_bounds(pot, edge)
+        arcs[(base, head)] = b.up
+        arcs[(head, base)] = b.down
+    return arcs
+
+
+def _region_graph(pot: PeriodicPotential, region, boundary) -> FeasibilityGraph:
+    """Graph of a region with fixed boundary heights.
+
+    Vertices are region | boundary; arcs come from the edges meeting the
+    region.  An edge joining two boundary vertices has a fixed energy and is
+    left out, so it cannot veto the interior.
+    """
+    universe = set(region) | set(boundary)
+    edges = [e for e in edges_meeting(region) if e[0] in universe and edge_head(e) in universe]
+    return FeasibilityGraph.from_arcs(_edge_arcs(pot, edges), universe)
 
 
 def _bellman_ford(vertices, adjacency, init):
@@ -501,19 +515,8 @@ def _local_energy(terms, a) -> float:
 
 
 def _region_value_windows(pot, region, boundary):
-    """Per-vertex height ranges containing all finite-energy configs.
-
-    Only edges meeting the region constrain them: an edge joining two
-    boundary vertices has a fixed energy, which the enumeration leaves out.
-    """
-    universe = set(region) | set(boundary)
-    graph = FeasibilityGraph._from_edges(
-        pot, [e for e in edges_meeting(region) if e[0] in universe and edge_head(e) in universe]
-    )
-    # a boundary vertex with no edge into the region stays, isolated
-    graph.vertices = sorted(universe)
-    for v in graph.vertices:
-        graph.adjacency.setdefault(v, [])
+    """Per-vertex height ranges containing all finite-energy configs."""
+    graph = _region_graph(pot, region, boundary)
     top = extend_boundary(graph, boundary)
     bot = extend_boundary_min(graph, boundary)
     return {v: range(int(bot.values[v]), int(top.values[v]) + 1) for v in region}

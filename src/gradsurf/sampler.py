@@ -17,9 +17,9 @@ from statistics import NormalDist
 
 from .errors import EmptySupport, NoCoalescence
 from .feasibility import (
-    FeasibilityGraph,
     _local_energy,
     _neighbor_terms,
+    _region_graph,
     extend_boundary,
     extend_boundary_min,
     ground_state_energy,
@@ -311,8 +311,7 @@ def cftp_sample(pot, region, boundary, rng: RngStream, max_epochs: int = 22) -> 
     if not (pot.discrete and pot.is_lipschitz()):
         raise ValueError("coupling from the past needs a discrete Lipschitz potential")
     region = sorted(region)
-    universe = set(region) | set(boundary)
-    graph = FeasibilityGraph.from_potential(pot, universe)
+    graph = _region_graph(pot, region, boundary)
     top0 = extend_boundary(graph, boundary)
     bot0 = extend_boundary_min(graph, boundary)
     order = checkerboard_order(region)

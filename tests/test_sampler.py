@@ -253,6 +253,19 @@ def test_cftp_monotone_coupling_under_shifted_boundary(sos_trunc1):
         assert all(s1.values[v] <= s2.values[v] for v in interior)
 
 
+def test_cftp_ignores_edges_between_boundary_vertices(sos_trunc1):
+    # |eta| <= 1 forbids the step 0 -> 2 between (-1, 0) and (-1, 1), but
+    # that edge's energy is fixed and the interior keeps 17 configurations
+    interior = sorted(box_region(2, 2))
+    boundary = {v: 1 for v in outer_boundary(interior)}
+    boundary[(-1, 0)], boundary[(-1, 1)] = 0, 2
+    states, _ = exact_gibbs_distribution(sos_trunc1, interior, boundary)
+    assert len(states) == 17
+    for k in range(20):
+        out = cftp_sample(sos_trunc1, interior, boundary, RngStream(9, k))
+        assert {v: out.values[v] for v in interior} in states
+
+
 def test_random_round_integer_input():
     config = HeightConfig({(0, 0): 0, (1, 0): 2}, reference=(0, 0))
     out = random_round(config, RngStream(5, 0).at(0))
