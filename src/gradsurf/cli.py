@@ -130,13 +130,10 @@ def cmd_sample(cfg, seed, out: Path):
             config = torus_sample(pot, n, slope, sweeps, RngStream(seed, s))
             rows.extend(_config_csv(config, s))
     else:
-        region = sorted(_region_from_spec(cfg["region"]))
-        level = int(cfg.get("boundary_level", 0))
-        boundary = {v: level for v in outer_boundary(region)}
-        graph = _region_graph(pot, region, boundary)
+        region, boundary = _region_with_boundary(cfg)
+        start = _restrict(extend_boundary(_region_graph(pot, region, boundary), boundary), region)
         for s in range(samples):
-            config = extend_boundary(graph, boundary)
-            config = _restrict(config, region)
+            config = start
             stream = RngStream(seed, s)
             for t in range(sweeps):
                 config = heat_bath_sweep(pot, config, boundary=boundary, rng=stream.at(t))
@@ -146,6 +143,13 @@ def cmd_sample(cfg, seed, out: Path):
     return 0
 
 
+def _region_with_boundary(cfg):
+    """The sorted region and its outer boundary pinned at boundary_level."""
+    region = sorted(_region_from_spec(cfg["region"]))
+    level = int(cfg.get("boundary_level", 0))
+    return region, {v: level for v in outer_boundary(region)}
+
+
 def _restrict(config, region):
     values = {v: config.values[v] for v in region}
     return HeightConfig(values, reference=sorted(region)[0])
@@ -153,9 +157,7 @@ def _restrict(config, region):
 
 def cmd_cftp(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    region = sorted(_region_from_spec(cfg["region"]))
-    level = int(cfg.get("boundary_level", 0))
-    boundary = {v: level for v in outer_boundary(region)}
+    region, boundary = _region_with_boundary(cfg)
     samples = int(cfg.get("samples", 1))
     rows = ["sample,x,y,height"]
     for s in range(samples):

@@ -60,6 +60,11 @@ class NoCoalescence(GradsurfError):
         self.budget = budget
 
 
+class NonMonotoneCoupling(GradsurfError):
+    """Coupled CFTP chains crossed: the potential is not convex, so its site
+    conditionals are not stochastically ordered in the neighbor heights."""
+
+
 class NegativeResidual(GradsurfError):
     """Total energy undershoots the potential energy on some edge."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -59,11 +59,10 @@ def increment_bounds(pot: PeriodicPotential, edge: Edge) -> IncrementBounds:
 
 @dataclass
 class FeasibilityGraph:
-    """Directed increment-bound graph with lazily computed distances."""
+    """Directed increment-bound graph."""
 
     vertices: list[Vertex]
     adjacency: dict[Vertex, list[tuple[Vertex, float]]]
-    _distance_cache: dict[Vertex, dict[Vertex, float]] = field(default_factory=dict)
 
     @staticmethod
     def from_arcs(
@@ -117,12 +116,10 @@ class FeasibilityGraph:
         return FeasibilityGraph(self.vertices, radj)
 
     def distances_from(self, source: Vertex) -> dict[Vertex, float]:
-        if source not in self._distance_cache:
-            dist, _, cycle = _bellman_ford(self.vertices, self.adjacency, {source: 0.0})
-            if cycle is not None:
-                raise NegativeCycle(*cycle)
-            self._distance_cache[source] = dist
-        return self._distance_cache[source]
+        dist, _, cycle = _bellman_ford(self.vertices, self.adjacency, {source: 0.0})
+        if cycle is not None:
+            raise NegativeCycle(*cycle)
+        return dist
 
     def negative_cycle(self):
         """A witness negative cycle (vertex list, weight) or None."""
@@ -237,44 +234,36 @@ def distances_csv(distances: dict) -> list[str]:
 
 
 def extend_boundary(graph: FeasibilityGraph, partial: Mapping[Vertex, float]) -> HeightConfig:
-    """Pointwise-maximal finite-energy extension of the partial heights.
+    """Pointwise-maximal finite-energy extension, min over pinned x of
+    phi(x) + D(x, v), from one Bellman-Ford pass seeded with the pins.
 
-    Raises Infeasible((x, y)) when D(x, y) < phi(y) - phi(x) for pinned
-    x, y, and propagates NegativeCycle from the distance computation.
-    """
+    Raises NegativeCycle for a negative cycle the pins reach, then
+    Infeasible((x, y)) when D(x, y) < phi(y) - phi(x) for pinned x, y, then
+    Infeasible(v) for a vertex no pin reaches."""
     if not partial:
         raise ValueError("partial assignment must be nonempty")
-    pinned = sorted(partial)
-    dists = shortest_distances(graph, pinned)
-    for x, y in itertools.permutations(pinned, 2):
-        if dists[x][y] < partial[y] - partial[x]:
+    seed = {x: float(partial[x]) for x in partial}
+    dist, pred, cycle = _bellman_ford(graph.vertices, graph.adjacency, seed)
+    if cycle is not None:
+        raise NegativeCycle(*cycle)
+    for y in sorted(partial):
+        if dist[y] < seed[y]:
+            x = pred[y]  # the pred chain starts at a pin the pass never lowered
+            while pred[x] is not None:
+                x = pred[x]
             raise Infeasible((x, y))
-    values = {}
     for v in graph.vertices:
-        best = min(partial[x] + dists[x][v] for x in pinned)
-        if best == INF:
-            raise Infeasible(v)  # disconnected from every pinned vertex
-        values[v] = best
-    ref = pinned[0]
-    return HeightConfig(values, reference=ref)
+        if dist[v] == INF:
+            raise Infeasible(v)
+    return HeightConfig(dist, reference=min(partial))
 
 
 def extend_boundary_min(graph: FeasibilityGraph, partial: Mapping[Vertex, float]) -> HeightConfig:
-    """Pointwise-minimal extension: sup over pinned x of phi(x) - D(v, x)."""
-    if not partial:
-        raise ValueError("partial assignment must be nonempty")
-    pinned = sorted(partial)
-    dists = shortest_distances(graph, pinned)
-    rgraph = graph.reversed()  # D(v, x) = distance from v to x
-    rdists = {x: rgraph.distances_from(x) for x in pinned}
-    for x, y in itertools.permutations(pinned, 2):
-        if dists[x][y] < partial[y] - partial[x]:
-            raise Infeasible((x, y))
-    values = {}
-    for v in graph.vertices:
-        best = max(partial[x] - rdists[x][v] for x in pinned)
-        values[v] = best
-    return HeightConfig(values, reference=pinned[0])
+    """Pointwise-minimal extension, max over pinned x of phi(x) - D(v, x):
+    the negated maximal extension of the reversed graph with negated pins.
+    Error witnesses refer to the reversed graph."""
+    top = extend_boundary(graph.reversed(), {x: 0.0 - h for x, h in partial.items()})
+    return HeightConfig({v: 0.0 - h for v, h in top.values.items()}, reference=top.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +503,14 @@ def _local_energy(terms, a) -> float:
 # Exact enumeration and ground states
 
 
-def _region_value_windows(pot, region, boundary):
-    """Per-vertex height ranges containing all finite-energy configs."""
-    graph = _region_graph(pot, region, boundary)
-    top = extend_boundary(graph, boundary)
-    bot = extend_boundary_min(graph, boundary)
-    return {v: range(int(bot.values[v]), int(top.values[v]) + 1) for v in region}
+def _value_windows(pot, graph, partial, keys):
+    """Per-key height ranges [ceil(min ext), floor(max ext)] of the partial
+    heights on the graph; every finite-energy config lies within them."""
+    if not (pot.discrete and pot.is_lipschitz()):
+        raise StateSpaceTooLarge("exact methods need a discrete Lipschitz potential")
+    top = extend_boundary(graph, partial).values
+    bot = extend_boundary_min(graph, partial).values
+    return {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}
 
 
 def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_000):
@@ -530,9 +521,7 @@ def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_00
     """
     region = sorted(region)
     boundary = dict(boundary)
-    if not pot.discrete or not pot.is_lipschitz():
-        raise StateSpaceTooLarge("exact enumeration needs a discrete Lipschitz potential")
-    windows = _region_value_windows(pot, set(region), boundary)
+    windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
     order = _propagation_order(region, set(boundary))
     yield from _dfs(pot, None, order, order, 0, dict(boundary), 0.0, windows, [node_budget])
 
@@ -581,19 +570,16 @@ def _torus_frame(pot, n: int, slope):
     Returns (info, windows, order, base_energy): per-vertex height ranges
     [-D(v, x0), D(x0, v)] holding every finite-energy config, the other
     vertices in sorted order, and the energy of the x0 self-loops, which
-    only exist at n = 1.  Raises Infeasible for an empty class.
+    only exist at n = 1.  Raises Infeasible for an empty class (x0 reaches
+    every negative cycle, as all arcs of a Lipschitz torus are finite).
     """
     info = torus_info(pot, n, slope)
     graph = FeasibilityGraph.from_torus(pot, n, slope)
-    if graph.negative_cycle() is not None:
-        raise Infeasible(f"slope {slope} on the {n}-torus")
     x0 = (0, 0)
-    dist_from = graph.distances_from(x0)
-    dist_to = graph.reversed().distances_from(x0)
-    windows = {
-        v: range(math.ceil(-dist_to[v]), math.floor(dist_from[v]) + 1)
-        for v in graph.vertices
-    }
+    try:
+        windows = _value_windows(pot, graph, {x0: 0}, graph.vertices)
+    except NegativeCycle:
+        raise Infeasible(f"slope {slope} on the {n}-torus") from None
     order = [v for v in sorted(graph.vertices) if v != x0]
     h = info.holonomy()
     base_energy = 0.0
@@ -624,8 +610,6 @@ def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int 
     potentials are nonnegative, so any partial sum at or above the best
     known total can be cut; candidate heights are tried greedily.
     """
-    if not pot.discrete or not pot.is_lipschitz():
-        raise StateSpaceTooLarge("ground-state search needs a discrete Lipschitz potential")
     info, windows, order, base_energy = _torus_frame(pot, n, slope)
     x0 = (0, 0)
     known = {x0: 0}

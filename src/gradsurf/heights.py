@@ -81,11 +81,3 @@ class HeightConfig:
 
     def sorted_items(self):
         return sorted(self.values.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeightConfig)
-            and self.values == other.values
-            and self.reference == other.reference
-            and self.torus == other.torus
-        )

@@ -135,22 +135,12 @@ def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radi
 
 def _transfer_matrix_log_z(pot, n, slope):
     """Column-to-column product over profile states with anchored offsets."""
-    info = torus_info(pot, n, slope)
-    h = info.holonomy()
-    if not pot.is_lipschitz() or not pot.discrete:
-        raise StateSpaceTooLarge("transfer matrix needs a discrete Lipschitz potential")
     try:
-        _, windows, _, _ = _torus_frame(pot, n, slope)
+        info, windows, _, _ = _torus_frame(pot, n, slope)
     except Infeasible:
         return -INF
+    h = info.holonomy()
     anchor_window = {c: windows[(c, 0)] for c in range(n)}
-
-    # vertical support bounds per column position (class of edge ((c, j), e2))
-    def vert_support(c, j):
-        return pot.edge_potential(((c, j), 1)).support()
-
-    def horiz_support(c, j):
-        return pot.edge_potential(((c, j), 0)).support()
 
     def column_profiles(c):
         """Profiles d[0..n-1] with d[0] = 0 whose vertical edges are finite."""
@@ -174,7 +164,7 @@ def _transfer_matrix_log_z(pot, n, slope):
             if j == 0:
                 rec((0,))
                 return
-            lo, hi = vert_support(c, j - 1)
+            lo, hi = pot.edge_potential(((c, j - 1), 1)).support()
             for inc in range(int(lo), int(hi) + 1):
                 rec(prefix + (prefix[-1] + inc,))
 

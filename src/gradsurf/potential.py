@@ -385,7 +385,7 @@ def _potential_from_dict(spec: dict) -> PeriodicPotential:
     lattice = Sublattice.from_matrix(spec["period"])
     classes = spec["classes"]
     raw: dict[EdgeClass, object] = {}
-    if isinstance(classes, dict):  # single spec applied to every class
+    if isinstance(classes, (dict, str)):  # single spec applied to every class
         pot = _pot_from_dict(classes)
         for axis in (0, 1):
             for base in lattice.fundamental_domain():

@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import EmptySupport, NoCoalescence
+from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling
 from .feasibility import (
     _local_energy,
     _neighbor_terms,
     _region_graph,
-    extend_boundary,
-    extend_boundary_min,
+    _value_windows,
     ground_state_energy,
 )
 from .heights import HeightConfig
@@ -306,19 +305,16 @@ def cftp_sample(pot, region, boundary, rng: RngStream, max_epochs: int = 22) -> 
 
     Monotone CFTP: coupled maximal and minimal chains share uniforms from
     counter-addressed past epochs (1, 2, 4, ... sweeps back) until they
-    coalesce at time zero.  Requires a discrete Lipschitz potential.
+    coalesce at time zero.  Requires a discrete Lipschitz potential with
+    convex edge potentials; chains that cross raise NonMonotoneCoupling.
     """
-    if not (pot.discrete and pot.is_lipschitz()):
-        raise ValueError("coupling from the past needs a discrete Lipschitz potential")
     region = sorted(region)
-    graph = _region_graph(pot, region, boundary)
-    top0 = extend_boundary(graph, boundary)
-    bot0 = extend_boundary_min(graph, boundary)
+    windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
     order = checkerboard_order(region)
     span = 1
     while max_epochs >= 0 and span <= (1 << max_epochs):
-        top = {v: top0.values[v] for v in region}
-        bot = {v: bot0.values[v] for v in region}
+        top = {v: windows[v][-1] for v in region}
+        bot = {v: windows[v][0] for v in region}
         for t in range(-span, 0):
             us = rng.at(t).random(len(order))
             _coupled_sweep(pot, order, boundary, top, bot, us)
@@ -338,7 +334,8 @@ def _coupled_sweep(pot, order, boundary, top, bot, uniforms):
         db = _site_dist(pot, vb, x, None)
         vt[x] = dt.quantile(u)
         vb[x] = db.quantile(u)
-        assert vb[x] <= vt[x], "monotone coupling violated"
+        if vb[x] > vt[x]:
+            raise NonMonotoneCoupling(f"coupled chains crossed at site {x}")
     for x in order:
         top[x] = vt[x]
         bot[x] = vb[x]

@@ -148,3 +148,14 @@ def test_cftp_determinism_bytes(tmp_path):
     rc3 = main(["cftp", "--config", cfg, "--seed", "12", "--out", str(tmp_path / "c")])
     assert rc3 == 0
     assert _dir_bytes(tmp_path / "a") != _dir_bytes(tmp_path / "c")
+
+
+@pytest.mark.parametrize("preset", ["sos-abs", "gaussian:1.0"])
+def test_cftp_unbounded_potential_writes_typed_error(tmp_path, preset):
+    domain = "real" if preset.startswith("gaussian") else "int"
+    pot = {"domain": domain, "period": [[1, 0], [0, 1]], "classes": preset}
+    cfg = _write_config(tmp_path, "c.json", {"potential": pot, "region": "2x2"})
+    rc = main(["cftp", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "StateSpaceTooLarge"

@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from gradsurf.errors import DivergentNormalizer, NoCoalescence
+from gradsurf.errors import DivergentNormalizer, NoCoalescence, StateSpaceTooLarge
+from gradsurf.feasibility import (
+    enumerate_region_configs,
+    enumerate_torus_configs,
+    ground_state_energy,
+)
 from gradsurf.heights import HeightConfig
 from gradsurf.lattice import box_region, outer_boundary
+from gradsurf.observables import EXACT_SUM, TRANSFER_MATRIX, log_partition_exact
 from gradsurf.potential import (
     PeriodicPotential,
     PiecewiseLinearPotential,
@@ -119,3 +125,29 @@ def test_cli_region_sample(tmp_path):
     assert rc == 0
     rows = (tmp_path / "o" / "samples.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 2 * 4
+
+
+_SITE = [(0, 0)]
+_RING = {v: 0 for v in outer_boundary(_SITE)}
+EXACT_METHODS = {
+    "cftp_sample": lambda pot: cftp_sample(pot, _SITE, _RING, RngStream(0)),
+    "enumerate_region_configs": lambda pot: list(enumerate_region_configs(pot, _SITE, _RING)),
+    "enumerate_torus_configs": lambda pot: list(enumerate_torus_configs(pot, 2, (0, 0))),
+    "ground_state_energy": lambda pot: ground_state_energy(pot, 2, (0, 0)),
+    "log_partition_exact_sum": lambda pot: log_partition_exact(
+        pot, torus=2, slope=(0, 0), method=EXACT_SUM
+    ),
+    "log_partition_exact_tm": lambda pot: log_partition_exact(
+        pot, torus=2, slope=(0, 0), method=TRANSFER_MATRIX
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(EXACT_METHODS))
+@pytest.mark.parametrize("fixture_name", ["sos", "gaussian"])
+def test_exact_methods_reject_unbounded_potentials(request, fixture_name, method):
+    # every exact method shares one precondition and one typed error
+    pot = request.getfixturevalue(fixture_name)
+    message = "^exact methods need a discrete Lipschitz potential$"
+    with pytest.raises(StateSpaceTooLarge, match=message):
+        EXACT_METHODS[method](pot)

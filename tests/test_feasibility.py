@@ -385,3 +385,71 @@ def test_region_enumeration_vs_oracle_random_potentials():
             assert got == oracle
             nonempty += bool(oracle)
     assert nonempty >= 96 + 16
+
+
+def _reachable(verts, arcs, sources):
+    reach, stack = set(sources), list(sources)
+    while stack:
+        x = stack.pop()
+        for (a, b), w in arcs.items():
+            if a == x and w < INF and b not in reach:
+                reach.add(b)
+                stack.append(b)
+    return reach
+
+
+def _check_max_extension(run, verts, arcs, pins):
+    """run() must give the maximal extension of ``pins`` on ``arcs`` or the
+    error a single seeded pass owes: NegativeCycle for a cycle the pins
+    reach, then Infeasible((x, y)) with D(x, y) < phi(y) - phi(x), then
+    Infeasible(v) for an unreached v.  Returns the outcome's name."""
+    reach = _reachable(verts, arcs, pins)
+    inner = {a: w for a, w in arcs.items() if a[0] in reach and a[1] in reach}
+    dist = all_simple_path_distances(sorted(reach), inner)
+    if dist is None:
+        with pytest.raises(NegativeCycle) as exc:
+            run()
+        wit = exc.value.witness
+        assert wit[0] == wit[-1]
+        assert sum(arcs[(a, b)] for a, b in zip(wit, wit[1:])) == exc.value.weight < 0
+        return "cycle"
+    if any(dist[(x, y)] < pins[y] - pins[x] for x in pins for y in pins):
+        with pytest.raises(Infeasible) as exc:
+            run()
+        x, y = exc.value.detail
+        assert x in pins and y in pins
+        assert dist[(x, y)] < pins[y] - pins[x]
+        return "pair"
+    if reach != set(verts):
+        with pytest.raises(Infeasible) as exc:
+            run()
+        assert exc.value.detail in set(verts) - reach
+        return "unreached"
+    assert run() == {v: min(pins[x] + dist[(x, v)] for x in pins) for v in verts}
+    return "values"
+
+
+def test_extension_pass_matches_path_enumeration_random_graphs():
+    # one seeded Bellman-Ford pass per direction against every simple path;
+    # the minimal extension is the negated maximal one of the reversed arcs
+    # with negated pins, so max_x phi(x) - D(v, x) is checked in that frame
+    rng = random.Random(321)
+    verts = [(i, 0) for i in range(3)] + [(i, 1) for i in range(3)]
+    outcomes = {}
+    for trial in range(300):
+        arcs = {}
+        for x, y in itertools.permutations(verts, 2):
+            if abs(x[0] - y[0]) + abs(x[1] - y[1]) == 1 and rng.random() < 0.8:
+                arcs[(x, y)] = rng.randint(-2, 6)
+        g = FeasibilityGraph.from_arcs(arcs, verts)
+        pins = {x: rng.randint(-3, 3) for x in rng.sample(verts, rng.randint(1, 3))}
+        top = _check_max_extension(lambda: extend_boundary(g, pins).values, verts, arcs, pins)
+        bot = _check_max_extension(
+            lambda: {v: -h for v, h in extend_boundary_min(g, pins).values.items()},
+            verts,
+            {(y, x): w for (x, y), w in arcs.items()},
+            {x: -h for x, h in pins.items()},
+        )
+        for outcome in (top, bot):
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert min(outcomes.get(k, 0) for k in ("cycle", "pair", "unreached", "values")) >= 20, outcomes

@@ -245,3 +245,11 @@ def test_potential_roundtrip_with_offset(tmp_path):
 
 def test_domino_preset_roundtrip():
     assert PeriodicPotential.from_dict({"preset": "domino"}) == domino_potential()
+
+
+def test_classes_preset_string_is_isotropic_spec():
+    base = {"domain": "int", "period": [[1, 0], [0, 1]]}
+    as_string = PeriodicPotential.from_dict({**base, "classes": "sos-abs"})
+    as_dict = PeriodicPotential.from_dict({**base, "classes": {"preset": "sos-abs"}})
+    assert as_string.to_dict() == as_dict.to_dict()
+    assert as_string.config_hash() == as_dict.config_hash()

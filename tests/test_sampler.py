@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gradsurf.errors import EmptySupport
+from gradsurf import feasibility
+from gradsurf.errors import EmptySupport, NonMonotoneCoupling
 from gradsurf.feasibility import enumerate_torus_configs
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import box_region, outer_boundary
@@ -264,6 +265,32 @@ def test_cftp_ignores_edges_between_boundary_vertices(sos_trunc1):
     for k in range(20):
         out = cftp_sample(sos_trunc1, interior, boundary, RngStream(9, k))
         assert {v: out.values[v] for v in interior} in states
+
+
+def test_cftp_one_extension_pass_per_direction(sos_trunc1, monkeypatch):
+    # the maximal and minimal starts come from one seeded Bellman-Ford
+    # pass each, whatever the number of boundary vertices (8 here)
+    passes = []
+    bellman_ford = feasibility._bellman_ford
+
+    def counted(*args):
+        passes.append(args[2])
+        return bellman_ford(*args)
+
+    monkeypatch.setattr(feasibility, "_bellman_ford", counted)
+    interior = sorted(box_region(2, 2))
+    boundary = {v: 0 for v in outer_boundary(interior)}
+    cftp_sample(sos_trunc1, interior, boundary, RngStream(0))
+    assert passes == [{v: 0.0 for v in boundary}] * 2
+
+
+def test_cftp_nonconvex_potential_raises_typed_error(nonconvex):
+    # V(0) = 1, V(+-1) = 0 is Lipschitz but not convex: site conditionals
+    # are not ordered in the neighbor heights, so the coupled chains cross
+    interior = sorted(box_region(3, 3))
+    boundary = {v: 0 for v in outer_boundary(interior)}
+    with pytest.raises(NonMonotoneCoupling):
+        cftp_sample(nonconvex, interior, boundary, RngStream(0))
 
 
 def test_random_round_integer_input():
