@@ -131,7 +131,10 @@ def cmd_sample(cfg, seed, out: Path):
             rows.extend(_config_csv(config, s))
     else:
         region, boundary = _region_with_boundary(cfg)
-        start = _restrict(extend_boundary(_region_graph(pot, region, boundary), boundary), region)
+        if pot.is_lipschitz():
+            start = _restrict(extend_boundary(_region_graph(pot, region, boundary), boundary), region)
+        else:  # flat at boundary_level, the plane through the pins
+            start = HeightConfig(dict.fromkeys(region, boundary[min(boundary)]), reference=region[0])
         for s in range(samples):
             config = start
             stream = RngStream(seed, s)

@@ -499,6 +499,15 @@ def _local_energy(terms, a) -> float:
     return total
 
 
+def _torus_energy(pot, config) -> float:
+    """Energy of all 2 n^2 edges of a torus config."""
+    total = 0.0
+    for v in config.values:
+        for axis in (0, 1):
+            total += pot.edge_energy((v, axis), config.increment(v, axis))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Exact enumeration and ground states
 

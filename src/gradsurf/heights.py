@@ -76,8 +76,5 @@ class HeightConfig:
     def copy(self) -> "HeightConfig":
         return HeightConfig(dict(self.values), self.reference, self.torus)
 
-    def leq(self, other: "HeightConfig") -> bool:
-        return all(h <= other.values[v] for v, h in self.values.items())
-
     def sorted_items(self):
         return sorted(self.values.items())

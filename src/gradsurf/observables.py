@@ -25,6 +25,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .feasibility import (
+    _torus_energy,
     _torus_frame,
     enumerate_region_configs,
     enumerate_torus_configs,
@@ -278,15 +279,6 @@ def _scale_potential(pot, beta: float) -> PeriodicPotential:
 
 def _chebyshev_grid(points: int = 21):
     return sorted(0.5 * (1.0 - math.cos(math.pi * k / (points - 1))) for k in range(points))
-
-
-def _torus_energy(pot, config) -> float:
-    info = config.torus
-    total = 0.0
-    for v in config.values:
-        for axis in (0, 1):
-            total += pot.edge_energy((v, axis), config.increment(v, axis))
-    return total
 
 
 def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):

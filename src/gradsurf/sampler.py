@@ -15,13 +15,15 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling
+from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
 from .feasibility import (
     _local_energy,
     _neighbor_terms,
     _region_graph,
+    _torus_energy,
+    _torus_frame,
     _value_windows,
-    ground_state_energy,
+    torus_info,
 )
 from .heights import HeightConfig
 from .lattice import Vertex
@@ -136,9 +138,6 @@ def _discrete_conditional(terms) -> DiscreteDistribution:
         energies = _scan_unbounded(terms, lo, hi)
     support = sorted(energies)
     emin = min(energies.values())
-    if all(e == emin for e in energies.values()):  # flat local energies
-        p = 1.0 / len(support)
-        return DiscreteDistribution(tuple(support), (p,) * len(support))
     weights = [math.exp(-(energies[a] - emin)) for a in support]
     total = sum(weights)
     return DiscreteDistribution(tuple(support), tuple(w / total for w in weights))
@@ -269,31 +268,38 @@ def _site_dist(pot, values, x, torus):
 def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfig:
     """Heat-bath sample of the slope homology class on the n-torus.
 
-    Starts at an exact ground state and sweeps the pinned periodic part;
-    the homology class is conserved exactly by single-site updates.
+    Starts from the finite-energy surface of ``_torus_start`` and sweeps the
+    pinned periodic part; wrap increments carry the class's holonomy, so
+    single-site updates never leave the class.
     """
     config, order = _torus_start(pot, n, slope)
-    holonomy_before = _cycle_sums(config)
     for t in range(sweeps):
         config = heat_bath_sweep(pot, config, order=order, rng=rng.at(t))
-    assert _cycle_sums(config) == holonomy_before, "homology class moved"
     return config.pin()
 
 
 def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, list[Vertex]]:
-    """An exact ground state of the slope class and the checkerboard order
-    of its free (non-reference) sites: the start of every torus chain."""
-    _, config = ground_state_energy(pot, n, slope)
-    order = checkerboard_order([v for v in config.values if v != config.reference])
+    """A finite-energy surface of the slope class and the checkerboard order
+    of its free (non-reference) sites: the start of every torus chain.
+
+    Each vertex starts at floor((max ext + min ext) / 2), the midpoint of
+    its height window, which keeps every increment within its integer
+    bounds; raises Infeasible for an empty class.  Potentials that are not
+    discrete Lipschitz start from the plane u.x, rounded down on integer
+    heights, and raise StateSpaceTooLarge if it has infinite energy.
+    """
+    try:
+        info, windows, _, _ = _torus_frame(pot, n, slope)
+        values = {v: w[(len(w) - 1) // 2] for v, w in windows.items()}
+    except StateSpaceTooLarge:
+        info = torus_info(pot, n, slope)
+        level = math.floor if pot.discrete else float
+        values = {(i, j): level(info.slope[0] * i + info.slope[1] * j) for i in range(n) for j in range(n)}
+        if _torus_energy(pot, HeightConfig(values, reference=(0, 0), torus=info)) == INF:
+            raise
+    config = HeightConfig(values, reference=(0, 0), torus=info)
+    order = checkerboard_order([v for v in values if v != config.reference])
     return config, order
-
-
-def _cycle_sums(config: HeightConfig) -> tuple:
-    """Exact increment sums around one horizontal and one vertical cycle."""
-    n = config.torus.n
-    s1 = sum(config.increment((i, 0), 0) for i in range(n))
-    s2 = sum(config.increment((0, j), 1) for j in range(n))
-    return (s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -76,18 +76,17 @@ def _psi_step(x: Vertex, y: Vertex, crosses: bool) -> int:
     """psi(y) - psi(x): congruent to the label difference mod 4, size 1 or 3."""
     d = (parity_label(y) - parity_label(x)) % 4
     assert d in (1, 3)
-    candidates = (d, d - 4)
-    for c in candidates:
-        if (abs(c) == 3) == crosses:
-            return c
-    raise AssertionError("unreachable")
+    return d if (d == 3) == crosses else d - 4
 
 
-def matching_to_height(matching: DominoMatching) -> HeightConfig:
-    """Height function of a tiling, pinned so psi equals the parity label
-    at the smallest boundary vertex."""
-    region = matching.region
-    verts = region_vertices(region)
+def _psi_walk(verts, crossing, error) -> dict[Vertex, int]:
+    """Heights (psi - label) / 4 from a walk over the edges between verts,
+    with psi equal to the parity label at the smallest vertex.
+
+    ``crossing(s1, s2)`` tells whether the edge between squares s1 and s2
+    crosses a domino, or None to skip the edge; ``error(v)`` is raised when
+    the increments fail to close at v.
+    """
     pin = min(verts)
     psi = {pin: parity_label(pin)}
     stack = [pin]
@@ -97,24 +96,31 @@ def matching_to_height(matching: DominoMatching) -> HeightConfig:
             if y not in verts:
                 continue
             a, b = (x, y) if x < y else (y, x)
-            s1, s2 = _edge_squares(a, b)
-            both_in = s1 in region and s2 in region
-            crosses = both_in and Domino((s1, s2)) in matching.dominoes
+            crosses = crossing(*_edge_squares(a, b))
+            if crosses is None:
+                continue
             step = _psi_step(a, b, crosses)
-            val = psi[a] + step if x == a else psi[b] - step
-            target = y
-            if target in psi:
-                if psi[target] != val:
-                    raise InconsistentCycle(f"increments fail to close at {target}")
+            val = psi[x] + step if x == a else psi[x] - step
+            if y in psi:
+                if psi[y] != val:
+                    raise error(y)
             else:
-                psi[target] = val
-                stack.append(target)
-    values = {}
-    for v, p in psi.items():
-        diff = p - parity_label(v)
-        assert diff % 4 == 0
-        values[v] = diff // 4
-    return HeightConfig(values, reference=pin)
+                psi[y] = val
+                stack.append(y)
+    return {v: (p - parity_label(v)) // 4 for v, p in psi.items()}
+
+
+def matching_to_height(matching: DominoMatching) -> HeightConfig:
+    """Height function of a tiling, pinned so psi equals the parity label
+    at the smallest boundary vertex."""
+    region = matching.region
+    verts = region_vertices(region)
+
+    def crossing(s1, s2):
+        return s1 in region and s2 in region and Domino((s1, s2)) in matching.dominoes
+
+    values = _psi_walk(verts, crossing, lambda v: InconsistentCycle(f"increments fail to close at {v}"))
+    return HeightConfig(values, reference=min(verts))
 
 
 def _squares_from_vertices(verts: frozenset[Vertex]) -> frozenset[Square]:
@@ -244,27 +250,11 @@ def boundary_heights(region: Iterable[Square]) -> dict[Vertex, int]:
         for v in verts
         if any(s not in squares for s in _touching_squares(v))
     }
-    pin = min(verts)
-    psi = {pin: parity_label(pin)}
-    stack = [pin]
-    while stack:
-        x = stack.pop()
-        for y in neighbors(x):
-            if y not in boundary:
-                continue
-            a, b = (x, y) if x < y else (y, x)
-            s1, s2 = _edge_squares(a, b)
-            if s1 in squares and s2 in squares:
-                continue  # interior edge: crossing status unknown here
-            step = _psi_step(a, b, crosses=False)
-            val = psi[a] + step if x == a else psi[b] - step
-            if y in psi:
-                if psi[y] != val:
-                    raise Untileable("boundary heights do not close")
-            else:
-                psi[y] = val
-                stack.append(y)
-    return {v: (p - parity_label(v)) // 4 for v, p in psi.items()}
+
+    def crossing(s1, s2):  # interior edges: crossing status unknown here
+        return None if s1 in squares and s2 in squares else False
+
+    return _psi_walk(boundary, crossing, lambda v: Untileable("boundary heights do not close"))
 
 
 def _touching_squares(v: Vertex):

@@ -159,3 +159,20 @@ def test_cftp_unbounded_potential_writes_typed_error(tmp_path, preset):
     assert rc == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert err["error"] == "StateSpaceTooLarge"
+
+
+@pytest.mark.parametrize("mode", ["torus", "region"])
+@pytest.mark.parametrize("preset", ["sos-abs", "gaussian:1.0"])
+def test_sample_unbounded_potential(tmp_path, preset, mode):
+    # torus chains start from the plane u.x, region chains from the flat
+    # surface at boundary_level
+    domain = "real" if preset.startswith("gaussian") else "int"
+    pot = {"domain": domain, "period": [[1, 0], [0, 1]], "classes": preset}
+    cfg = {"potential": pot, "mode": mode, "n": 4, "region": "3x3", "sweeps": 4, "samples": 2}
+    rc = main(["sample", "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = (tmp_path / "out" / "samples.csv").read_text().strip().splitlines()[1:]
+    sites = {(int(x), int(y)) for _, x, y, _ in (row.split(",") for row in rows)}
+    side = 4 if mode == "torus" else 3
+    assert sites == {(i, j) for i in range(side) for j in range(side)}
+    assert len(rows) == 2 * side * side

@@ -27,6 +27,7 @@ from gradsurf.potential import (
     domino_potential,
     hamiltonian_interior,
 )
+from gradsurf.sampler import _torus_start
 
 from oracles import (
     all_simple_path_distances,
@@ -356,12 +357,17 @@ def test_torus_enumeration_and_ground_state_vs_oracle_random_potentials():
                     list(enumerate_torus_configs(pot, 2, slope))
                 with pytest.raises(Infeasible):
                     ground_state_energy(pot, 2, slope)
+                with pytest.raises(Infeasible):
+                    _torus_start(pot, 2, slope)
                 continue
             nonempty += 1
             assert _configs(enumerate_torus_configs(pot, 2, slope)) == oracle
             chi, witness = ground_state_energy(pot, 2, slope)
             assert chi == min(e for _, e in oracle)
             assert (tuple(witness.sorted_items()), chi) in oracle
+            # the chain start (window midpoints) is a member of the class
+            start, _ = _torus_start(pot, 2, slope)
+            assert tuple(start.sorted_items()) in {c for c, _ in oracle}
     assert nonempty >= 16
 
 

@@ -1,16 +1,25 @@
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gradsurf import feasibility
-from gradsurf.errors import EmptySupport, NonMonotoneCoupling
+from gradsurf.cli import main
+from gradsurf.errors import EmptySupport, NonMonotoneCoupling, StateSpaceTooLarge
 from gradsurf.feasibility import enumerate_torus_configs
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import box_region, outer_boundary
-from gradsurf.potential import PeriodicPotential, QuadraticPotential, TablePotential
+from gradsurf.observables import THERMODYNAMIC_INTEGRATION, sigma_estimate, variance_profile
+from gradsurf.potential import (
+    PeriodicPotential,
+    PiecewiseLinearPotential,
+    QuadraticPotential,
+    TablePotential,
+)
 from gradsurf.rng import RngStream
 from gradsurf.sampler import (
     DiscreteDistribution,
@@ -148,6 +157,53 @@ def test_torus_sample_homology_conserved(domino):
     tilted = torus_sample(domino, 4, (F(1, 4), F(0)), sweeps=10, rng=stream.substream(1))
     row = sum(tilted.increment((i, 0), 0) for i in range(n))
     assert row == 1
+
+
+def test_torus_sample_side_32_domino(domino):
+    # the start costs one extension pass per direction at any size
+    config = torus_sample(domino, 32, (F(0), F(0)), sweeps=1, rng=RngStream(0, 0))
+    assert len(config.values) == 32 * 32
+
+
+def test_torus_sample_real_heights_stay_finite(gaussian):
+    # real increments telescope around a cycle only up to rounding, so no
+    # chain may test its cycle sums exactly
+    for seed in range(30):
+        config = torus_sample(gaussian, 4, (F(0), F(0)), sweeps=8, rng=RngStream(seed, 0))
+        assert len(config.values) == 16
+        assert all(math.isfinite(h) for h in config.values.values())
+
+
+def test_torus_start_rejects_infinite_plane():
+    # increments in [0, inf) are unbounded, so the start is the plane u.x,
+    # whose wrap increment -1 has infinite energy at slope (-1/4, 0)
+    half = PeriodicPotential.isotropic("int", PiecewiseLinearPotential((0.0, 1.0), (0.0, 0.0), None, 1.0))
+    with pytest.raises(StateSpaceTooLarge):
+        torus_sample(half, 4, (F(-1, 4), F(0)), sweeps=1, rng=RngStream(0, 0))
+    assert len(torus_sample(half, 4, (F(1, 4), F(0)), sweeps=1, rng=RngStream(0, 0)).values) == 16
+
+
+def test_torus_chains_never_search_ground_states(sos_trunc1, monkeypatch, tmp_path):
+    # the branch-and-bound search is exponential in n^2; it stays an exact
+    # small-torus oracle and no torus chain starts from it
+    search = feasibility.ground_state_energy
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gradsurf" and hasattr(module, "ground_state_energy"):
+            monkeypatch.setattr(module, "ground_state_energy", counted)
+    slope = (F(1, 4), F(0))
+    torus_sample(sos_trunc1, 4, slope, sweeps=2, rng=RngStream(0, 0))
+    sigma_estimate(sos_trunc1, slope, 4, THERMODYNAMIC_INTEGRATION, budget=16, rng=RngStream(1, 0))
+    variance_profile(sos_trunc1, 4, slope, distances=(1, 2), trials=8, rng=RngStream(2, 0), burn_in=2)
+    cfg = tmp_path / "swap.json"
+    cfg.write_text(json.dumps({"potential": {"preset": "domino"}, "n": 4, "sweeps": 2, "trials": 1}))
+    assert main(["swap", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == []
 
 
 def test_torus_sweep_fixes_class_gibbs(sos_trunc1):
