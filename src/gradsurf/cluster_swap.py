@@ -10,6 +10,15 @@ the residual adjusted so t is untouched.
 
 Residuals are kept as exact rationals (floats convert losslessly), which
 makes swap involutions and energy conservation bitwise identities.
+
+On discrete potentials with integer heights, ``swappable_set`` computes
+each swap deficit once: the deficit reads only the differences among the
+edge's four heights, so it is memoized on the potential under the edge
+class and the four heights minus their minimum, and lives as long as the
+potential.  The entry is the exact rational ``swap_deficit`` returned for
+the first edge with that key, so the classification does not change.
+``shifted_analysis`` builds the swappable set of each shift level once; the
+shift c and both crossing-bound scans share it.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InfiniteEnergy, NegativeResidual
+from .errors import InfiniteEnergy, MixedClusterSign, NegativeResidual
 from .heights import HeightConfig
 from .lattice import AXIS_VECTORS, Edge, Vertex, add, edges_within, neighbors
 from .potential import INF, PeriodicPotential
@@ -240,6 +249,9 @@ def swappable_set(
     closed = set()
     open_adj: dict[Vertex, list[Vertex]] = {v: [] for v in support}
     p1, p2 = triplet.phi1.values, triplet.phi2.values
+    deficits = None
+    if pot.discrete and set(map(type, p1.values())) | set(map(type, p2.values())) == {int}:
+        deficits = pot._memo("_swap_deficits")
     for e, r in triplet.residual.items():
         base, axis = e
         head = add(base, AXIS_VECTORS[axis])
@@ -249,7 +261,15 @@ def swappable_set(
         if p1[base] == p2[base] or p1[head] == p2[head]:
             closed.add(e)
             continue
-        d = swap_deficit(pot, triplet, e)
+        if deficits is None:
+            d = swap_deficit(pot, triplet, e)
+        else:
+            hs = (p1[base], p1[head], p2[base], p2[head])
+            m = min(hs)
+            key = (pot.edge_class(e), hs[0] - m, hs[1] - m, hs[2] - m, hs[3] - m)
+            d = deficits.get(key)
+            if d is None:
+                d = deficits[key] = swap_deficit(pot, triplet, e)
         if d != INF and r >= d:
             closed.add(e)
         else:
@@ -288,7 +308,8 @@ def _cluster_zeta(p1, p2, comp) -> int:
     for v in comp:
         a, b = p1[v], p2[v]
         signs.add(1 if a > b else (-1 if a < b else 0))
-    assert len(signs) == 1, "zeta must be constant on an open cluster"
+    if len(signs) != 1:
+        raise MixedClusterSign(f"open cluster at {min(comp)} has zeta values {sorted(signs)}")
     return signs.pop()
 
 
@@ -420,20 +441,26 @@ def shifted_analysis(
     """
     window = set(triplet.phi1.values) if window is None else set(window)
     ss, t_plus, t_minus = _proxies(pot, triplet, c, window)
+    empty = {c: (not t_plus, not t_minus)}  # per shift level, built once
+
+    def proxies_empty(level):
+        if level not in empty:
+            _, tp, tm = _proxies(pot, triplet, level, window)
+            empty[level] = (not tp, not tm)
+        return empty[level]
+
     diffs = [
         triplet.phi2.values[v] - triplet.phi1.values[v] for v in sorted(window)
     ]
     candidates = _scan_levels(diffs, pot.discrete)
     b_plus = None
     for cand in candidates:  # t_plus proxy is decreasing in the shift
-        _, tp, _ = _proxies(pot, triplet, cand, window)
-        if not tp:
+        if proxies_empty(cand)[0]:
             b_plus = cand
             break
     b_minus = None
     for cand in reversed(candidates):
-        _, _, tm = _proxies(pot, triplet, cand, window)
-        if not tm:
+        if proxies_empty(cand)[1]:
             b_minus = cand
             break
     return ShiftedAnalysis(

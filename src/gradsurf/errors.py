@@ -65,6 +65,12 @@ class NonMonotoneCoupling(GradsurfError):
     conditionals are not stochastically ordered in the neighbor heights."""
 
 
+class MixedClusterSign(GradsurfError):
+    """An open cluster joins sites where the two surfaces are ordered
+    oppositely.  Convex edge potentials always make such edges swappable, so
+    the potential is not convex."""
+
+
 class NegativeResidual(GradsurfError):
     """Total energy undershoots the potential energy on some edge."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -464,28 +465,39 @@ def _max_objective(halfspaces: list[Halfspace], objective: tuple[int, int]):
 # Site energies
 
 
-def _neighbor_terms(pot, values, x, torus: TorusInfo | None):
-    """(edge potential, effective neighbor height, orientation) per neighbor.
+def _neighbor_slots(x, keys, torus: TorusInfo | None):
+    """(neighbor key, holonomy shift, edge, orientation) per neighbor of x.
 
-    Orientation +1 means x is the edge base, so the energy term at height a
-    is V(h - a); orientation -1 gives V(a - h).  Only neighbors present in
-    ``values`` contribute.  On the 2-torus the same neighbor sits on both
-    sides through distinct parallel edges, and both are counted.
+    Orientation +1 means x is the edge base and the neighbor's effective
+    height is its height plus the shift; orientation -1 means x is the head
+    and the shift is subtracted.  Only neighbors in ``keys`` count.  On the
+    2-torus the same neighbor sits on both sides through distinct parallel
+    edges, and both are counted.
     """
-    terms = []
+    slots = []
     h = torus.holonomy() if torus is not None else None
     for axis in (0, 1):
         raw = add(x, AXIS_VECTORS[axis])
         key = torus.wrap(raw) if torus is not None else raw
-        if key in values and key != x:  # self-loops contribute a constant
+        if key in keys and key != x:  # self-loops contribute a constant
             delta = h[axis] if (torus is not None and key != raw) else 0
-            terms.append((pot.edge_potential((x, axis)), values[key] + delta, +1))
+            slots.append((key, delta, (x, axis), +1))
         raw = sub(x, AXIS_VECTORS[axis])
         key = torus.wrap(raw) if torus is not None else raw
-        if key in values and key != x:
+        if key in keys and key != x:
             delta = h[axis] if (torus is not None and key != raw) else 0
-            terms.append((pot.edge_potential((key, axis)), values[key] - delta, -1))
-    return terms
+            slots.append((key, delta, (key, axis), -1))
+    return slots
+
+
+def _neighbor_terms(pot, values, x, torus: TorusInfo | None):
+    """(edge potential, effective neighbor height, orientation) per neighbor
+    in ``values``: the energy term at height a is V(h - a) for orientation
+    +1 and V(a - h) for -1."""
+    return [
+        (pot.edge_potential(edge), values[key] + delta if orient > 0 else values[key] - delta, orient)
+        for key, delta, edge, orient in _neighbor_slots(x, values, torus)
+    ]
 
 
 def _local_energy(terms, a) -> float:
@@ -617,7 +629,9 @@ def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int 
 
     Branch-and-bound: partial energies are monotone because normalized edge
     potentials are nonnegative, so any partial sum at or above the best
-    known total can be cut; candidate heights are tried greedily.
+    known total can be cut; candidate heights are tried greedily.  The
+    search recurses once per site; a torus too deep for the interpreter's
+    recursion limit raises StateSpaceTooLarge naming the depth needed.
     """
     info, windows, order, base_energy = _torus_frame(pot, n, slope)
     x0 = (0, 0)
@@ -649,7 +663,13 @@ def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int 
             search(idx + 1, energy + de)
             del known[v]
 
-    search(0, base_energy)
+    try:
+        search(0, base_energy)
+    except RecursionError:
+        raise StateSpaceTooLarge(
+            f"ground-state search needs recursion depth {len(order)}, "
+            f"beyond the interpreter limit {sys.getrecursionlimit()}"
+        ) from None
     if best[1] is None:
         raise Infeasible(f"slope {slope} on the {n}-torus")
     return best[0], HeightConfig(best[1], reference=x0, torus=info)

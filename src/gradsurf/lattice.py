@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import ConfigParse
+
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, int]  # (base, axis)
 
@@ -80,7 +82,8 @@ class Sublattice:
         new2 = [(-s // g) * c1[0] + (r // g) * c2[0], (-s // g) * c1[1] + (r // g) * c2[1]]
         a, c = new1
         zero, b = new2
-        assert zero == 0
+        if zero != 0:
+            raise ConfigParse(f"period matrix {period} did not reduce to Hermite form")
         if a < 0:
             a, c = -a, -c
         if b < 0:

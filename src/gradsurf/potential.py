@@ -285,6 +285,18 @@ class PeriodicPotential:
             for pot in self.class_potentials.values()
         )
 
+    def _memo(self, name: str) -> dict:
+        """A cache of local results that lives as long as this potential.
+
+        Kept as a private attribute (the dataclass is frozen), so two
+        potentials never share entries.  Callers store only immutable values.
+        """
+        memo = self.__dict__.get(name)
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, name, memo)
+        return memo
+
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]

@@ -7,6 +7,17 @@ checkerboard order with one uniform per site, so a sweep is a pure
 function of the configuration and the random stream, and chains started
 from ordered states stay ordered under shared uniforms.  That monotonicity
 drives the exact coupling-from-the-past sampler for Lipschitz potentials.
+
+Discrete Lipschitz chains compute each site conditional once.  A gradient
+potential's conditional depends only on the neighbors' edge classes,
+orientations and heights relative to their minimum m, so it is memoized on
+the potential under that key and a site draws m + quantile(u).  Shifting
+all heights by the integer m changes no argument passed to an edge
+potential, so energies, their summation order and the probabilities are
+bit-for-bit those of ``site_conditional``, and outputs do not change.  The
+memo lives as long as the potential.  Chains with non-integer heights,
+continuous domains and unbounded increments (whose scan starts from a
+rounded mean, which a shift can move) use ``site_conditional``'s code.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from statistics import NormalDist
 from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
 from .feasibility import (
     _local_energy,
+    _neighbor_slots,
     _neighbor_terms,
     _region_graph,
     _torus_energy,
@@ -240,9 +252,9 @@ def heat_bath_sweep(pot, config: HeightConfig, boundary=None, order=None, unifor
     if uniforms is None:
         uniforms = rng.random(len(order))
     values, torus = _lookup(out, boundary)
-    for u, x in zip(uniforms, order):
-        dist = _site_dist(pot, values, x, torus)
-        values[x] = dist.quantile(u)
+    draw, steps = _site_draws(pot, order, values, torus, uniforms)
+    for u, x, site in steps:
+        values[x] = draw(values, site, u)
     for x in order:
         out.values[x] = values[x]
     return out
@@ -259,6 +271,83 @@ def _site_dist(pot, values, x, torus):
         mean = sum(t[0].coeff * t[1] for t in terms) / coeff
         return GaussianDistribution(mean=mean, variance=1.0 / (2.0 * coeff))
     return _tabulated_conditional(terms)
+
+
+class _SiteTable(tuple):
+    """A site order that carries, per site, what a sweep reads: the wrapped
+    neighbor keys with their holonomy shifts, and the neighbors' edge
+    classes and orientations.  Built once per chain.
+
+    ``rows[i]`` is (site, neighbor keys, signed shifts, ((edge class,
+    orientation), ...), signature), where the signature is a string naming
+    the classes and orientations, cheap to hash as part of a memo key.
+    Equal shift, class and signature tuples are stored once, and neighbor
+    keys are the config's own vertex tuples, which keeps large tables small.
+    """
+
+    def __new__(cls, pot, order, keys, torus):
+        self = super().__new__(cls, order)
+        self.torus = torus
+        self.lattice = pot.lattice
+        vertex = {v: v for v in keys}
+        shared_shifts, shared_classes = {}, {}
+        rows = []
+        for x in self:
+            slots = _neighbor_slots(x, keys, torus)
+            nbrs = tuple(vertex[key] for key, _, _, _ in slots)
+            shifts = tuple(delta if orient > 0 else -delta for _, delta, _, orient in slots)
+            classes = tuple((pot.edge_class(edge), orient) for _, _, edge, orient in slots)
+            shifts = shared_shifts.setdefault(shifts, shifts)
+            classes, signature = shared_classes.setdefault(classes, (classes, repr(classes)))
+            rows.append((x, nbrs, shifts, classes, signature))
+        self.rows = tuple(rows)
+        return self
+
+
+def _site_table(pot, order, values, torus):
+    """The order as a _SiteTable when the memoized conditionals apply, else
+    None: a discrete Lipschitz potential, integer heights and a height at
+    every site.  A table built for the same torus and period is reused."""
+    if not (pot.discrete and pot.is_lipschitz()) or set(map(type, values.values())) != {int}:
+        return None
+    if isinstance(order, _SiteTable) and order.torus == torus and order.lattice == pot.lattice:
+        return order
+    if not values.keys() >= set(order):
+        return None
+    return _SiteTable(pot, order, values, torus)
+
+
+def _site_draws(pot, order, values, torus, uniforms):
+    """(draw, steps) for one sweep: steps yields (uniform, site, key) in
+    order and draw(values, key, u) is the site's new height, read from the
+    memoized conditionals when ``_site_table`` applies and from
+    ``site_conditional``'s code otherwise."""
+    table = _site_table(pot, order, values, torus)
+    if table is None:
+        return (lambda vals, x, u: _site_dist(pot, vals, x, torus).quantile(u)), zip(uniforms, order, order)
+    memo = pot._memo("_site_conditionals")
+    pots = pot.class_potentials
+
+    def draw(vals, row, u):
+        # the conditional of the heights minus m, keyed by the signature
+        x, nbrs, shifts, classes, signature = row
+        if not nbrs:
+            raise EmptySupport(f"site {x} has no assigned neighbors")
+        hs = [vals[key] + delta for key, delta in zip(nbrs, shifts)]
+        m = min(hs)
+        key = (signature, *[h - m for h in hs])
+        dist = memo.get(key)
+        if dist is None:
+            dist = _discrete_conditional([(pots[c], h - m, orient) for (c, orient), h in zip(classes, hs)])
+            memo[key] = dist
+        return m + dist.quantile(u)
+
+    return draw, zip(_floats(uniforms), table, table.rows)
+
+
+def _floats(uniforms):
+    """Uniforms as Python floats (same values), which compare faster."""
+    return uniforms.tolist() if hasattr(uniforms, "tolist") else uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +367,34 @@ def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfi
     return config.pin()
 
 
-def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, list[Vertex]]:
-    """A finite-energy surface of the slope class and the checkerboard order
-    of its free (non-reference) sites: the start of every torus chain.
+def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, _SiteTable]:
+    """A finite-energy surface of the slope class and the checkerboard site
+    table of its free (non-reference) sites: the start of every torus chain.
 
     Each vertex starts at floor((max ext + min ext) / 2), the midpoint of
     its height window, which keeps every increment within its integer
     bounds; raises Infeasible for an empty class.  Potentials that are not
     discrete Lipschitz start from the plane u.x, rounded down on integer
-    heights, and raise StateSpaceTooLarge if it has infinite energy.
+    heights, and raise StateSpaceTooLarge if it has infinite energy.  The
+    start is built once per potential, n and slope; each call returns a
+    fresh config.
     """
-    try:
-        info, windows, _, _ = _torus_frame(pot, n, slope)
-        values = {v: w[(len(w) - 1) // 2] for v, w in windows.items()}
-    except StateSpaceTooLarge:
-        info = torus_info(pot, n, slope)
-        level = math.floor if pot.discrete else float
-        values = {(i, j): level(info.slope[0] * i + info.slope[1] * j) for i in range(n) for j in range(n)}
-        if _torus_energy(pot, HeightConfig(values, reference=(0, 0), torus=info)) == INF:
-            raise
-    config = HeightConfig(values, reference=(0, 0), torus=info)
-    order = checkerboard_order([v for v in values if v != config.reference])
-    return config, order
+    memo = pot._memo("_torus_starts")
+    key = (n, tuple(slope))
+    if key not in memo:
+        try:
+            info, windows, _, _ = _torus_frame(pot, n, slope)
+            values = {v: w[(len(w) - 1) // 2] for v, w in windows.items()}
+        except StateSpaceTooLarge:
+            info = torus_info(pot, n, slope)
+            level = math.floor if pot.discrete else float
+            values = {(i, j): level(info.slope[0] * i + info.slope[1] * j) for i in range(n) for j in range(n)}
+            if _torus_energy(pot, HeightConfig(values, reference=(0, 0), torus=info)) == INF:
+                raise
+        order = checkerboard_order([v for v in values if v != (0, 0)])
+        memo[key] = (info, tuple(values.items()), _SiteTable(pot, order, values, info))
+    info, heights, table = memo[key]
+    return HeightConfig(dict(heights), reference=(0, 0), torus=info), table
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +412,7 @@ def cftp_sample(pot, region, boundary, rng: RngStream, max_epochs: int = 22) -> 
     region = sorted(region)
     windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
     order = checkerboard_order(region)
+    order = _site_table(pot, order, {**boundary, **{v: windows[v][0] for v in region}}, None) or order
     span = 1
     while max_epochs >= 0 and span <= (1 << max_epochs):
         top = {v: windows[v][-1] for v in region}
@@ -335,11 +431,10 @@ def cftp_sample(pot, region, boundary, rng: RngStream, max_epochs: int = 22) -> 
 def _coupled_sweep(pot, order, boundary, top, bot, uniforms):
     vt, _ = _lookup(top, boundary)
     vb, _ = _lookup(bot, boundary)
-    for u, x in zip(uniforms, order):
-        dt = _site_dist(pot, vt, x, None)
-        db = _site_dist(pot, vb, x, None)
-        vt[x] = dt.quantile(u)
-        vb[x] = db.quantile(u)
+    draw, steps = _site_draws(pot, order, vt, None, uniforms)
+    for u, x, site in steps:
+        vt[x] = draw(vt, site, u)
+        vb[x] = draw(vb, site, u)
         if vb[x] > vt[x]:
             raise NonMonotoneCoupling(f"coupled chains crossed at site {x}")
     for x in order:

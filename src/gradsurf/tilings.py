@@ -75,7 +75,8 @@ def _edge_squares(x: Vertex, y: Vertex) -> tuple[Square, Square]:
 def _psi_step(x: Vertex, y: Vertex, crosses: bool) -> int:
     """psi(y) - psi(x): congruent to the label difference mod 4, size 1 or 3."""
     d = (parity_label(y) - parity_label(x)) % 4
-    assert d in (1, 3)
+    if d not in (1, 3):
+        raise NotAHeightFunction(f"{x} and {y} are not lattice neighbors")
     return d if (d == 3) == crosses else d - 4
 
 
@@ -308,7 +309,8 @@ def symmetric_difference_cycles(t1: DominoMatching, t2: DominoMatching):
         partner.setdefault(a, []).append(b)
         partner.setdefault(b, []).append(a)
     for s, ps in partner.items():
-        assert len(ps) == 2, "symmetric difference must have even degree"
+        if len(ps) != 2:
+            raise InconsistentCycle(f"square {s} has {len(ps)} partners in the symmetric difference")
     cycles = []
     seen: set[Square] = set()
     for start in sorted(partner):

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from gradsurf import cluster_swap
 from gradsurf.cluster_swap import (
     DerivedCoords,
     Triplet,
+    _proxies,
+    _scan_levels,
     cluster_swap_at,
     edge_coupling_constant,
     from_derived,
@@ -19,11 +22,19 @@ from gradsurf.cluster_swap import (
     to_derived,
     total_energy,
 )
-from gradsurf.errors import InfiniteEnergy, NegativeResidual
+from gradsurf.errors import Infeasible, InfiniteEnergy, MixedClusterSign, NegativeResidual
 from gradsurf.heights import HeightConfig
-from gradsurf.lattice import box_region, edges_within, outer_boundary
-from gradsurf.potential import INF, PeriodicPotential, QuadraticPotential
+from gradsurf.lattice import box_region, edge_head, edges_within, outer_boundary
+from gradsurf.potential import (
+    INF,
+    PeriodicPotential,
+    QuadraticPotential,
+    TablePotential,
+    domino_potential,
+    validate_sap,
+)
 from gradsurf.rng import RngStream
+from gradsurf.sampler import torus_sample
 
 from oracles import exact_gibbs_distribution
 from swap_harness import rx_pushforward_tv, sw_pushforward_tv
@@ -345,3 +356,124 @@ def test_stochastic_domination_coupling(sos_trunc1):
             sos_trunc1, interior, b1, b2, RngStream(555, k)
         )
         assert all(phi1.values[v] <= phi2.values[v] for v in interior)
+
+
+def test_mixed_cluster_sign_raises_typed_error(nonconvex):
+    # V(0) = 1, V(+-1) = 0: the crossing pair on this edge costs 2 to swap,
+    # so with zero residual the edge stays open and joins opposite signs
+    phi1 = HeightConfig({(0, 0): 1, (1, 0): 0}, reference=(0, 0))
+    phi2 = HeightConfig({(0, 0): 0, (1, 0): 1}, reference=(0, 0))
+    trip = Triplet.build(phi1, phi2, residual={})
+    with pytest.raises(MixedClusterSign):
+        swappable_set(nonconvex, trip)
+
+
+# ---------------------------------------------------------------------------
+# Memoized deficits and shift levels against per-edge and per-level scans
+
+
+def _torus_triplets():
+    """Couplings of torus samples restricted to the fundamental window, as
+    ``gradsurf swap`` builds them: integer heights, so deficits memoize."""
+    from test_feasibility import _random_periodic_potential
+
+    abs2 = TablePotential.from_dict({-2: 0.8, -1: 0.4, 0: 0.0, 1: 0.4, 2: 0.8})
+    rng = random.Random(99)
+    pots = [domino_potential(), PeriodicPotential.isotropic("int", abs2)]
+    pots += [p for p in (_random_periodic_potential(rng) for _ in range(24)) if validate_sap(p).valid][:6]
+    out = []
+    for k, pot in enumerate(pots):
+        for seed in range(2):
+            try:
+                p1, p2 = (torus_sample(pot, 6, (0, 0), 8, RngStream(seed, 2 * k + i)) for i in (0, 1))
+            except Infeasible:
+                continue
+            p1, p2 = (HeightConfig(dict(p.values), reference=(0, 0)) for p in (p1, p2))
+            out.append((pot, Triplet.build(p1, p2, rng=RngStream(seed, 100 + k).at(0))))
+    return out
+
+
+def _direct_swappable(pot, trip):
+    """Closed edges and open clusters from one swap_deficit call per edge."""
+    p1, p2 = trip.phi1.values, trip.phi2.values
+    closed = set()
+    label = {v: v for v in p1}
+
+    def find(v):
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for e, r in trip.residual.items():
+        base, head = e[0], edge_head(e)
+        if head not in p1 or p1[base] == p2[base] or p1[head] == p2[head]:
+            closed.add(e)
+            continue
+        d = swap_deficit(pot, trip, e)
+        if d != INF and r >= d:
+            closed.add(e)
+        else:
+            label[find(base)] = find(head)
+    clusters = {}
+    for v in p1:
+        clusters.setdefault(find(v), []).append(v)
+    return closed, sorted(sorted(c) for c in clusters.values())
+
+
+def _anisotropic_triplet():
+    """Two edges of different classes with the same four relative heights
+    (2, 2, 0, 1): deficit 2 on the axis-0 edge, 6 on the axis-1 edge, so
+    with residual 3 only the first is swappable."""
+    classes = {
+        (axis, (0, 0)): TablePotential.from_dict({k: scale * abs(k) for k in range(-2, 3)})
+        for axis, scale in ((0, 1.0), (1, 3.0))
+    }
+    pot = PeriodicPotential.build("int", [[1, 0], [0, 1]], classes)
+    phi1 = HeightConfig({(0, 0): 2, (1, 0): 2, (0, 1): 2}, reference=(0, 0))
+    phi2 = HeightConfig({(0, 0): 0, (1, 0): 1, (0, 1): 1}, reference=(0, 0))
+    return pot, Triplet.build(phi1, phi2, residual={((0, 0), 0): 3, ((0, 0), 1): 3})
+
+
+def test_memoized_swappable_set_equals_direct_deficits():
+    cases = _torus_triplets() + [_anisotropic_triplet()]
+    assert len(cases) >= 10
+    assert _direct_swappable(*cases[-1])[0] == {((0, 0), 0)}
+    for pot, trip in cases:
+        closed, clusters = _direct_swappable(pot, trip)
+        for window in (None, box_region(3, 4)):
+            ss = swappable_set(pot, trip, window)
+            assert ss.closed_edges == closed
+            assert sorted(sorted(c.vertices) for c in ss.clusters) == clusters
+    assert sum(bool(pot._memo("_swap_deficits")) for pot in {id(p): p for p, _ in cases}.values()) >= 4
+
+
+def _level_scan(pot, trip, c, window):
+    """The crossing bounds from one _proxies call per level visited."""
+    ss, t_plus, t_minus = _proxies(pot, trip, c, window)
+    diffs = [trip.phi2.values[v] - trip.phi1.values[v] for v in sorted(window)]
+    levels = _scan_levels(diffs, pot.discrete)
+    b_plus = next((lv for lv in levels if not _proxies(pot, trip, lv, window)[1]), INF)
+    b_minus = next((lv for lv in reversed(levels) if not _proxies(pot, trip, lv, window)[2]), -INF)
+    return ss, t_plus, t_minus, b_plus, b_minus
+
+
+def test_shifted_analysis_equals_level_scan_one_swappable_set_per_level(monkeypatch):
+    # each distinct shift level gets one swappable set, shared by the shift
+    # c and both crossing-bound scans
+    calls, levels = [], []
+    sets, proxies = cluster_swap.swappable_set, cluster_swap._proxies
+    for pot, trip in _torus_triplets():
+        window = set(trip.phi1.values)
+        for c in (0, 1, -2):
+            ss, t_plus, t_minus, b_plus, b_minus = _level_scan(pot, trip, c, window)
+            monkeypatch.setattr(cluster_swap, "swappable_set", lambda *a, **k: calls.append(1) or sets(*a, **k))
+            monkeypatch.setattr(cluster_swap, "_proxies", lambda p, t, lv, w: levels.append(lv) or proxies(p, t, lv, w))
+            calls.clear(), levels.clear()
+            a = shifted_analysis(pot, trip, c, window)
+            monkeypatch.undo()
+            assert (a.t_plus, a.t_minus, a.b_plus, a.b_minus) == (t_plus, t_minus, b_plus, b_minus)
+            assert a.swappable.closed_edges == ss.closed_edges
+            assert [c.vertices for c in a.swappable.clusters] == [c.vertices for c in ss.clusters]
+            scan = _scan_levels([trip.phi2.values[v] - trip.phi1.values[v] for v in window], True)
+            visited = {c} | {lv for lv in scan if lv <= b_plus} | {lv for lv in scan if lv >= b_minus}
+            assert len(calls) == len(levels) == len(set(levels)) == len(visited)

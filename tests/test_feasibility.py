@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradsurf.errors import Infeasible, NegativeCycle
+from gradsurf.errors import Infeasible, NegativeCycle, StateSpaceTooLarge
 from gradsurf.feasibility import (
     FeasibilityGraph,
     allowed_slope_polytope,
@@ -308,6 +308,12 @@ def test_ground_state_tilted_sos(sos_trunc2):
 def test_ground_state_infeasible(domino):
     with pytest.raises(Infeasible):
         ground_state_energy(domino, 4, (F(3, 4), F(0)))
+
+
+def test_ground_state_deep_torus_raises_typed_error(domino):
+    # the search recurses once per site: 1023 levels on the side-32 torus
+    with pytest.raises(StateSpaceTooLarge, match="recursion depth 1023"):
+        ground_state_energy(domino, 32, (F(0), F(0)))
 
 
 def test_chi_convex_along_segment(sos_trunc2):

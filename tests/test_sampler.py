@@ -1,15 +1,16 @@
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gradsurf import feasibility
+from gradsurf import feasibility, sampler
 from gradsurf.cli import main
-from gradsurf.errors import EmptySupport, NonMonotoneCoupling, StateSpaceTooLarge
+from gradsurf.errors import EmptySupport, GradsurfError, Infeasible, NonMonotoneCoupling, StateSpaceTooLarge
 from gradsurf.feasibility import enumerate_torus_configs
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import box_region, outer_boundary
@@ -19,11 +20,13 @@ from gradsurf.potential import (
     PiecewiseLinearPotential,
     QuadraticPotential,
     TablePotential,
+    domino_potential,
 )
 from gradsurf.rng import RngStream
 from gradsurf.sampler import (
     DiscreteDistribution,
     GaussianDistribution,
+    _torus_start,
     cftp_sample,
     checkerboard_order,
     heat_bath_sweep,
@@ -404,3 +407,165 @@ def test_checkerboard_half_sweep_order_independent(sos_trunc1):
             sos_trunc1, init, boundary=boundary, order=order2, uniforms=us2
         )
         assert shuffled.values == reference.values
+
+
+# ---------------------------------------------------------------------------
+# Memoized site conditionals against the site_conditional reference
+
+
+def _reference_sweeps(pot, config, order, stream, sweeps, boundary=None):
+    """Sweeps as a plain loop over site_conditional."""
+    values = dict(config.values)
+    for t in range(sweeps):
+        for u, x in zip(stream.at(t).random(len(order)), order):
+            view = HeightConfig(values, config.reference, config.torus)
+            values[x] = site_conditional(pot, view, x, boundary).quantile(u)
+    return values
+
+
+def _library_sweeps(pot, config, order, stream, sweeps, boundary=None):
+    for t in range(sweeps):
+        config = heat_bath_sweep(pot, config, boundary=boundary, order=order, rng=stream.at(t))
+    return config.values
+
+
+def _exact(values):
+    # repr keeps int and float apart, so a type change fails too
+    return repr(sorted(values.items()))
+
+
+def _sloped_torus_cases():
+    from test_feasibility import _random_periodic_potential
+
+    abs2 = TablePotential.from_dict({-2: 2.2, -1: 1.1, 0: 0.0, 1: 1.1, 2: 2.2})
+    cases = [("domino", domino_potential(), n, slope) for n in (4, 6) for slope in ((0, 0), (F(1, 2), 0), (F(1, 4), F(1, 4)))]
+    cases += [("abs2", PeriodicPotential.isotropic("int", abs2), 4, slope) for slope in ((0, 0), (F(1, 2), F(1, 4)))]
+    rng = random.Random(4242)
+    for k in range(12):
+        cases.append((f"random-{k}", _random_periodic_potential(rng), 2 + 2 * (k % 2), (F(k % 3, 2), F(0))))
+    return cases
+
+
+@pytest.mark.parametrize("name, pot, n, slope", _sloped_torus_cases(), ids=lambda c: str(c) if isinstance(c, str) else None)
+def test_memoized_torus_sweeps_equal_site_conditional_loop(name, pot, n, slope):
+    # sloped tori carry holonomy shifts on the wrap edges; the random
+    # 2Z^2-periodic tables give every orientation its own edge class
+    try:
+        start, table = _torus_start(pot, n, slope)
+    except Infeasible:
+        return
+    stream = RngStream(5, n)
+    assert _exact(_library_sweeps(pot, start, table, stream, 6)) == _exact(
+        _reference_sweeps(pot, start, list(table), stream, 6)
+    )
+    assert pot._memo("_site_conditionals")
+
+
+@pytest.mark.parametrize("pot_name", ["sos_trunc1", "sos_trunc2", "sos", "domino"])
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("height", [int, float])
+def test_memoized_region_sweeps_equal_site_conditional_loop(request, pot_name, level, height):
+    # region boundaries, float starts (reference path until every height is
+    # an integer) and sos-abs, whose unbounded scan starts from a rounded mean
+    pot = request.getfixturevalue(pot_name)
+    interior = sorted(box_region(3, 4, origin=(1, 1)))
+    boundary = {v: level * (v[0] // 2) for v in outer_boundary(interior)}
+    init = HeightConfig({v: height(0) for v in interior}, reference=interior[0])
+    order = checkerboard_order(interior)
+    stream = RngStream(3, 1)
+    try:
+        expected = _exact(_reference_sweeps(pot, init, order, stream, 6, boundary))
+    except EmptySupport:
+        with pytest.raises(EmptySupport):
+            _library_sweeps(pot, init, None, stream, 6, boundary)
+        return
+    assert _exact(_library_sweeps(pot, init, None, stream, 6, boundary)) == expected
+
+
+def test_memos_are_per_potential():
+    # the same class layout at two scales must never share an entry
+    base = {-2: 2.0, -1: 1.0, 0: 0.0, 1: 1.0, 2: 2.0}
+    pots = [
+        PeriodicPotential.isotropic("int", TablePotential.from_dict({k: s * v for k, v in base.items()}))
+        for s in (1.0, 3.0)
+    ]
+    for pot in pots:
+        start, table = _torus_start(pot, 6, (0, 0))
+        assert _exact(_library_sweeps(pot, start, table, RngStream(8, 0), 4)) == _exact(
+            _reference_sweeps(pot, start, list(table), RngStream(8, 0), 4)
+        )
+    weak, strong = (p._memo("_site_conditionals") for p in pots)
+    assert weak is not strong
+    shared = weak.keys() & strong.keys()
+    assert shared and all(weak[k].probs != strong[k].probs for k in shared if len(weak[k].probs) > 1)
+
+
+def test_cftp_memoized_path_equals_reference_path(monkeypatch):
+    # the coupled sweep with memoized conditionals against the per-site
+    # site_conditional code it replaces
+    from test_feasibility import _random_periodic_potential
+
+    rng = random.Random(17)
+    pots = [domino_potential()] + [_random_periodic_potential(rng) for _ in range(4)]
+    results = {}
+    for path in ("memo", "reference"):
+        if path == "reference":
+            monkeypatch.setattr(sampler, "_site_table", lambda *args: None)
+        for k, pot in enumerate(pots):
+            for w, h in ((2, 2), (3, 3), (4, 2)):
+                interior = sorted(box_region(w, h))
+                boundary = {v: (v[0] + v[1]) % 2 if k == 0 else 0 for v in outer_boundary(interior)}
+                for seed in range(3):
+                    try:
+                        out = _exact(cftp_sample(pot, interior, boundary, RngStream(seed, k)).values)
+                    except GradsurfError as exc:
+                        out = exc.kind
+                    results.setdefault((k, w, h, seed), []).append(out)
+    assert all(a == b for a, b in results.values())
+    assert sum(a[0] not in ("Infeasible", "NegativeCycle", "NonMonotoneCoupling") for a in results.values()) >= 20
+
+
+def test_torus_start_built_once_per_potential(monkeypatch):
+    passes = []
+    bellman_ford = feasibility._bellman_ford
+
+    def counted(*args):
+        passes.append(args[2])
+        return bellman_ford(*args)
+
+    monkeypatch.setattr(feasibility, "_bellman_ford", counted)
+    pot = domino_potential()
+    slope = (F(1, 4), F(0))
+    a = torus_sample(pot, 8, slope, sweeps=3, rng=RngStream(1, 0))
+    b = torus_sample(pot, 8, slope, sweeps=3, rng=RngStream(1, 1))
+    assert len(passes) == 2
+    assert a.values == torus_sample(domino_potential(), 8, slope, sweeps=3, rng=RngStream(1, 0)).values
+    assert b.values == torus_sample(domino_potential(), 8, slope, sweeps=3, rng=RngStream(1, 1)).values
+
+
+def test_one_conditional_per_distinct_pattern(monkeypatch):
+    # a domino chain recomputes no site conditional: one
+    # _discrete_conditional call per distinct neighborhood pattern
+    pot = domino_potential()
+    start, table = _torus_start(pot, 8, (0, 0))
+    stream, sweeps = RngStream(0, 0), 8
+    patterns = set()
+    values = dict(start.values)
+    for t in range(sweeps):
+        for u, x in zip(stream.at(t).random(len(table)), table):
+            slots = feasibility._neighbor_slots(x, values, start.torus)
+            hs = [values[k] + d if o > 0 else values[k] - d for k, d, _, o in slots]
+            classes = tuple((pot.edge_class(e), o) for _, _, e, o in slots)
+            patterns.add((classes, tuple(h - min(hs) for h in hs)))
+            view = HeightConfig(values, start.reference, start.torus)
+            values[x] = site_conditional(pot, view, x).quantile(u)
+    calls = []
+    conditional = sampler._discrete_conditional
+
+    def counted(terms):
+        calls.append(terms)
+        return conditional(terms)
+
+    monkeypatch.setattr(sampler, "_discrete_conditional", counted)
+    assert _library_sweeps(pot, start, table, stream, sweeps) == values
+    assert len(calls) == len(patterns) < len(table) * sweeps // 10

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from gradsurf.cluster_swap import Triplet, swappable_set
-from gradsurf.errors import NotAHeightFunction, RegionTooLarge, Untileable
+from gradsurf.errors import InconsistentCycle, NotAHeightFunction, RegionTooLarge, Untileable
 from gradsurf.lattice import edges_within
 from gradsurf.potential import domino_potential, hamiltonian_interior
 from gradsurf.rng import RngStream
 from gradsurf.tilings import (
     DominoMatching,
+    _psi_step,
     boundary_heights,
     count_tilings_bruteforce,
     count_tilings_kasteleyn,
@@ -210,6 +211,21 @@ def test_symmetric_difference_2x2():
     assert len(cycles[0]) == 4
     assert diff[(1, 1)] in (-1, 1)
     assert all(diff[v] == 0 for v in diff if v != (1, 1))
+
+
+def test_symmetric_difference_rejects_corrupted_matching():
+    # a domino outside the region leaves the height function intact but
+    # gives its squares one partner each in the symmetric difference
+    t = _tiling(rect(2, 2), [((0, 0), (1, 0)), ((0, 1), (1, 1))])
+    bad = _tiling(rect(2, 2), [((0, 0), (1, 0)), ((0, 1), (1, 1))])
+    object.__setattr__(bad, "dominoes", bad.dominoes | {frozenset({(5, 5), (6, 5)})})
+    with pytest.raises(InconsistentCycle):
+        symmetric_difference_cycles(t, bad)
+
+
+def test_psi_step_rejects_non_neighbors():
+    with pytest.raises(NotAHeightFunction):
+        _psi_step((0, 0), (1, 1), False)
 
 
 def test_reverse_every_cycle_swaps_tilings():
