@@ -11,21 +11,31 @@ the residual adjusted so t is untouched.
 Residuals are kept as exact rationals (floats convert losslessly), which
 makes swap involutions and energy conservation bitwise identities.
 
-On discrete potentials with integer heights, ``swappable_set`` computes
-each swap deficit once: the deficit reads only the differences among the
-edge's four heights, so it is memoized on the potential under the edge
-class and the four heights minus their minimum, and lives as long as the
-potential.  The entry is the exact rational ``swap_deficit`` returned for
-the first edge with that key, so the classification does not change.
-``shifted_analysis`` builds the swappable set of each shift level once; the
-shift c and both crossing-bound scans share it.
+``swappable_set`` and ``shifted_analysis`` classify edges in one array
+pass per shift level (``_SwapArrays``) and label the open clusters by
+union-find, each numbered by its least vertex.  On discrete Lipschitz
+potentials with integer heights each swap deficit is computed once: it
+reads only the edge class, the two surfaces' increments and their offset
+at the base, so it is memoized on the potential under that key
+(``_DeficitTable``) together with the least float at or above it.  A residual that is an exact float (every Exp(1) draw) is
+swappable exactly when it reaches that float; other residuals, such as
+those a swap leaves, are compared with the exact rational.  So the
+classification is the exact one.  ``shifted_analysis`` builds clusters
+only at the shift c; at the other levels the proxies are empty exactly
+when no window-boundary site has the matching sign, since the sign is
+constant on open clusters, and only edges joining opposite signs need
+classifying to check that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import InfiniteEnergy, MixedClusterSign, NegativeResidual
 from .heights import HeightConfig
@@ -196,7 +206,10 @@ def edge_coupling_constant(pot: PeriodicPotential, xi, edge: Edge):
 
 def swap_deficit(pot, triplet: Triplet, edge: Edge):
     """Extra energy needed to exchange the surfaces at one endpoint."""
-    p1, p2 = triplet.phi1.values, triplet.phi2.values
+    return _deficit(pot, triplet.phi1.values, triplet.phi2.values, edge)
+
+
+def _deficit(pot, p1, p2, edge):
     cur = _pair_energy(pot, p1, p2, edge)
     if cur == INF:
         raise InfiniteEnergy(f"inadmissible pair on edge {edge}")
@@ -241,76 +254,243 @@ def swappable_set(
     ``touches_boundary`` when it meets a window vertex with a lattice
     neighbor outside the window.
     """
-    support = set(triplet.phi1.values)
-    window = support if window is None else set(window)
-    inner_boundary = {
-        v for v in window if any(w not in window for w in neighbors(v))
-    }
-    closed = set()
-    open_adj: dict[Vertex, list[Vertex]] = {v: [] for v in support}
-    p1, p2 = triplet.phi1.values, triplet.phi2.values
-    deficits = None
-    if pot.discrete and set(map(type, p1.values())) | set(map(type, p2.values())) == {int}:
-        deficits = pot._memo("_swap_deficits")
-    for e, r in triplet.residual.items():
-        base, axis = e
-        head = add(base, AXIS_VECTORS[axis])
-        if head not in support:
-            closed.add(e)  # dangling edges cannot swap an endpoint pair
-            continue
-        if p1[base] == p2[base] or p1[head] == p2[head]:
-            closed.add(e)
-            continue
-        if deficits is None:
-            d = swap_deficit(pot, triplet, e)
-        else:
-            hs = (p1[base], p1[head], p2[base], p2[head])
-            m = min(hs)
-            key = (pot.edge_class(e), hs[0] - m, hs[1] - m, hs[2] - m, hs[3] - m)
-            d = deficits.get(key)
-            if d is None:
-                d = deficits[key] = swap_deficit(pot, triplet, e)
-        if d != INF and r >= d:
-            closed.add(e)
-        else:
-            open_adj[base].append(head)
-            open_adj[head].append(base)
-    labels: dict[Vertex, int] = {}
-    clusters: list[Cluster] = []
-    for v in sorted(support):
-        if v in labels:
-            continue
-        comp = [v]
-        labels[v] = len(clusters)
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            for nb in open_adj[w]:
-                if nb not in labels:
-                    labels[nb] = len(clusters)
-                    comp.append(nb)
-                    stack.append(nb)
-        comp_set = frozenset(comp)
-        z = _cluster_zeta(p1, p2, comp_set)
-        clusters.append(
-            Cluster(
-                vertices=comp_set,
-                zeta=z,
-                inside_window=comp_set <= window,
-                touches_boundary=bool(comp_set & inner_boundary),
-            )
-        )
-    return SwappableSet(frozenset(closed), clusters, labels)
+    window = set(triplet.phi1.values) if window is None else set(window)
+    return _SwapArrays(pot, triplet, window).swappable(0)
 
 
-def _cluster_zeta(p1, p2, comp) -> int:
-    signs = set()
-    for v in comp:
-        a, b = p1[v], p2[v]
-        signs.add(1 if a > b else (-1 if a < b else 0))
-    if len(signs) != 1:
-        raise MixedClusterSign(f"open cluster at {min(comp)} has zeta values {sorted(signs)}")
-    return signs.pop()
+class _SwapArrays:
+    """A triplet as arrays, built once and classified at any shift c of
+    phi1.  Vertices are indexed in sorted order and edges whose head lies
+    in the support keep residual order; dangling edges are always closed.
+    Integer heights and shifts on a potential with a ``_DeficitTable`` read
+    their deficits from it; other triplets call ``_deficit`` per edge.
+    """
+
+    def __init__(self, pot, triplet: Triplet, window):
+        self.pot = pot
+        p1, p2 = self.p1, self.p2 = triplet.phi1.values, triplet.phi2.values
+        self.verts = sorted(p1)
+        index = {v: k for k, v in enumerate(self.verts)}
+        inner = {v for v in window if any(w not in window for w in neighbors(v))}
+        self.in_window = np.array([v in window for v in self.verts], dtype=bool)
+        self.inner = np.array([v in inner for v in self.verts], dtype=bool)
+        self.edges, self.dangling, base, head, residual = [], [], [], [], []
+        for e, r in triplet.residual.items():
+            h = add(e[0], AXIS_VECTORS[e[1]])
+            if h not in index:
+                self.dangling.append(e)
+                continue
+            self.edges.append(e)
+            base.append(index[e[0]])
+            head.append(index[h])
+            residual.append(r)
+        self.base = np.array(base, dtype=np.int64)
+        self.head = np.array(head, dtype=np.int64)
+        self.residual = residual
+        floats = [_exact_float(r) for r in residual]
+        self.inexact = np.array([f is None for f in floats], dtype=bool)
+        self.r = np.array([math.nan if f is None else f for f in floats])
+        self.table = None
+        if set(map(type, p1.values())) | set(map(type, p2.values())) == {int}:
+            self.table = _deficit_table(pot)
+        if self.table is not None:
+            t = self.table
+            h1 = np.array([p1[v] for v in self.verts], dtype=np.int64)
+            h2 = np.array([p2[v] for v in self.verts], dtype=np.int64)
+            self.diff = h1 - h2
+            self.cls = np.array([t.class_id[pot.edge_class(e)] for e in self.edges], dtype=np.int64)
+            self.i1 = h1[self.head] - h1[self.base] - t.lo
+            self.i2 = h2[self.head] - h2[self.base] - t.lo
+            self.offset = h2[self.base] - h1[self.base]  # delta at shift 0
+            inside = (self.i1 >= 0) & (self.i1 < t.width) & (self.i2 >= 0) & (self.i2 < t.width)
+            row = self.cls * t.width
+            finite = np.take(t.finite, row + self.i1, mode="clip") & np.take(t.finite, row + self.i2, mode="clip")
+            self.pair_ok = inside & finite
+
+    def _check_pairs(self, idx) -> None:
+        """Raise InfiniteEnergy for the first edge of idx (integer heights)
+        on which either surface has infinite energy; shifts change neither."""
+        bad = ~self.pair_ok[idx]
+        if bad.any():
+            raise InfiniteEnergy(f"inadmissible pair on edge {self.edges[idx[np.argmax(bad)]]}")
+
+    def _shift(self, c):
+        """c as an int when the array path applies at that shift, else None."""
+        if self.table is not None and isinstance(c, (int, Fraction)) and c.denominator == 1:
+            return int(c)
+        return None
+
+    def _zeta(self, c) -> np.ndarray:
+        k = self._shift(c)
+        if k is not None:
+            return np.sign(self.diff + k)
+        p1 = self.p1
+        zeta = []
+        for v in self.verts:
+            a, b = p1[v] + c, self.p2[v]
+            zeta.append(1 if a > b else (-1 if a < b else 0))
+        return np.array(zeta, dtype=np.int64)
+
+    def _closed(self, c, idx) -> np.ndarray:
+        """Closed mask over the candidate edges idx (both endpoints differ)."""
+        k = self._shift(c)
+        if k is None:
+            p1 = self.p1 if c == 0 else {v: h + c for v, h in self.p1.items()}
+            out = []
+            for j in idx.tolist():
+                d = _deficit(self.pot, p1, self.p2, self.edges[j])
+                out.append(d != INF and self.residual[j] >= d)
+            return np.array(out, dtype=bool)
+        self._check_pairs(idx)
+        t = self.table
+        delta = self.offset[idx] - k + t.width - 1
+        reach = (delta >= 0) & (delta < 2 * t.width - 1)  # else a swapped increment leaves the support
+        flat = ((self.cls[idx] * t.width + self.i1[idx]) * t.width + self.i2[idx]) * (2 * t.width - 1) + delta
+        ceiling = np.take(t.ceiling, flat, mode="clip")  # read only where reach
+        missing = reach & np.isnan(ceiling)
+        if missing.any():
+            fresh, first = np.unique(flat[missing], return_index=True)
+            for f, j in zip(fresh.tolist(), idx[missing][first].tolist()):
+                base, head = self.edges[j][0], self.verts[self.head[j]]
+                i1, i2 = int(self.i1[j]) + t.lo, int(self.i2[j]) + t.lo
+                gap = int(self.offset[j]) - k
+                d = _deficit(self.pot, {base: 0, head: i1}, {base: gap, head: gap + i2}, self.edges[j])
+                t.ceiling[f], t.exact[f] = _float_ceiling(d), d
+            ceiling = np.take(t.ceiling, flat, mode="clip")
+        ceiling = np.where(reach, ceiling, INF)
+        closed = self.r[idx] >= ceiling
+        for j in np.flatnonzero(self.inexact[idx]).tolist():
+            d = t.exact[int(flat[j])] if reach[j] else INF
+            closed[j] = d != INF and self.residual[idx[j]] >= d
+        return closed
+
+    def _candidates(self, zeta) -> np.ndarray:
+        return np.flatnonzero((zeta[self.base] != 0) & (zeta[self.head] != 0))
+
+    def swappable(self, c) -> SwappableSet:
+        """The swappable set of (phi1 + c, phi2, r)."""
+        zeta = self._zeta(c)
+        idx = self._candidates(zeta)
+        is_open = np.zeros(len(self.edges), dtype=bool)
+        is_open[idx[~self._closed(c, idx)]] = True
+        a, b = self.base[is_open], self.head[is_open]
+        roots = _components(len(self.verts), a, b)
+        mixed = zeta[a] != zeta[b]
+        if mixed.any():
+            anchor = int(roots[a[mixed]].min())
+            signs = sorted(set(zeta[roots == anchor].tolist()))
+            raise MixedClusterSign(f"open cluster at {self.verts[anchor]} has zeta values {signs}")
+        anchors = np.flatnonzero(roots == np.arange(len(roots)))
+        label = (np.cumsum(roots == np.arange(len(roots))) - 1)[roots]
+        size = np.bincount(label, minlength=len(anchors))
+        inside = np.bincount(label[self.in_window], minlength=len(anchors)) == size
+        touches = np.bincount(label[self.inner], minlength=len(anchors)) > 0
+        labels = label.tolist()
+        members = [[] for _ in anchors]
+        for v, k in zip(self.verts, labels):
+            members[k].append(v)
+        clusters = [
+            Cluster(vertices=frozenset(m), zeta=z, inside_window=i, touches_boundary=t)
+            for m, z, i, t in zip(members, zeta[anchors].tolist(), inside.tolist(), touches.tolist())
+        ]
+        closed = frozenset(self.dangling) | frozenset(compress(self.edges, (~is_open).tolist()))
+        return SwappableSet(closed, clusters, dict(zip(self.verts, labels)))
+
+    def proxies_empty(self, c) -> tuple[bool, bool]:
+        """Whether the T+ and T- proxies of shift c are empty.  Open
+        clusters have one sign, so a proxy is empty exactly when no window
+        boundary site has its sign; only edges joining opposite signs can
+        break that, and those are classified (the whole swappable set is
+        built, to raise MixedClusterSign, when one is open)."""
+        zeta = self._zeta(c)
+        idx = self._candidates(zeta)
+        if self._shift(c) is not None:  # check every candidate pair, classify fewer
+            self._check_pairs(idx)
+            idx = idx[zeta[self.base[idx]] != zeta[self.head[idx]]]
+        closed = self._closed(c, idx)
+        if not closed[zeta[self.base[idx]] != zeta[self.head[idx]]].all():
+            self.swappable(c)
+        boundary = zeta[self.inner]
+        return not (boundary < 0).any(), not (boundary > 0).any()
+
+
+def _exact_float(r):
+    """The rational r as a float when that is exact, else None: a power-of-
+    two denominator of at most 2^1074 and a numerator below 2^53 in
+    magnitude (larger integers fall back to exact comparison)."""
+    num, den = r.numerator, r.denominator
+    if den & (den - 1) or den.bit_length() > 1075 or abs(num) >= 1 << 53:
+        return None
+    return num / den
+
+
+def _float_ceiling(d) -> float:
+    """The least float >= the exact deficit d (inf stays inf)."""
+    f = float(d)
+    return math.nextafter(f, math.inf) if f < d else f
+
+
+class _DeficitTable:
+    """Swap deficits of a discrete Lipschitz potential, each computed once
+    by ``_deficit``.  A deficit depends only on the edge class c, the two
+    surfaces' increments i1, i2 along the edge and the offset delta of
+    phi2 over phi1 at its base.  Increments lie in [lo, lo + width); a
+    swapped increment i1 - delta or i2 + delta leaves that range, and the
+    deficit is infinite, unless |delta| < width.  ``ceiling`` holds, at
+    ((c * width + i1 - lo) * width + i2 - lo) * (2 width - 1) + delta +
+    width - 1, the least float at or above the exact deficit (NaN until
+    computed), and ``exact`` the exact deficit; ``finite[c * width + i -
+    lo]`` says whether class c has finite energy at increment i.
+    """
+
+    def __init__(self, pot, lo: int, width: int):
+        classes = sorted(pot.class_potentials)
+        self.class_id = {c: k for k, c in enumerate(classes)}
+        self.lo, self.width = lo, width
+        self.finite = np.array([pot.class_potentials[c](lo + i) < INF for c in classes for i in range(width)])
+        self.ceiling = np.full(len(classes) * width * width * (2 * width - 1), math.nan)
+        self.exact = {}
+
+
+_TABLE_LIMIT = 1 << 20  # entries of one deficit table (8 MB)
+
+
+def _deficit_table(pot) -> _DeficitTable | None:
+    """The potential's deficit table; None unless it is discrete Lipschitz
+    with at most _TABLE_LIMIT entries (such swaps use ``_deficit`` per edge)."""
+    memo = pot._memo("_swap_deficits")
+    if "table" not in memo:
+        memo["table"] = None
+        if pot.discrete and pot.is_lipschitz():
+            supports = [p.support() for p in pot.class_potentials.values()]
+            lo = min(int(b[0]) for b in supports)
+            width = max(int(b[1]) for b in supports) - lo + 1
+            if len(supports) * width**2 * (2 * width - 1) <= _TABLE_LIMIT:
+                memo["table"] = _DeficitTable(pot, lo, width)
+    return memo["table"]
+
+
+def _components(size: int, a, b) -> np.ndarray:
+    """Least vertex index of every vertex's component in the graph on
+    range(size) with edges (a[k], b[k]).  Union-find in array passes: each
+    round hooks the larger root of every edge whose roots differ onto the
+    smaller one, then jumps pointers until each vertex points at its root.
+    Roots only decrease, so the root of a component is its least vertex.
+    """
+    root = np.arange(size)
+    while a.size:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -405,27 +585,6 @@ class ShiftedAnalysis:
     window_size: int
 
 
-def _shifted_triplet(triplet: Triplet, c) -> Triplet:
-    phi1 = triplet.phi1.copy()
-    phi1.values = {v: h + c for v, h in phi1.values.items()}
-    return Triplet(phi1, triplet.phi2.copy(), dict(triplet.residual))
-
-
-def _proxies(pot, triplet, c, window):
-    shifted = _shifted_triplet(triplet, c)
-    ss = swappable_set(pot, shifted, window)
-    t_plus, t_minus = set(), set()
-    for cl in ss.clusters:
-        if not cl.touches_boundary or cl.zeta == 0:
-            continue
-        # zeta of (phi1 + c, phi2) is +1 when phi1 + c > phi2
-        if cl.zeta < 0:
-            t_plus |= cl.vertices
-        else:
-            t_minus |= cl.vertices
-    return ss, frozenset(t_plus), frozenset(t_minus)
-
-
 def shifted_analysis(
     pot: PeriodicPotential,
     triplet: Triplet,
@@ -440,13 +599,23 @@ def shifted_analysis(
     the greatest emptying the minus proxy.
     """
     window = set(triplet.phi1.values) if window is None else set(window)
-    ss, t_plus, t_minus = _proxies(pot, triplet, c, window)
-    empty = {c: (not t_plus, not t_minus)}  # per shift level, built once
+    arrays = _SwapArrays(pot, triplet, window)
+    ss = arrays.swappable(c)
+    t_plus, t_minus = set(), set()
+    for cl in ss.clusters:
+        if not cl.touches_boundary or cl.zeta == 0:
+            continue
+        # zeta of (phi1 + c, phi2) is +1 when phi1 + c > phi2
+        if cl.zeta < 0:
+            t_plus |= cl.vertices
+        else:
+            t_minus |= cl.vertices
+    t_plus, t_minus = frozenset(t_plus), frozenset(t_minus)
+    empty = {c: (not t_plus, not t_minus)}  # per shift level, one array pass
 
     def proxies_empty(level):
         if level not in empty:
-            _, tp, tm = _proxies(pot, triplet, level, window)
-            empty[level] = (not tp, not tm)
+            empty[level] = arrays.proxies_empty(level)
         return empty[level]
 
     diffs = [

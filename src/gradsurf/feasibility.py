@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import Infeasible, NegativeCycle, StateSpaceTooLarge
 from .heights import HeightConfig, TorusInfo
 from .lattice import (
@@ -23,6 +25,7 @@ from .lattice import (
     Edge,
     Vertex,
     add,
+    checkerboard_order,
     dot,
     edge_head,
     edges_meeting,
@@ -115,6 +118,10 @@ class FeasibilityGraph:
             for y, w in outs:
                 radj[y].append((x, w))
         return FeasibilityGraph(self.vertices, radj)
+
+    def extensions(self, partial: Mapping[Vertex, float]):
+        """Maximal and minimal extension heights of the partial heights."""
+        return extend_boundary(self, partial).values, extend_boundary_min(self, partial).values
 
     def distances_from(self, source: Vertex) -> dict[Vertex, float]:
         dist, _, cycle = _bellman_ford(self.vertices, self.adjacency, {source: 0.0})
@@ -526,11 +533,11 @@ def _torus_energy(pot, config) -> float:
 
 def _value_windows(pot, graph, partial, keys):
     """Per-key height ranges [ceil(min ext), floor(max ext)] of the partial
-    heights on the graph; every finite-energy config lies within them."""
+    heights on the graph (a FeasibilityGraph or a TorusPlan); every
+    finite-energy config lies within them."""
     if not (pot.discrete and pot.is_lipschitz()):
         raise StateSpaceTooLarge("exact methods need a discrete Lipschitz potential")
-    top = extend_boundary(graph, partial).values
-    bot = extend_boundary_min(graph, partial).values
+    top, bot = graph.extensions(partial)
     return {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}
 
 
@@ -544,7 +551,7 @@ def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_00
     boundary = dict(boundary)
     windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
     order = _propagation_order(region, set(boundary))
-    yield from _dfs(pot, None, order, order, 0, dict(boundary), 0.0, windows, [node_budget])
+    yield from _search(pot, None, order, order, dict(boundary), 0.0, windows, node_budget)
 
 
 def _propagation_order(region, anchors):
@@ -563,6 +570,19 @@ def _propagation_order(region, anchors):
         remaining.remove(v)
         frontier.add(v)
     return order
+
+
+def _search(pot, torus, order, keys, known, energy, windows, node_budget):
+    """_dfs from the first site of the order.  The search recurses once per
+    site; an order too deep for the interpreter's recursion limit raises
+    StateSpaceTooLarge naming the depth needed."""
+    try:
+        yield from _dfs(pot, torus, order, keys, 0, known, energy, windows, [node_budget])
+    except RecursionError:
+        raise StateSpaceTooLarge(
+            f"enumeration needs recursion depth {len(order)}, "
+            f"beyond the interpreter limit {sys.getrecursionlimit()}"
+        ) from None
 
 
 def _dfs(pot, torus, order, keys, idx, known, energy, windows, budget):
@@ -585,29 +605,142 @@ def _dfs(pot, torus, order, keys, idx, known, energy, windows, budget):
         del known[v]
 
 
+class TorusPlan:
+    """The slope class on the n-torus as arrays, built once per potential, n
+    and slope (``_torus_plan``) and shared by the torus frame, chain starts
+    and heat-bath sweeps.
+
+    Vertex (i, j) has index i * n + j, so ``sites`` is sorted and the
+    reference x0 = (0, 0) is index 0.  Per vertex, in the slot order of
+    ``_neighbor_slots`` (+e1, -e1, +e2, -e2), ``nbr`` holds the wrapped
+    neighbor indices and ``shift`` the signed holonomy shifts added to their
+    heights; ``sig`` is the index of the vertex modulo the period lattice
+    in its fundamental domain.  When n is a multiple of the period
+    (``periodic``, as ``torus_info`` requires), that index fixes the edge
+    class of every slot.  Row v of ``arc_src``/``arc_w`` holds the tails
+    and weights of the four increment-bound arcs into vertex v, and row
+    N + v those into v in the reversed graph (the arcs out of v); parallel
+    arcs of the 2-torus and the self-loops of the 1-torus stay separate,
+    which changes no distance.  ``order`` is the checkerboard order of the
+    free sites (all but x0) and ``waves`` its wave schedule
+    (``wave_schedule``).  ``windows`` and ``start`` are filled by their
+    first users.
+    """
+
+    def __init__(self, pot: PeriodicPotential, info: TorusInfo):
+        n = info.n
+        self.info, self.n = info, n
+        self.sites = [(i, j) for i in range(n) for j in range(n)]
+        self.index = {v: k for k, v in enumerate(self.sites)}
+        i, j = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        self.nbr = np.stack([(i + 1) % n * n + j, (i - 1) % n * n + j, i * n + (j + 1) % n, i * n + (j - 1) % n], axis=1)
+        h = info.holonomy()
+        # the +e_axis neighbor wraps at coordinate n - 1, the -e_axis one at 0
+        self.shift = np.stack([(i == n - 1) * h[0], (i == 0) * -h[0], (j == n - 1) * h[1], (j == 0) * -h[1]], axis=1)
+        # each vertex's base modulo the period lattice, as an index into its
+        # fundamental domain
+        lat = pot.lattice
+        self.periodic = lat.reduce((n, 0)) == (0, 0) == lat.reduce((0, n))
+        domain = lat.fundamental_domain()
+        row = i // lat.a
+        self.sig = (i - row * lat.a) * lat.b + (j - row * lat.c) % lat.b
+        bounds = np.array([[pot.class_potentials[(axis, d)].support() for d in domain] for axis in (0, 1)], dtype=float)
+        lo, hi = bounds[:, self.sig, 0].T, bounds[:, self.sig, 1].T
+        # arc x -> x + e_axis bounds the increment by hi - shift, the reverse
+        # arc bounds its negation by shift - lo
+        up = hi - self.shift[:, 0::2]
+        down = self.shift[:, 0::2] - lo
+        minus = self.nbr[:, 1::2]
+        into = np.stack([up[minus[:, 0], 0], down[:, 0], up[minus[:, 1], 1], down[:, 1]], axis=1)
+        out_of = np.stack([up[:, 0], down[minus[:, 0], 0], up[:, 1], down[minus[:, 1], 1]], axis=1)
+        self.arc_src = np.concatenate([self.nbr[:, [1, 0, 3, 2]], self.nbr + n * n])
+        self.arc_w = np.concatenate([into, out_of])
+        self.order = tuple(checkerboard_order(self.sites[1:]))
+        self.waves = self.wave_schedule(self.order)
+        self.windows = None
+        self.start = None
+
+    def wave_schedule(self, order):
+        """The order's positions grouped into waves, as (positions, sites,
+        neighbors, shifts, sig) arrays per wave.  A position's wave is one
+        more than the highest wave among earlier positions at the same site
+        or a neighbor, so no two sites of a wave are neighbors and updating
+        wave by wave equals updating in order: even tori take 2 waves.
+        Raises KeyError for a vertex not on the torus."""
+        sites = [self.index[v] for v in order]
+        latest = [-1] * len(self.sites)
+        nbrs = self.nbr.tolist()
+        wave = []
+        for k in sites:
+            a, b, c, d = nbrs[k]
+            latest[k] = w = 1 + max(latest[k], latest[a], latest[b], latest[c], latest[d])
+            wave.append(w)
+        by_wave = np.argsort(wave, kind="stable")
+        sites = np.array(sites, dtype=np.int64)[by_wave]
+        ends = np.cumsum(np.bincount(wave)).tolist() if wave else []
+        return tuple(
+            (by_wave[lo:hi], sites[lo:hi], self.nbr[sites[lo:hi]], self.shift[sites[lo:hi]], self.sig[sites[lo:hi]])
+            for lo, hi in zip([0] + ends[:-1], ends)
+        )
+
+    def extensions(self, partial: Mapping[Vertex, float]):
+        """Maximal and minimal extension heights of the partial heights, by
+        relaxing all arcs of both directions at once in numpy; raises
+        Infeasible when the relaxation still changes after one round per
+        vertex (a negative cycle) or lowers a pinned height."""
+        size = len(self.sites)
+        pins = [self.index[v] for v in partial]
+        heights = [float(h) for h in partial.values()]
+        pins = np.array(pins + [k + size for k in pins], dtype=np.int64)
+        heights = np.array(heights + [0.0 - h for h in heights])
+        dist = np.full(2 * size, INF)
+        dist[pins] = heights
+        for _ in range(size):
+            reach = (dist[self.arc_src] + self.arc_w).min(axis=1)
+            if not (reach < dist).any():
+                if (dist[pins] < heights).any():
+                    raise Infeasible("the pinned heights violate an increment bound")
+                top, bot = dist[:size].tolist(), np.subtract(0.0, dist[size:]).tolist()
+                return dict(zip(self.sites, top)), dict(zip(self.sites, bot))
+            dist = np.minimum(dist, reach)
+        raise Infeasible(f"relaxation still changing after {size} rounds")
+
+
+def _torus_plan(pot: PeriodicPotential, info: TorusInfo) -> TorusPlan:
+    """The potential's plan of the torus and slope class of ``info``."""
+    plans = pot._memo("_torus_plans")
+    key = (info.n, info.slope)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = TorusPlan(pot, info)
+    return plan
+
+
 def _torus_frame(pot, n: int, slope):
     """The slope class on the n-torus, pinned at the origin x0 = (0, 0).
 
     Returns (info, windows, order, base_energy): per-vertex height ranges
     [-D(v, x0), D(x0, v)] holding every finite-energy config, the other
     vertices in sorted order, and the energy of the x0 self-loops, which
-    only exist at n = 1.  Raises Infeasible for an empty class (x0 reaches
-    every negative cycle, as all arcs of a Lipschitz torus are finite).
+    only exist at n = 1.  The windows come from the plan's relaxation and
+    are computed once per plan.  Raises Infeasible for an empty class (x0
+    reaches every negative cycle, as all arcs of a Lipschitz torus are
+    finite).
     """
     info = torus_info(pot, n, slope)
-    graph = FeasibilityGraph.from_torus(pot, n, slope)
+    plan = _torus_plan(pot, info)
     x0 = (0, 0)
-    try:
-        windows = _value_windows(pot, graph, {x0: 0}, graph.vertices)
-    except NegativeCycle:
-        raise Infeasible(f"slope {slope} on the {n}-torus") from None
-    order = [v for v in sorted(graph.vertices) if v != x0]
+    if plan.windows is None:
+        try:
+            plan.windows = _value_windows(pot, plan, {x0: 0}, plan.sites)
+        except Infeasible:
+            raise Infeasible(f"slope {slope} on the {n}-torus") from None
     h = info.holonomy()
     base_energy = 0.0
     for axis in (0, 1):
         if info.wrap(add(x0, AXIS_VECTORS[axis])) == x0:
             base_energy += pot.edge_energy((x0, axis), h[axis])
-    return info, windows, order, base_energy
+    return info, plan.windows, plan.sites[1:], base_energy
 
 
 def enumerate_torus_configs(pot, n: int, slope, node_budget: int = 10_000_000):
@@ -621,7 +754,7 @@ def enumerate_torus_configs(pot, n: int, slope, node_budget: int = 10_000_000):
         return
     keys = [(0, 0)] + order
     known = {(0, 0): 0}
-    yield from _dfs(pot, info, order, keys, 0, known, base_energy, windows, [node_budget])
+    yield from _search(pot, info, order, keys, known, base_energy, windows, node_budget)
 
 
 def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int = 10_000_000):

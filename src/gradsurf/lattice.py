@@ -173,6 +173,11 @@ def edges_meeting(region: Iterable[Vertex]) -> list[Edge]:
     return sorted(out)
 
 
+def checkerboard_order(sites) -> list[Vertex]:
+    """Even sublattice first, then odd; deterministic within each color."""
+    return sorted(sites, key=lambda v: ((v[0] + v[1]) % 2, v))
+
+
 # ---------------------------------------------------------------------------
 # Slopes
 

@@ -25,7 +25,6 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .feasibility import (
-    _torus_energy,
     _torus_frame,
     enumerate_region_configs,
     enumerate_torus_configs,
@@ -36,7 +35,7 @@ from .heights import HeightConfig
 from .lattice import AXIS_VECTORS, Sublattice, Vertex, add, edges_meeting
 from .potential import INF, PeriodicPotential, TablePotential
 from .rng import RngStream
-from .sampler import _torus_start, heat_bath_sweep
+from .sampler import _TorusChain
 
 EXACT_SUM = "ExactSum"
 TRANSFER_MATRIX = "TransferMatrix"
@@ -290,20 +289,19 @@ def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):
     per_batch = max(1, budget // batches)
     means, errs = [], []
     counter = 0
-    init, order = _torus_start(pot, n, slope)
     for bi, beta in enumerate(grid):
         scaled = _scale_potential(pot, beta)
-        config = init.copy()
+        chain = _TorusChain(pot, n, slope)
         for t in range(burn):
-            config = heat_bath_sweep(scaled, config, order=order, rng=rng.at(counter))
+            chain.sweep(rng.at(counter).random(len(chain.order)), scaled)
             counter += 1
         batch_means = []
         for b in range(batches):
             acc = 0.0
             for t in range(per_batch):
-                config = heat_bath_sweep(scaled, config, order=order, rng=rng.at(counter))
+                chain.sweep(rng.at(counter).random(len(chain.order)), scaled)
                 counter += 1
-                acc += _torus_energy(pot, config)
+                acc += chain.energy()
             batch_means.append(acc / per_batch)
         m = float(np.mean(batch_means))
         s = float(np.std(batch_means, ddof=1) / math.sqrt(batches))
@@ -441,17 +439,18 @@ def variance_profile(
     distances = tuple(sorted(distances))
     if max(distances) >= n:
         raise ValueError("distances must fit inside the torus")
-    config, order = _torus_start(pot, n, slope)
+    chain = _TorusChain(pot, n, slope)
     counter = 0
     for _ in range(burn_in):
-        config = heat_bath_sweep(pot, config, order=order, rng=rng.at(counter))
+        chain.sweep(rng.at(counter).random(len(chain.order)))
         counter += 1
     samples_d: dict[int, list] = {j: [] for j in distances}
     samples_unit: dict[int, list] = {0: [], 1: []}
     for s in range(trials):
         for _ in range(thin):
-            config = heat_bath_sweep(pot, config, order=order, rng=rng.at(counter))
+            chain.sweep(rng.at(counter).random(len(chain.order)))
             counter += 1
+        config = chain.config()
         for j in distances:
             diffs = [
                 config.height((x[0] + j, x[1])) - config.height(x)

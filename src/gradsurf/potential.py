@@ -226,6 +226,7 @@ class PeriodicPotential:
     lattice: Sublattice
     class_potentials: Mapping[EdgeClass, object]
     offsets: Mapping[EdgeClass, float] = field(default_factory=dict)
+    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(domain: str, period, class_potentials: Mapping[EdgeClass, object]) -> "PeriodicPotential":
@@ -288,14 +289,12 @@ class PeriodicPotential:
     def _memo(self, name: str) -> dict:
         """A cache of local results that lives as long as this potential.
 
-        Kept as a private attribute (the dataclass is frozen), so two
-        potentials never share entries.  Callers store only immutable values.
+        All caches live in one field that every instance gets at
+        construction, so two potentials never share entries, and filling a
+        cache adds no instance attribute (a late attribute slows every
+        attribute read of the potential, such as those of ``edge_energy``).
         """
-        memo = self.__dict__.get(name)
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, name, memo)
-        return memo
+        return self._memos.setdefault(name, {})
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

@@ -15,16 +15,33 @@ the potential under that key and a site draws m + quantile(u).  Shifting
 all heights by the integer m changes no argument passed to an edge
 potential, so energies, their summation order and the probabilities are
 bit-for-bit those of ``site_conditional``, and outputs do not change.  The
-memo lives as long as the potential.  Chains with non-integer heights,
-continuous domains and unbounded increments (whose scan starts from a
-rounded mean, which a shift can move) use ``site_conditional``'s code.
+memos live as long as the potential.  Which code runs:
+
+- Torus chains with integer heights at every site (``torus_sample``, and
+  ``heat_bath_sweep`` on a torus config, as thermodynamic integration and
+  variance profiles call it) sweep on the potential's ``TorusPlan``.  Its
+  wave schedule puts each site in a later wave than every neighbor that
+  precedes it in the order, so the sites of a wave share no edge and
+  updating wave by wave equals updating in order.  A wave is one numpy
+  step (``_sweep_waves``): each site finds its conditional's running sums
+  in a table filled by ``_discrete_conditional`` and draws the first
+  support value whose sum exceeds u, the value ``quantile`` returns from
+  the same sums.
+- Region chains with integer heights (CFTP, region ``sample``) read the
+  memo site by site through a ``_SiteTable``.
+- Chains with non-integer heights, continuous domains and unbounded
+  increments (whose scan starts from a rounded mean, which a shift can
+  move) use ``site_conditional``'s code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import NormalDist
+
+import numpy as np
 
 from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
 from .feasibility import (
@@ -34,11 +51,12 @@ from .feasibility import (
     _region_graph,
     _torus_energy,
     _torus_frame,
+    _torus_plan,
     _value_windows,
     torus_info,
 )
 from .heights import HeightConfig
-from .lattice import Vertex
+from .lattice import Vertex, checkerboard_order
 from .potential import INF, PeriodicPotential, QuadraticPotential
 from .rng import RngStream
 
@@ -226,11 +244,6 @@ def _tabulated_conditional(terms, num_points: int = 1025) -> TabulatedDistributi
 # Sweeps
 
 
-def checkerboard_order(sites) -> list[Vertex]:
-    """Even sublattice first, then odd; deterministic within each color."""
-    return sorted(sites, key=lambda v: ((v[0] + v[1]) % 2, v))
-
-
 def random_scan_order(sites, rng) -> list[Vertex]:
     """A random permutation of the sites (the non-default scan)."""
     sites = sorted(sites)
@@ -242,7 +255,8 @@ def heat_bath_sweep(pot, config: HeightConfig, boundary=None, order=None, unifor
     """Resample every site in order from its exact conditional.
 
     ``uniforms`` (one per site, in order) may be passed directly for
-    coupled chains; otherwise they are drawn from ``rng``.
+    coupled chains; otherwise they are drawn from ``rng``.  Torus configs
+    that ``_sweep_plan`` accepts sweep wave by wave on the torus plan.
     """
     out = config.copy()
     if order is None:
@@ -251,6 +265,14 @@ def heat_bath_sweep(pot, config: HeightConfig, boundary=None, order=None, unifor
             order = [v for v in order if v != out.reference]
     if uniforms is None:
         uniforms = rng.random(len(order))
+    found = _sweep_plan(pot, out, boundary, order)
+    if found is not None:
+        plan, waves, table = found
+        heights = np.array([out.values[v] for v in plan.sites], dtype=np.int64)
+        _sweep_waves(table, waves, heights, uniforms)
+        for v, h in zip(plan.sites, heights.tolist()):
+            out.values[v] = h
+        return out
     values, torus = _lookup(out, boundary)
     draw, steps = _site_draws(pot, order, values, torus, uniforms)
     for u, x, site in steps:
@@ -274,47 +296,45 @@ def _site_dist(pot, values, x, torus):
 
 
 class _SiteTable(tuple):
-    """A site order that carries, per site, what a sweep reads: the wrapped
-    neighbor keys with their holonomy shifts, and the neighbors' edge
-    classes and orientations.  Built once per chain.
+    """A region site order that carries, per site, what a sweep reads: the
+    neighbor keys and the neighbors' edge classes and orientations.  Built
+    once per CFTP sample.
 
-    ``rows[i]`` is (site, neighbor keys, signed shifts, ((edge class,
-    orientation), ...), signature), where the signature is a string naming
-    the classes and orientations, cheap to hash as part of a memo key.
-    Equal shift, class and signature tuples are stored once, and neighbor
-    keys are the config's own vertex tuples, which keeps large tables small.
+    ``rows[i]`` is (site, neighbor keys, ((edge class, orientation), ...),
+    signature), where the signature is a string naming the classes and
+    orientations, cheap to hash as part of a memo key.  Equal class tuples
+    are stored once, and neighbor keys are the config's own vertex tuples,
+    which keeps large tables small.
     """
 
-    def __new__(cls, pot, order, keys, torus):
+    def __new__(cls, pot, order, keys):
         self = super().__new__(cls, order)
-        self.torus = torus
         self.lattice = pot.lattice
         vertex = {v: v for v in keys}
-        shared_shifts, shared_classes = {}, {}
+        shared_classes = {}
         rows = []
         for x in self:
-            slots = _neighbor_slots(x, keys, torus)
+            slots = _neighbor_slots(x, keys, None)
             nbrs = tuple(vertex[key] for key, _, _, _ in slots)
-            shifts = tuple(delta if orient > 0 else -delta for _, delta, _, orient in slots)
             classes = tuple((pot.edge_class(edge), orient) for _, _, edge, orient in slots)
-            shifts = shared_shifts.setdefault(shifts, shifts)
             classes, signature = shared_classes.setdefault(classes, (classes, repr(classes)))
-            rows.append((x, nbrs, shifts, classes, signature))
+            rows.append((x, nbrs, classes, signature))
         self.rows = tuple(rows)
         return self
 
 
 def _site_table(pot, order, values, torus):
-    """The order as a _SiteTable when the memoized conditionals apply, else
-    None: a discrete Lipschitz potential, integer heights and a height at
-    every site.  A table built for the same torus and period is reused."""
-    if not (pot.discrete and pot.is_lipschitz()) or set(map(type, values.values())) != {int}:
+    """The order as a _SiteTable when the memoized region conditionals
+    apply, else None: a region (tori sweep on their plan), a discrete
+    Lipschitz potential, integer heights and a height at every site.  A
+    table built for the same period is reused."""
+    if torus is not None or not (pot.discrete and pot.is_lipschitz()) or set(map(type, values.values())) != {int}:
         return None
-    if isinstance(order, _SiteTable) and order.torus == torus and order.lattice == pot.lattice:
+    if isinstance(order, _SiteTable) and order.lattice == pot.lattice:
         return order
     if not values.keys() >= set(order):
         return None
-    return _SiteTable(pot, order, values, torus)
+    return _SiteTable(pot, order, values)
 
 
 def _site_draws(pot, order, values, torus, uniforms):
@@ -330,10 +350,10 @@ def _site_draws(pot, order, values, torus, uniforms):
 
     def draw(vals, row, u):
         # the conditional of the heights minus m, keyed by the signature
-        x, nbrs, shifts, classes, signature = row
+        x, nbrs, classes, signature = row
         if not nbrs:
             raise EmptySupport(f"site {x} has no assigned neighbors")
-        hs = [vals[key] + delta for key, delta in zip(nbrs, shifts)]
+        hs = [vals[key] for key in nbrs]
         m = min(hs)
         key = (signature, *[h - m for h in hs])
         dist = memo.get(key)
@@ -351,7 +371,122 @@ def _floats(uniforms):
 
 
 # ---------------------------------------------------------------------------
-# Torus sampling
+# Torus sweeps on the plan
+
+
+class _ConditionalTable:
+    """CDF rows of a potential's discrete site conditionals on tori, each
+    filled by ``_discrete_conditional`` the first time its key occurs.
+
+    A key packs a site's index modulo the period lattice (which fixes its
+    slot edge classes) and its neighbors' effective heights minus their
+    minimum m, in base B = floor(2R) + 1 with R the largest increment
+    bound: a larger spread leaves no height with finite energy.  ``row_of``
+    maps every key to its row, or -1 before the first fill.  Row r holds
+    the conditional's support minus m in ``vals`` and, in ``cdf``, the
+    running sums ``DiscreteDistribution.quantile`` forms, with the last
+    one and the padding set to +inf: the first entry above u is then at
+    the index ``quantile`` returns.
+    """
+
+    def __init__(self, pot, size):
+        lat = pot.lattice
+        self.slots = []
+        for r in lat.fundamental_domain():
+            classes = ((0, r), (0, lat.reduce((r[0] - 1, r[1]))), (1, r), (1, lat.reduce((r[0], r[1] - 1))))
+            self.slots.append([(pot.class_potentials[c], orient) for c, orient in zip(classes, (1, -1, 1, -1))])
+        self.base = _table_base(pot)
+        self.powers = self.base ** np.arange(4, dtype=np.int64)
+        self.row_of = np.full(size, -1, dtype=np.int64)
+        self.count = 0
+        self.vals = np.zeros((16, self.base), dtype=np.int64)
+        self.cdf = np.full((16, self.base), INF)
+
+    def rows(self, sig, rel):
+        """Rows of the conditionals of the given sites (``sig``) and
+        relative heights; raises EmptySupport where no height has finite
+        energy."""
+        if rel.max(initial=0) >= self.base:
+            raise EmptySupport("no height has finite energy")
+        key = sig * self.base**4 + rel @ self.powers
+        rows = self.row_of[key]
+        if rows.min(initial=0) < 0:
+            missing = rows < 0
+            self._fill(key[missing], sig[missing], rel[missing])
+            rows = self.row_of[key]
+        return rows
+
+    def _fill(self, key, sig, rel):
+        fresh, first = np.unique(key, return_index=True)
+        end = self.count + len(fresh)
+        if end > len(self.cdf):
+            grow = max(end, 2 * len(self.cdf)) - len(self.cdf)
+            self.vals = np.concatenate([self.vals, np.zeros((grow, self.base), dtype=np.int64)])
+            self.cdf = np.concatenate([self.cdf, np.full((grow, self.base), INF)])
+        for r, i in enumerate(first.tolist(), start=self.count):
+            terms = [(v, h, orient) for (v, orient), h in zip(self.slots[sig[i]], rel[i].tolist())]
+            dist = _discrete_conditional(terms)
+            k = len(dist.support)
+            self.vals[r, :k] = dist.support
+            self.cdf[r, : k - 1] = list(accumulate(dist.probs))[:-1]
+        self.row_of[fresh] = np.arange(self.count, end)
+        self.count = end
+
+
+def _table_base(pot) -> int:
+    return math.floor(2 * max(max(abs(b) for b in p.support()) for p in pot.class_potentials.values())) + 1
+
+
+_TABLE_LIMIT = 1 << 20  # keys of one conditional table (8 MB of row numbers)
+
+
+def _conditional_table(pot) -> _ConditionalTable | None:
+    """The potential's table; None unless the potential is discrete
+    Lipschitz with at most _TABLE_LIMIT keys (increment bounds in the tens
+    exceed it; such chains use the reference code)."""
+    memo = pot._memo("_torus_conditionals")
+    if "table" not in memo:
+        size = pot.lattice.index * _table_base(pot) ** 4 if pot.discrete and pot.is_lipschitz() else INF
+        memo["table"] = _ConditionalTable(pot, size) if size <= _TABLE_LIMIT else None
+    return memo["table"]
+
+
+def _sweep_plan(pot, config, boundary, order):
+    """(plan, waves, table) when a sweep of ``order`` runs on the torus
+    plan: a potential with a conditional table and a torus config, whose
+    side is a multiple of the period, with an integer height at every
+    torus site and no boundary; else None.  On the 1-torus only the empty
+    order qualifies (its one site has no neighbor)."""
+    info = config.torus
+    if info is None or boundary or (info.n == 1 and order):
+        return None
+    table = _conditional_table(pot)
+    if table is None or len(config.values) != info.n**2 or set(map(type, config.values.values())) != {int}:
+        return None
+    plan = _torus_plan(pot, info)
+    if not plan.periodic or config.values.keys() != plan.index.keys():
+        return None
+    if order is plan.order or tuple(order) == plan.order:
+        return plan, plan.waves, table
+    try:
+        return plan, plan.wave_schedule(order), table
+    except KeyError:
+        return None
+
+
+def _sweep_waves(table, waves, heights, uniforms):
+    """One heat-bath sweep of the int64 ``heights``, wave by wave: each site
+    draws m + (the conditional's support minus m)[first running sum > u],
+    the first support value whose running sum exceeds u, as
+    ``DiscreteDistribution.quantile`` returns from the same sums.  So the
+    sweep equals the site-by-site one."""
+    us = np.asarray(uniforms, dtype=np.float64)
+    for pos, sites, nbr, shift, sig in waves:
+        hs = heights[nbr] + shift
+        m = hs.min(axis=1)
+        rows = table.rows(sig, hs - m[:, None])
+        pick = (table.cdf[rows] > us[pos, None]).argmax(axis=1)
+        heights[sites] = m + table.vals[rows, pick]
 
 
 def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfig:
@@ -361,40 +496,100 @@ def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfi
     pinned periodic part; wrap increments carry the class's holonomy, so
     single-site updates never leave the class.
     """
-    config, order = _torus_start(pot, n, slope)
+    chain = _TorusChain(pot, n, slope)
     for t in range(sweeps):
-        config = heat_bath_sweep(pot, config, order=order, rng=rng.at(t))
-    return config.pin()
+        chain.sweep(rng.at(t).random(len(chain.order)))
+    return chain.config().pin()
 
 
-def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, _SiteTable]:
-    """A finite-energy surface of the slope class and the checkerboard site
-    table of its free (non-reference) sites: the start of every torus chain.
+class _TorusChain:
+    """A torus chain from the start of ``_torus_start``, as torus sampling,
+    thermodynamic integration and variance profiles run it.  When
+    ``_sweep_plan`` accepts the start, the heights stay in one int64 array
+    swept on the plan; otherwise a config is swept by ``heat_bath_sweep``.
+    """
+
+    def __init__(self, pot, n: int, slope):
+        self.pot = pot
+        self.start, self.order = _torus_start(pot, n, slope)
+        found = _sweep_plan(pot, self.start, None, self.order)
+        self.plan = self.current = None
+        if found is None:
+            self.current = self.start
+        else:
+            self.plan, self.waves, _ = found
+            self.heights = np.array([self.start.values[v] for v in self.plan.sites], dtype=np.int64)
+
+    def sweep(self, uniforms, pot=None) -> None:
+        """One sweep of the order with the given uniforms, under ``pot``
+        (default the chain's potential; another must have the same period
+        lattice and increment bounds, as a rescaled potential has)."""
+        pot = self.pot if pot is None else pot
+        if self.plan is None:
+            self.current = heat_bath_sweep(pot, self.current, order=self.order, uniforms=uniforms)
+        else:
+            _sweep_waves(_conditional_table(pot), self.waves, self.heights, uniforms)
+
+    def config(self) -> HeightConfig:
+        if self.plan is None:
+            return self.current.copy()
+        values = dict(zip(self.plan.sites, self.heights.tolist()))
+        return HeightConfig(values, reference=self.start.reference, torus=self.start.torus)
+
+    def energy(self) -> float:
+        """``_torus_energy`` of the current heights under the chain's
+        potential: the same edge energies added in the same order (sites in
+        sorted order, axis 0 before axis 1)."""
+        if self.plan is None:
+            return _torus_energy(self.pot, self.current)
+        lo, table = _edge_energies(self.pot)
+        plan, width = self.plan, table.shape[2]
+        inc = self.heights[plan.nbr[:, 0::2]] + plan.shift[:, 0::2] - self.heights[:, None] - lo
+        inside = (inc >= 0) & (inc < width)
+        energies = np.where(inside, table[[0, 1], plan.sig[:, None], np.clip(inc, 0, width - 1)], INF)
+        total = 0.0
+        for e in energies.ravel().tolist():
+            total += e
+        return total
+
+
+def _edge_energies(pot):
+    """(lo, table): table[axis, r, i - lo] is the energy of the edge class
+    (axis, r-th fundamental-domain vertex) at increment i, for i from the
+    least to the greatest increment bound of a discrete Lipschitz potential."""
+    memo = pot._memo("_edge_energies")
+    if "table" not in memo:
+        pots = [[pot.class_potentials[(axis, r)] for r in pot.lattice.fundamental_domain()] for axis in (0, 1)]
+        lo = min(int(p.support()[0]) for row in pots for p in row)
+        hi = max(int(p.support()[1]) for row in pots for p in row)
+        memo["table"] = lo, np.array([[[p(k) for k in range(lo, hi + 1)] for p in row] for row in pots])
+    return memo["table"]
+
+
+def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, tuple]:
+    """A finite-energy surface of the slope class and the checkerboard order
+    of its free (non-reference) sites: the start of every torus chain.
 
     Each vertex starts at floor((max ext + min ext) / 2), the midpoint of
     its height window, which keeps every increment within its integer
     bounds; raises Infeasible for an empty class.  Potentials that are not
     discrete Lipschitz start from the plane u.x, rounded down on integer
     heights, and raise StateSpaceTooLarge if it has infinite energy.  The
-    start is built once per potential, n and slope; each call returns a
-    fresh config.
+    start is built once per plan; each call returns a fresh config.
     """
-    memo = pot._memo("_torus_starts")
-    key = (n, tuple(slope))
-    if key not in memo:
+    info = torus_info(pot, n, slope)
+    plan = _torus_plan(pot, info)
+    if plan.start is None:
         try:
-            info, windows, _, _ = _torus_frame(pot, n, slope)
+            _, windows, _, _ = _torus_frame(pot, n, slope)
             values = {v: w[(len(w) - 1) // 2] for v, w in windows.items()}
         except StateSpaceTooLarge:
-            info = torus_info(pot, n, slope)
             level = math.floor if pot.discrete else float
             values = {(i, j): level(info.slope[0] * i + info.slope[1] * j) for i in range(n) for j in range(n)}
             if _torus_energy(pot, HeightConfig(values, reference=(0, 0), torus=info)) == INF:
                 raise
-        order = checkerboard_order([v for v in values if v != (0, 0)])
-        memo[key] = (info, tuple(values.items()), _SiteTable(pot, order, values, info))
-    info, heights, table = memo[key]
-    return HeightConfig(dict(heights), reference=(0, 0), torus=info), table
+        plan.start = tuple(values.items())
+    return HeightConfig(dict(plan.start), reference=(0, 0), torus=info), plan.order
 
 
 # ---------------------------------------------------------------------------

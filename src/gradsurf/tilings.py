@@ -186,7 +186,8 @@ def count_tilings_kasteleyn(region: Iterable[Square]) -> int:
     """|det| of the Kasteleyn-signed bipartite adjacency, exact integers.
 
     Gauge: horizontal edges carry +1, vertical edges (-1)^column, which
-    puts an odd number of minus signs around every unit face.
+    puts an odd number of minus signs around every unit face.  The sign is
+    computed as 1 - 2 * (column mod 2), an integer for negative columns too.
     """
     squares = sorted(region)
     black = [s for s in squares if (s[0] + s[1]) % 2 == 0]
@@ -200,8 +201,8 @@ def count_tilings_kasteleyn(region: Iterable[Square]) -> int:
         for t, sign in (
             ((s[0] + 1, s[1]), 1),
             ((s[0] - 1, s[1]), 1),
-            ((s[0], s[1] + 1), (-1) ** s[0]),
-            ((s[0], s[1] - 1), (-1) ** s[0]),
+            ((s[0], s[1] + 1), 1 - 2 * (s[0] % 2)),
+            ((s[0], s[1] - 1), 1 - 2 * (s[0] % 2)),
         ):
             j = widx.get(t)
             if j is not None:

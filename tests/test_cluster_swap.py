@@ -9,7 +9,6 @@ from gradsurf import cluster_swap
 from gradsurf.cluster_swap import (
     DerivedCoords,
     Triplet,
-    _proxies,
     _scan_levels,
     cluster_swap_at,
     edge_coupling_constant,
@@ -444,36 +443,156 @@ def test_memoized_swappable_set_equals_direct_deficits():
             ss = swappable_set(pot, trip, window)
             assert ss.closed_edges == closed
             assert sorted(sorted(c.vertices) for c in ss.clusters) == clusters
-    assert sum(bool(pot._memo("_swap_deficits")) for pot in {id(p): p for p, _ in cases}.values()) >= 4
+    assert sum(bool(cluster_swap._deficit_table(pot).exact) for pot in {id(p): p for p, _ in cases}.values()) >= 4
+
+
+def _shifted(trip, c):
+    phi1 = HeightConfig({v: h + c for v, h in trip.phi1.values.items()}, reference=trip.phi1.reference)
+    return Triplet(phi1, trip.phi2.copy(), dict(trip.residual))
+
+
+def test_wide_supports_classify_per_edge():
+    # a deficit table for increments in [-40, 40] would exceed its limit;
+    # those swaps call _deficit per edge, with the same classification
+    wide = PeriodicPotential.isotropic("int", TablePotential.from_dict({k: 0.5 * k * k for k in range(-40, 41)}))
+    assert cluster_swap._deficit_table(wide) is None
+    rng = random.Random(3)
+    region = sorted(box_region(4, 4))
+    for seed in range(3):
+        p1, p2 = (HeightConfig({v: rng.randint(-3, 3) for v in region}, reference=(0, 0)) for _ in range(2))
+        trip = Triplet.build(p1, p2, rng=RngStream(seed, 0).at(0))
+        closed, clusters = _direct_swappable(wide, trip)
+        ss = swappable_set(wide, trip)
+        assert ss.closed_edges == closed
+        assert sorted(sorted(c.vertices) for c in ss.clusters) == clusters
+        _, t_plus, t_minus, b_plus, b_minus = _level_scan(wide, trip, 1, set(region))
+        a = shifted_analysis(wide, trip, 1)
+        assert (a.t_plus, a.t_minus, a.b_plus, a.b_minus) == (t_plus, t_minus, b_plus, b_minus)
+
+
+def _rebuilt_proxies(pot, trip, c, window):
+    """The swappable set and T+/T- proxies of one shift level from a rebuilt
+    shifted triplet, its closed edges checked against per-edge deficits."""
+    shifted = _shifted(trip, c)
+    ss = swappable_set(pot, shifted, window)
+    assert ss.closed_edges == _direct_swappable(pot, shifted)[0]
+    bound = [cl for cl in ss.clusters if cl.touches_boundary]
+    t_plus = frozenset(v for cl in bound if cl.zeta < 0 for v in cl.vertices)
+    t_minus = frozenset(v for cl in bound if cl.zeta > 0 for v in cl.vertices)
+    return ss, t_plus, t_minus
 
 
 def _level_scan(pot, trip, c, window):
-    """The crossing bounds from one _proxies call per level visited."""
-    ss, t_plus, t_minus = _proxies(pot, trip, c, window)
+    """The crossing bounds from one rebuilt triplet per level visited."""
+    ss, t_plus, t_minus = _rebuilt_proxies(pot, trip, c, window)
     diffs = [trip.phi2.values[v] - trip.phi1.values[v] for v in sorted(window)]
     levels = _scan_levels(diffs, pot.discrete)
-    b_plus = next((lv for lv in levels if not _proxies(pot, trip, lv, window)[1]), INF)
-    b_minus = next((lv for lv in reversed(levels) if not _proxies(pot, trip, lv, window)[2]), -INF)
+    b_plus = next((lv for lv in levels if not _rebuilt_proxies(pot, trip, lv, window)[1]), INF)
+    b_minus = next((lv for lv in reversed(levels) if not _rebuilt_proxies(pot, trip, lv, window)[2]), -INF)
     return ss, t_plus, t_minus, b_plus, b_minus
 
 
 def test_shifted_analysis_equals_level_scan_one_swappable_set_per_level(monkeypatch):
-    # each distinct shift level gets one swappable set, shared by the shift
-    # c and both crossing-bound scans
+    # each distinct shift level gets one array pass: the swappable set at
+    # the shift c, a proxy check at every other level either scan visits
+    arrays = cluster_swap._SwapArrays
     calls, levels = [], []
-    sets, proxies = cluster_swap.swappable_set, cluster_swap._proxies
+    swappable, proxies_empty = arrays.swappable, arrays.proxies_empty
     for pot, trip in _torus_triplets():
         window = set(trip.phi1.values)
         for c in (0, 1, -2):
             ss, t_plus, t_minus, b_plus, b_minus = _level_scan(pot, trip, c, window)
-            monkeypatch.setattr(cluster_swap, "swappable_set", lambda *a, **k: calls.append(1) or sets(*a, **k))
-            monkeypatch.setattr(cluster_swap, "_proxies", lambda p, t, lv, w: levels.append(lv) or proxies(p, t, lv, w))
+            monkeypatch.setattr(arrays, "swappable", lambda self, lv: calls.append(lv) or swappable(self, lv))
+            monkeypatch.setattr(arrays, "proxies_empty", lambda self, lv: levels.append(lv) or proxies_empty(self, lv))
             calls.clear(), levels.clear()
             a = shifted_analysis(pot, trip, c, window)
             monkeypatch.undo()
             assert (a.t_plus, a.t_minus, a.b_plus, a.b_minus) == (t_plus, t_minus, b_plus, b_minus)
             assert a.swappable.closed_edges == ss.closed_edges
             assert [c.vertices for c in a.swappable.clusters] == [c.vertices for c in ss.clusters]
+            assert a.swappable.labels == ss.labels
             scan = _scan_levels([trip.phi2.values[v] - trip.phi1.values[v] for v in window], True)
             visited = {c} | {lv for lv in scan if lv <= b_plus} | {lv for lv in scan if lv >= b_minus}
-            assert len(calls) == len(levels) == len(set(levels)) == len(visited)
+            assert calls == [c]
+            assert len(calls + levels) == len(set(calls + levels)) == len(visited)
+
+
+def _inexact_deficit_potential():
+    """Tables whose swap deficits are exact rationals that are not floats:
+    sums of tenths need more than 53 bits."""
+    table = TablePotential.from_dict({-2: 0.7, -1: 0.3, 0: 0.0, 1: 0.1, 2: 0.6})
+    return PeriodicPotential.isotropic("int", table)
+
+
+def _one_edge_triplets(pot):
+    """(phi1, phi2, deficit) for every pair of increments i1, i2 and base
+    offset whose single edge (0, 0) -> (1, 0) crosses (both endpoints
+    differ) with a positive finite deficit."""
+    out = []
+    for i1, i2, delta in itertools.product(range(-2, 3), range(-2, 3), range(-4, 5)):
+        if delta == 0 or delta + i2 == i1:
+            continue
+        phi1 = HeightConfig({(0, 0): 0, (1, 0): i1}, reference=(0, 0))
+        phi2 = HeightConfig({(0, 0): delta, (1, 0): delta + i2}, reference=(0, 0))
+        d = swap_deficit(pot, Triplet.build(phi1, phi2, residual={}), ((0, 0), 0))
+        if d != INF and d > 0:
+            out.append((phi1, phi2, d))
+    return out
+
+
+def _assert_direct(pot, trip):
+    closed, clusters = _direct_swappable(pot, trip)
+    ss = swappable_set(pot, trip)
+    assert ss.closed_edges == closed
+    assert sorted(sorted(c.vertices) for c in ss.clusters) == clusters
+
+
+def test_swappable_set_exact_at_float_rounded_deficits():
+    # a float residual r is swappable exactly when r >= d; at r = float(d)
+    # that holds only when d rounds up, so comparing with the nearest float
+    # would be wrong half the time
+    pot = _inexact_deficit_potential()
+    rounded = set()
+    for phi1, phi2, d in _one_edge_triplets(pot):
+        f = float(d)
+        if Fraction(f) == d:
+            continue
+        rounded.add(f > d)
+        for r in (f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)):
+            _assert_direct(pot, Triplet.build(phi1, phi2, residual={((0, 0), 0): r}))
+    assert rounded == {True, False}
+
+
+def test_swappable_set_exact_for_rational_residuals():
+    # residuals that are not floats (as swaps leave them) compare exactly,
+    # also a hair below or above a deficit that is itself a float
+    pot = _inexact_deficit_potential()
+    hair = Fraction(1, 2**80)
+    for phi1, phi2, d in _one_edge_triplets(pot):
+        for r in (d - hair, d, d + hair):
+            _assert_direct(pot, Triplet.build(phi1, phi2, residual={((0, 0), 0): r}))
+
+
+def test_swappable_set_exact_after_swaps_and_involution():
+    # swaps leave residuals r + (old - new) that are not floats; the
+    # classification stays exact and a second swap restores every field
+    pot = _inexact_deficit_potential()
+    rng = random.Random(5)
+    region = box_region(3, 3)
+    inexact = 0
+    for k in range(4):
+        phi1, phi2 = (HeightConfig({v: rng.randint(-1, 1) for v in region}, reference=(0, 0)) for _ in range(2))
+        trip = Triplet.build(phi1, phi2, rng=RngStream(k, 7).at(0))
+        residual = {}
+        for e, r in trip.residual.items():
+            d = swap_deficit(pot, trip, e) if phi1.values[e[0]] != phi2.values[e[0]] else INF
+            residual[e] = max(float(d), 0.0) if d != INF and r > 0.5 else r  # ties at rounded deficits
+        trip = Triplet.build(phi1, phi2, residual=residual)
+        for x in sorted(region):
+            once = cluster_swap_at(pot, trip, None, x)
+            inexact += sum(Fraction(float(r)) != r for r in once.residual.values())
+            _assert_direct(pot, once)
+            twice = cluster_swap_at(pot, once, None, x)
+            assert twice.phi1.values == trip.phi1.values and twice.phi2.values == trip.phi2.values
+            assert twice.residual == trip.residual
+    assert inexact

@@ -19,6 +19,7 @@ from gradsurf.feasibility import (
     torus_slope_feasible,
 )
 from gradsurf.lattice import Sublattice, box_region, outer_boundary
+from gradsurf.observables import log_partition_exact
 from gradsurf.potential import (
     INF,
     PeriodicPotential,
@@ -314,6 +315,14 @@ def test_ground_state_deep_torus_raises_typed_error(domino):
     # the search recurses once per site: 1023 levels on the side-32 torus
     with pytest.raises(StateSpaceTooLarge, match="recursion depth 1023"):
         ground_state_energy(domino, 32, (F(0), F(0)))
+
+
+def test_enumeration_deep_torus_raises_typed_error(domino):
+    # the enumeration recurses once per site as well
+    with pytest.raises(StateSpaceTooLarge, match="recursion depth 1023"):
+        log_partition_exact(domino, torus=32, slope=(0, 0))
+    with pytest.raises(StateSpaceTooLarge, match="recursion depth 1023"):
+        next(enumerate_torus_configs(domino, 32, (F(0), F(0))))
 
 
 def test_chi_convex_along_segment(sos_trunc2):

@@ -10,7 +10,7 @@ import pytest
 
 from gradsurf import feasibility, sampler
 from gradsurf.cli import main
-from gradsurf.errors import EmptySupport, GradsurfError, Infeasible, NonMonotoneCoupling, StateSpaceTooLarge
+from gradsurf.errors import EmptySupport, GradsurfError, Infeasible, NegativeCycle, NonMonotoneCoupling, StateSpaceTooLarge
 from gradsurf.feasibility import enumerate_torus_configs
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import box_region, outer_boundary
@@ -31,6 +31,7 @@ from gradsurf.sampler import (
     checkerboard_order,
     heat_bath_sweep,
     random_round,
+    random_scan_order,
     site_conditional,
     torus_sample,
 )
@@ -443,6 +444,16 @@ def _sloped_torus_cases():
     rng = random.Random(4242)
     for k in range(12):
         cases.append((f"random-{k}", _random_periodic_potential(rng), 2 + 2 * (k % 2), (F(k % 3, 2), F(0))))
+    # odd sides wrap onto the same checkerboard color, so their wave
+    # schedules need more than two waves; side 1 has no free site
+    abs2 = PeriodicPotential.isotropic("int", TablePotential.from_dict({-2: 2.2, -1: 1.1, 0: 0.0, 1: 1.1, 2: 2.2}))
+    for n in (1, 2, 3, 5, 7):
+        cases += [(f"abs2-side{n}", abs2, n, slope) for slope in ((0, 0), (F(1, 2), F(-1, 3)), (F(2), 0))]
+    cases += [(f"domino-side2-{k}", domino_potential(), 2, slope) for k, slope in enumerate(((0, 0), (F(1, 2), 0)))]
+    rng = random.Random(77)
+    for k in range(8):
+        slope = (F(k % 3 - 1, 2), F(k % 2, 2))
+        cases.append((f"random-wide-{k}", _random_periodic_potential(rng), 6 + 2 * (k % 2), slope))
     return cases
 
 
@@ -455,10 +466,46 @@ def test_memoized_torus_sweeps_equal_site_conditional_loop(name, pot, n, slope):
     except Infeasible:
         return
     stream = RngStream(5, n)
-    assert _exact(_library_sweeps(pot, start, table, stream, 6)) == _exact(
-        _reference_sweeps(pot, start, list(table), stream, 6)
+    expected = _exact(_reference_sweeps(pot, start, list(table), stream, 6))
+    assert _exact(_library_sweeps(pot, start, table, stream, 6)) == expected
+    assert _exact(torus_sample(pot, n, slope, 6, stream).values) == expected
+    # any other order gets its own wave schedule
+    shuffled = random_scan_order(table, np.random.default_rng(n))
+    assert _exact(_library_sweeps(pot, start, shuffled, stream, 3)) == _exact(
+        _reference_sweeps(pot, start, shuffled, stream, 3)
     )
-    assert pot._memo("_site_conditionals")
+    assert not table or sampler._conditional_table(pot).count
+
+
+@pytest.mark.parametrize("name, pot, n, slope", _sloped_torus_cases(), ids=lambda c: str(c) if isinstance(c, str) else None)
+def test_plan_windows_equal_graph_windows(name, pot, n, slope):
+    # the numpy relaxation against Bellman-Ford on from_torus, including
+    # the empty classes (a negative cycle there, Infeasible here)
+    graph = feasibility.FeasibilityGraph.from_torus(pot, n, slope)
+    try:
+        expected = feasibility._value_windows(pot, graph, {(0, 0): 0}, graph.vertices)
+    except NegativeCycle:
+        with pytest.raises(Infeasible):
+            feasibility._torus_frame(pot, n, slope)
+        return
+    assert feasibility._torus_frame(pot, n, slope)[1] == expected
+
+
+def test_plan_wave_schedule():
+    # a checkerboard order takes two waves on even sides; every wave holds
+    # no two neighbors, and each site sits in a later wave than its
+    # earlier-ordered neighbors
+    pot = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0}))
+    for n in (2, 3, 4, 5, 7, 8):
+        plan = feasibility._torus_plan(pot, TorusInfo(n, (F(0), F(0))))
+        waves = {int(k): w for w, (_, sites, *_) in enumerate(plan.waves) for k in sites}
+        assert sorted(waves) == list(range(1, n * n))
+        if n % 2 == 0:
+            assert len(plan.waves) == 2
+        for pos, (k, v) in enumerate((plan.index[v], v) for v in plan.order):
+            for t in plan.nbr[k]:
+                earlier = plan.sites[t] in plan.order[:pos]
+                assert t == 0 or (waves[int(t)] < waves[k] if earlier else waves[int(t)] > waves[k])
 
 
 @pytest.mark.parametrize("pot_name", ["sos_trunc1", "sos_trunc2", "sos", "domino"])
@@ -494,10 +541,26 @@ def test_memos_are_per_potential():
         assert _exact(_library_sweeps(pot, start, table, RngStream(8, 0), 4)) == _exact(
             _reference_sweeps(pot, start, list(table), RngStream(8, 0), 4)
         )
-    weak, strong = (p._memo("_site_conditionals") for p in pots)
+    weak, strong = (sampler._conditional_table(p) for p in pots)
     assert weak is not strong
-    shared = weak.keys() & strong.keys()
-    assert shared and all(weak[k].probs != strong[k].probs for k in shared if len(weak[k].probs) > 1)
+    shared = np.flatnonzero((weak.row_of >= 0) & (strong.row_of >= 0))
+    assert shared.size
+    for w, t in zip(weak.row_of[shared], strong.row_of[shared]):
+        assert (weak.vals[w] == strong.vals[t]).all()
+        if np.isfinite(weak.cdf[w]).any():  # more than one height
+            assert (weak.cdf[w] != strong.cdf[t]).any()
+
+
+def test_wide_supports_sweep_with_site_conditional_code():
+    # increment bounds of +-16 would need a table of 33^4 keys, beyond its
+    # limit; such torus chains run the reference code, with equal results
+    wide = PeriodicPotential.isotropic("int", TablePotential.from_dict({k: 0.25 * abs(k) for k in range(-16, 17)}))
+    assert sampler._conditional_table(wide) is None
+    start, order = _torus_start(wide, 4, (F(1, 2), 0))
+    stream = RngStream(9, 0)
+    expected = _exact(_reference_sweeps(wide, start, list(order), stream, 3))
+    assert _exact(_library_sweeps(wide, start, order, stream, 3)) == expected
+    assert _exact(torus_sample(wide, 4, (F(1, 2), 0), 3, stream).values) == expected
 
 
 def test_cftp_memoized_path_equals_reference_path(monkeypatch):
@@ -526,19 +589,21 @@ def test_cftp_memoized_path_equals_reference_path(monkeypatch):
 
 
 def test_torus_start_built_once_per_potential(monkeypatch):
+    # one relaxation (both directions at once) for the plan's windows,
+    # none after
     passes = []
-    bellman_ford = feasibility._bellman_ford
+    extensions = feasibility.TorusPlan.extensions
 
-    def counted(*args):
-        passes.append(args[2])
-        return bellman_ford(*args)
+    def counted(self, *args):
+        passes.append(args)
+        return extensions(self, *args)
 
-    monkeypatch.setattr(feasibility, "_bellman_ford", counted)
+    monkeypatch.setattr(feasibility.TorusPlan, "extensions", counted)
     pot = domino_potential()
     slope = (F(1, 4), F(0))
     a = torus_sample(pot, 8, slope, sweeps=3, rng=RngStream(1, 0))
     b = torus_sample(pot, 8, slope, sweeps=3, rng=RngStream(1, 1))
-    assert len(passes) == 2
+    assert len(passes) == 1
     assert a.values == torus_sample(domino_potential(), 8, slope, sweeps=3, rng=RngStream(1, 0)).values
     assert b.values == torus_sample(domino_potential(), 8, slope, sweeps=3, rng=RngStream(1, 1)).values
 

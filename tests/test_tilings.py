@@ -155,6 +155,31 @@ def test_kasteleyn_8x8_transfer_matrix():
     assert count_tilings_kasteleyn(rect(8, 8)) == transfer_matrix_strip_count(8, 8)
 
 
+def test_kasteleyn_translation_invariant_exact_int():
+    # the vertical-edge signs alternate with the column; negative columns
+    # must give integer signs, or Bareiss runs on floats
+    for region in CORPUS + [rect(4, 4)]:
+        count = count_tilings_kasteleyn(region)
+        for dx, dy in ((-5, 0), (-2, -3), (-13, 4), (3, -7), (1, 1)):
+            moved = count_tilings_kasteleyn({(x + dx, y + dy) for x, y in region})
+            assert type(moved) is int and moved == count
+    box = {(x - 13, y) for x, y in rect(12, 12)}  # columns -13..-2
+    count = count_tilings_kasteleyn(box)
+    assert type(count) is int and count == transfer_matrix_strip_count(12, 12) == 53060477521960000
+
+
+def test_kasteleyn_aztec_diamonds_centred_at_origin():
+    # the order-n Aztec diamond has 2^(n(n+1)/2) tilings; centred at the
+    # origin, half of its columns are negative
+    for n in range(1, 13):
+        diamond = {
+            (x, y) for x in range(-n, n) for y in range(-n, n) if abs(2 * x + 1) + abs(2 * y + 1) <= 2 * n
+        }
+        assert len(diamond) == 2 * n * (n + 1)
+        count = count_tilings_kasteleyn(diamond)
+        assert type(count) is int and count == 2 ** (n * (n + 1) // 2)
+
+
 def test_boundary_heights_match_tilings():
     for region in CORPUS[:6]:
         fixed = boundary_heights(region)
