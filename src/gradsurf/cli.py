@@ -73,10 +73,14 @@ def _resolve_potential(cfg: dict) -> PeriodicPotential:
 
 
 def _region_from_spec(spec) -> frozenset:
+    cells = spec
     if isinstance(spec, str) and "x" in spec:
         w, h = (int(t) for t in spec.split("x"))
-        return frozenset((i, j) for i in range(w) for j in range(h))
-    return frozenset(tuple(v) for v in spec)
+        cells = [(i, j) for i in range(w) for j in range(h)]
+    region = frozenset(tuple(v) for v in cells)
+    if not region:
+        raise ConfigParse(f"region {spec!r} is empty")
+    return region
 
 
 def _write(path: Path, text: str) -> None:

@@ -53,11 +53,14 @@ class StateSpaceTooLarge(GradsurfError):
 
 
 class NoCoalescence(GradsurfError):
-    """CFTP exhausted its epoch budget without coalescing."""
+    """CFTP exhausted its epoch budget without coalescing; ``span`` is the
+    last span tried (0 for none) and ``sweeps`` the coupled sweeps run."""
 
-    def __init__(self, budget):
-        super().__init__(f"no coalescence within epoch budget {budget}")
+    def __init__(self, budget, span, sweeps):
+        super().__init__(f"no coalescence within epoch budget {budget} (last span {span}, {sweeps} coupled sweeps)")
         self.budget = budget
+        self.span = span
+        self.sweeps = sweeps
 
 
 class NonMonotoneCoupling(GradsurfError):

@@ -549,7 +549,7 @@ def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_00
     """
     region = sorted(region)
     boundary = dict(boundary)
-    windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
+    windows = _region_windows(pot, region, boundary)
     order = _propagation_order(region, set(boundary))
     yield from _search(pot, None, order, order, dict(boundary), 0.0, windows, node_budget)
 
@@ -605,6 +605,32 @@ def _dfs(pot, torus, order, keys, idx, known, energy, windows, budget):
         del known[v]
 
 
+def _wave_schedule(plan, order):
+    """The order's positions grouped into waves, as (positions, sites,
+    neighbors, shifts, sig) arrays per wave of a TorusPlan or RegionPlan.
+    A position's wave is one more than the highest wave among earlier
+    positions at the same site or a neighbor, so no two sites of a wave are
+    neighbors and updating wave by wave equals updating in order: even tori
+    take 2 waves.  Raises KeyError for a vertex the plan cannot sweep."""
+    sites = [plan.index[v] for v in order]
+    latest = [-1] * len(plan.sites)
+    nbrs = plan.nbr.tolist()
+    wave = []
+    for k in sites:
+        a, b, c, d = nbrs[k]
+        if min(a, b, c, d) < 0:
+            raise KeyError(plan.sites[k])
+        latest[k] = w = 1 + max(latest[k], latest[a], latest[b], latest[c], latest[d])
+        wave.append(w)
+    by_wave = np.argsort(wave, kind="stable")
+    sites = np.array(sites, dtype=np.int64)[by_wave]
+    ends = np.cumsum(np.bincount(wave)).tolist() if wave else []
+    return tuple(
+        (by_wave[lo:hi], sites[lo:hi], plan.nbr[sites[lo:hi]], plan.shift[sites[lo:hi]], plan.sig[sites[lo:hi]])
+        for lo, hi in zip([0] + ends[:-1], ends)
+    )
+
+
 class TorusPlan:
     """The slope class on the n-torus as arrays, built once per potential, n
     and slope (``_torus_plan``) and shared by the torus frame, chain starts
@@ -623,7 +649,7 @@ class TorusPlan:
     arcs of the 2-torus and the self-loops of the 1-torus stay separate,
     which changes no distance.  ``order`` is the checkerboard order of the
     free sites (all but x0) and ``waves`` its wave schedule
-    (``wave_schedule``).  ``windows`` and ``start`` are filled by their
+    (``_wave_schedule``).  ``windows`` and ``start`` are filled by their
     first users.
     """
 
@@ -656,32 +682,9 @@ class TorusPlan:
         self.arc_src = np.concatenate([self.nbr[:, [1, 0, 3, 2]], self.nbr + n * n])
         self.arc_w = np.concatenate([into, out_of])
         self.order = tuple(checkerboard_order(self.sites[1:]))
-        self.waves = self.wave_schedule(self.order)
+        self.waves = _wave_schedule(self, self.order)
         self.windows = None
         self.start = None
-
-    def wave_schedule(self, order):
-        """The order's positions grouped into waves, as (positions, sites,
-        neighbors, shifts, sig) arrays per wave.  A position's wave is one
-        more than the highest wave among earlier positions at the same site
-        or a neighbor, so no two sites of a wave are neighbors and updating
-        wave by wave equals updating in order: even tori take 2 waves.
-        Raises KeyError for a vertex not on the torus."""
-        sites = [self.index[v] for v in order]
-        latest = [-1] * len(self.sites)
-        nbrs = self.nbr.tolist()
-        wave = []
-        for k in sites:
-            a, b, c, d = nbrs[k]
-            latest[k] = w = 1 + max(latest[k], latest[a], latest[b], latest[c], latest[d])
-            wave.append(w)
-        by_wave = np.argsort(wave, kind="stable")
-        sites = np.array(sites, dtype=np.int64)[by_wave]
-        ends = np.cumsum(np.bincount(wave)).tolist() if wave else []
-        return tuple(
-            (by_wave[lo:hi], sites[lo:hi], self.nbr[sites[lo:hi]], self.shift[sites[lo:hi]], self.sig[sites[lo:hi]])
-            for lo, hi in zip([0] + ends[:-1], ends)
-        )
 
     def extensions(self, partial: Mapping[Vertex, float]):
         """Maximal and minimal extension heights of the partial heights, by
@@ -710,10 +713,60 @@ def _torus_plan(pot: PeriodicPotential, info: TorusInfo) -> TorusPlan:
     """The potential's plan of the torus and slope class of ``info``."""
     plans = pot._memo("_torus_plans")
     key = (info.n, info.slope)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = TorusPlan(pot, info)
-    return plan
+    if key not in plans:
+        plans[key] = TorusPlan(pot, info)
+    return plans[key]
+
+
+class RegionPlan:
+    """A region with fixed boundary heights as arrays, built once per
+    potential, sorted region and boundary (``_region_plan``) and shared by
+    CFTP, region sweeps and region enumeration.  ``sites`` lists the region,
+    then the boundary vertices outside it.  ``index``, ``nbr``, ``shift``
+    (zeros) and ``sig`` are laid out as in ``TorusPlan``, with -1 for a
+    neighbor outside region | boundary and in the rows of boundary
+    vertices.  ``waves`` is the wave schedule of the checkerboard ``order``,
+    None when a region vertex has a neighbor outside, and ``coupled`` the
+    same schedule for 2N heights, a second copy of the sites at N + index,
+    so CFTP sweeps its two chains as one array.  ``windows`` is filled by
+    ``_region_windows``.
+    """
+
+    def __init__(self, pot: PeriodicPotential, region, boundary):
+        inside = set(region)
+        self.sites = list(region) + [v for v in sorted(boundary) if v not in inside]
+        self.index = {v: k for k, v in enumerate(self.sites)}
+        rows = [[self.index.get(w, -1) if v in inside else -1 for w in neighbors(v)] for v in self.sites]
+        self.nbr = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        self.shift = np.zeros_like(self.nbr)
+        lat = pot.lattice
+        self.sig = np.array([i * lat.b + j for i, j in map(lat.reduce, self.sites)], dtype=np.int64)
+        self.order = tuple(checkerboard_order(region))
+        self.waves = None if (self.nbr[: len(region)] < 0).any() else _wave_schedule(self, self.order)
+        # positions and sig repeat; sites and neighbors of the copy shift by N
+        n = len(self.sites)
+        self.coupled = None if self.waves is None else tuple(
+            tuple(np.concatenate([a, a + n * k]) for a, k in zip(wave, (0, 1, 1, 0, 0))) for wave in self.waves
+        )
+        self.windows = None
+
+
+def _region_plan(pot: PeriodicPotential, region, boundary) -> RegionPlan:
+    """The potential's plan of the sorted region and the boundary heights."""
+    plans = pot._memo("_region_plans")
+    key = (tuple(region), tuple(sorted(boundary.items())))
+    if key not in plans:
+        plans[key] = RegionPlan(pot, region, boundary)
+    return plans[key]
+
+
+def _region_windows(pot, region, boundary):
+    """``_value_windows`` of the sorted region under the boundary heights
+    on ``_region_graph``, computed once per plan."""
+    plan = _region_plan(pot, region, boundary)
+    if plan.windows is None:
+        plan.windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
+    return plan.windows
 
 
 def _torus_frame(pot, n: int, slope):

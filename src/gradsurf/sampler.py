@@ -10,28 +10,25 @@ drives the exact coupling-from-the-past sampler for Lipschitz potentials.
 
 Discrete Lipschitz chains compute each site conditional once.  A gradient
 potential's conditional depends only on the neighbors' edge classes,
-orientations and heights relative to their minimum m, so it is memoized on
-the potential under that key and a site draws m + quantile(u).  Shifting
-all heights by the integer m changes no argument passed to an edge
+orientations and heights relative to their minimum m, so it is kept in a
+table on the potential under that key and a site draws m + quantile(u).
+Shifting all heights by the integer m changes no argument passed to an edge
 potential, so energies, their summation order and the probabilities are
-bit-for-bit those of ``site_conditional``, and outputs do not change.  The
-memos live as long as the potential.  Which code runs:
+bit-for-bit those of ``site_conditional``, and outputs do not change.
+Which code runs:
 
-- Torus chains with integer heights at every site (``torus_sample``, and
-  ``heat_bath_sweep`` on a torus config, as thermodynamic integration and
-  variance profiles call it) sweep on the potential's ``TorusPlan``.  Its
-  wave schedule puts each site in a later wave than every neighbor that
-  precedes it in the order, so the sites of a wave share no edge and
-  updating wave by wave equals updating in order.  A wave is one numpy
-  step (``_sweep_waves``): each site finds its conditional's running sums
-  in a table filled by ``_discrete_conditional`` and draws the first
-  support value whose sum exceeds u, the value ``quantile`` returns from
-  the same sums.
-- Region chains with integer heights (CFTP, region ``sample``) read the
-  memo site by site through a ``_SiteTable``.
-- Chains with non-integer heights, continuous domains and unbounded
-  increments (whose scan starts from a rounded mean, which a shift can
-  move) use ``site_conditional``'s code.
+- Chains with integer heights (``torus_sample``, CFTP, and
+  ``heat_bath_sweep`` on a torus or region config) sweep on the
+  potential's ``TorusPlan`` or ``RegionPlan``.  Its wave schedule puts each
+  site in a later wave than every neighbor that precedes it in the order,
+  so the sites of a wave share no edge and updating wave by wave equals
+  updating in order.  A wave is one numpy step (``_sweep_waves``): each
+  site draws the first support value whose running sum, from a table
+  filled by ``_discrete_conditional``, exceeds u, as ``quantile`` does.
+- Non-integer heights, continuous domains, unbounded increments (whose
+  scan starts from a rounded mean, which a shift can move), tables over
+  ``_TABLE_LIMIT`` keys and region sites with a neighbor outside region |
+  boundary use ``site_conditional``'s code.
 """
 
 from __future__ import annotations
@@ -46,13 +43,13 @@ import numpy as np
 from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
 from .feasibility import (
     _local_energy,
-    _neighbor_slots,
     _neighbor_terms,
-    _region_graph,
+    _region_plan,
+    _region_windows,
     _torus_energy,
     _torus_frame,
     _torus_plan,
-    _value_windows,
+    _wave_schedule,
     torus_info,
 )
 from .heights import HeightConfig
@@ -255,8 +252,8 @@ def heat_bath_sweep(pot, config: HeightConfig, boundary=None, order=None, unifor
     """Resample every site in order from its exact conditional.
 
     ``uniforms`` (one per site, in order) may be passed directly for
-    coupled chains; otherwise they are drawn from ``rng``.  Torus configs
-    that ``_sweep_plan`` accepts sweep wave by wave on the torus plan.
+    coupled chains; otherwise they are drawn from ``rng``.  Configs that
+    ``_sweep_plan`` accepts sweep wave by wave on their plan.
     """
     out = config.copy()
     if order is None:
@@ -268,15 +265,14 @@ def heat_bath_sweep(pot, config: HeightConfig, boundary=None, order=None, unifor
     found = _sweep_plan(pot, out, boundary, order)
     if found is not None:
         plan, waves, table = found
-        heights = np.array([out.values[v] for v in plan.sites], dtype=np.int64)
+        values = {**out.values, **boundary} if boundary else out.values
+        heights = np.array([values[v] for v in plan.sites], dtype=np.int64)
         _sweep_waves(table, waves, heights, uniforms)
-        for v, h in zip(plan.sites, heights.tolist()):
-            out.values[v] = h
+        out.values.update(zip(plan.sites, heights[: len(out.values)].tolist()))
         return out
     values, torus = _lookup(out, boundary)
-    draw, steps = _site_draws(pot, order, values, torus, uniforms)
-    for u, x, site in steps:
-        values[x] = draw(values, site, u)
+    for u, x in zip(uniforms, order):
+        values[x] = _site_dist(pot, values, x, torus).quantile(u)
     for x in order:
         out.values[x] = values[x]
     return out
@@ -295,88 +291,13 @@ def _site_dist(pot, values, x, torus):
     return _tabulated_conditional(terms)
 
 
-class _SiteTable(tuple):
-    """A region site order that carries, per site, what a sweep reads: the
-    neighbor keys and the neighbors' edge classes and orientations.  Built
-    once per CFTP sample.
-
-    ``rows[i]`` is (site, neighbor keys, ((edge class, orientation), ...),
-    signature), where the signature is a string naming the classes and
-    orientations, cheap to hash as part of a memo key.  Equal class tuples
-    are stored once, and neighbor keys are the config's own vertex tuples,
-    which keeps large tables small.
-    """
-
-    def __new__(cls, pot, order, keys):
-        self = super().__new__(cls, order)
-        self.lattice = pot.lattice
-        vertex = {v: v for v in keys}
-        shared_classes = {}
-        rows = []
-        for x in self:
-            slots = _neighbor_slots(x, keys, None)
-            nbrs = tuple(vertex[key] for key, _, _, _ in slots)
-            classes = tuple((pot.edge_class(edge), orient) for _, _, edge, orient in slots)
-            classes, signature = shared_classes.setdefault(classes, (classes, repr(classes)))
-            rows.append((x, nbrs, classes, signature))
-        self.rows = tuple(rows)
-        return self
-
-
-def _site_table(pot, order, values, torus):
-    """The order as a _SiteTable when the memoized region conditionals
-    apply, else None: a region (tori sweep on their plan), a discrete
-    Lipschitz potential, integer heights and a height at every site.  A
-    table built for the same period is reused."""
-    if torus is not None or not (pot.discrete and pot.is_lipschitz()) or set(map(type, values.values())) != {int}:
-        return None
-    if isinstance(order, _SiteTable) and order.lattice == pot.lattice:
-        return order
-    if not values.keys() >= set(order):
-        return None
-    return _SiteTable(pot, order, values)
-
-
-def _site_draws(pot, order, values, torus, uniforms):
-    """(draw, steps) for one sweep: steps yields (uniform, site, key) in
-    order and draw(values, key, u) is the site's new height, read from the
-    memoized conditionals when ``_site_table`` applies and from
-    ``site_conditional``'s code otherwise."""
-    table = _site_table(pot, order, values, torus)
-    if table is None:
-        return (lambda vals, x, u: _site_dist(pot, vals, x, torus).quantile(u)), zip(uniforms, order, order)
-    memo = pot._memo("_site_conditionals")
-    pots = pot.class_potentials
-
-    def draw(vals, row, u):
-        # the conditional of the heights minus m, keyed by the signature
-        x, nbrs, classes, signature = row
-        if not nbrs:
-            raise EmptySupport(f"site {x} has no assigned neighbors")
-        hs = [vals[key] for key in nbrs]
-        m = min(hs)
-        key = (signature, *[h - m for h in hs])
-        dist = memo.get(key)
-        if dist is None:
-            dist = _discrete_conditional([(pots[c], h - m, orient) for (c, orient), h in zip(classes, hs)])
-            memo[key] = dist
-        return m + dist.quantile(u)
-
-    return draw, zip(_floats(uniforms), table, table.rows)
-
-
-def _floats(uniforms):
-    """Uniforms as Python floats (same values), which compare faster."""
-    return uniforms.tolist() if hasattr(uniforms, "tolist") else uniforms
-
-
 # ---------------------------------------------------------------------------
-# Torus sweeps on the plan
+# Sweeps on a plan
 
 
 class _ConditionalTable:
-    """CDF rows of a potential's discrete site conditionals on tori, each
-    filled by ``_discrete_conditional`` the first time its key occurs.
+    """CDF rows of a potential's discrete site conditionals, each filled by
+    ``_discrete_conditional`` the first time its key occurs.
 
     A key packs a site's index modulo the period lattice (which fixes its
     slot edge classes) and its neighbors' effective heights minus their
@@ -389,15 +310,15 @@ class _ConditionalTable:
     the index ``quantile`` returns.
     """
 
-    def __init__(self, pot, size):
+    def __init__(self, pot, base):
         lat = pot.lattice
         self.slots = []
         for r in lat.fundamental_domain():
             classes = ((0, r), (0, lat.reduce((r[0] - 1, r[1]))), (1, r), (1, lat.reduce((r[0], r[1] - 1))))
             self.slots.append([(pot.class_potentials[c], orient) for c, orient in zip(classes, (1, -1, 1, -1))])
-        self.base = _table_base(pot)
+        self.base = base
         self.powers = self.base ** np.arange(4, dtype=np.int64)
-        self.row_of = np.full(size, -1, dtype=np.int64)
+        self.row_of = np.full(lat.index * base**4, -1, dtype=np.int64)
         self.count = 0
         self.vals = np.zeros((16, self.base), dtype=np.int64)
         self.cdf = np.full((16, self.base), INF)
@@ -433,10 +354,6 @@ class _ConditionalTable:
         self.count = end
 
 
-def _table_base(pot) -> int:
-    return math.floor(2 * max(max(abs(b) for b in p.support()) for p in pot.class_potentials.values())) + 1
-
-
 _TABLE_LIMIT = 1 << 20  # keys of one conditional table (8 MB of row numbers)
 
 
@@ -444,34 +361,43 @@ def _conditional_table(pot) -> _ConditionalTable | None:
     """The potential's table; None unless the potential is discrete
     Lipschitz with at most _TABLE_LIMIT keys (increment bounds in the tens
     exceed it; such chains use the reference code)."""
-    memo = pot._memo("_torus_conditionals")
+    memo = pot._memo("_conditionals")
     if "table" not in memo:
-        size = pot.lattice.index * _table_base(pot) ** 4 if pot.discrete and pot.is_lipschitz() else INF
-        memo["table"] = _ConditionalTable(pot, size) if size <= _TABLE_LIMIT else None
+        base = INF
+        if pot.discrete and pot.is_lipschitz():
+            base = math.floor(2 * max(max(abs(b) for b in p.support()) for p in pot.class_potentials.values())) + 1
+        memo["table"] = _ConditionalTable(pot, base) if pot.lattice.index * base**4 <= _TABLE_LIMIT else None
     return memo["table"]
 
 
 def _sweep_plan(pot, config, boundary, order):
-    """(plan, waves, table) when a sweep of ``order`` runs on the torus
-    plan: a potential with a conditional table and a torus config, whose
-    side is a multiple of the period, with an integer height at every
-    torus site and no boundary; else None.  On the 1-torus only the empty
-    order qualifies (its one site has no neighbor)."""
-    info = config.torus
-    if info is None or boundary or (info.n == 1 and order):
-        return None
+    """(plan, waves, table) when a sweep of ``order`` runs on a plan: a
+    potential with a conditional table, integer heights on the config and
+    the boundary, every site of the order with four neighbors on the plan,
+    and either a region config disjoint from the boundary or a torus config
+    with a height at every site, no boundary and a side that is a multiple
+    of the period (on the 1-torus only the empty order qualifies: its one
+    site has no neighbor); else None."""
     table = _conditional_table(pot)
-    if table is None or len(config.values) != info.n**2 or set(map(type, config.values.values())) != {int}:
+    boundary = boundary or {}
+    if table is None or not {*map(type, config.values.values()), *map(type, boundary.values())} <= {int}:
         return None
-    plan = _torus_plan(pot, info)
-    if not plan.periodic or config.values.keys() != plan.index.keys():
-        return None
-    if order is plan.order or tuple(order) == plan.order:
-        return plan, plan.waves, table
+    info = config.torus
+    if info is None:
+        if config.values.keys() & boundary.keys():
+            return None
+        plan = _region_plan(pot, sorted(config.values), boundary)
+    else:
+        if boundary or (info.n == 1 and order) or len(config.values) != info.n**2:
+            return None
+        plan = _torus_plan(pot, info)
+        if not plan.periodic or config.values.keys() != plan.index.keys():
+            return None
     try:
-        return plan, plan.wave_schedule(order), table
+        waves = plan.waves if order is plan.order or tuple(order) == plan.order else _wave_schedule(plan, order)
     except KeyError:
         return None
+    return None if waves is None else (plan, waves, table)
 
 
 def _sweep_waves(table, waves, heights, uniforms):
@@ -603,38 +529,65 @@ def cftp_sample(pot, region, boundary, rng: RngStream, max_epochs: int = 22) -> 
     counter-addressed past epochs (1, 2, 4, ... sweeps back) until they
     coalesce at time zero.  Requires a discrete Lipschitz potential with
     convex edge potentials; chains that cross raise NonMonotoneCoupling.
+    An empty region returns the boundary heights.
     """
     region = sorted(region)
-    windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
+    if not region:
+        return HeightConfig(dict(boundary), reference=min(boundary))
+    windows = _region_windows(pot, region, boundary)
     order = checkerboard_order(region)
-    order = _site_table(pot, order, {**boundary, **{v: windows[v][0] for v in region}}, None) or order
-    span = 1
+    top = {v: windows[v][-1] for v in region}
+    bot = {v: windows[v][0] for v in region}
+    found = _sweep_plan(pot, HeightConfig(top, reference=region[0]), boundary, order)
+    if found is not None:
+        plan, _, table = found
+        start = np.array([[chain.get(v, boundary.get(v)) for v in plan.sites] for chain in (top, bot)], dtype=np.int64)
+    span, sweeps = 1, 0
     while max_epochs >= 0 and span <= (1 << max_epochs):
-        top = {v: windows[v][-1] for v in region}
-        bot = {v: windows[v][0] for v in region}
-        for t in range(-span, 0):
-            us = rng.at(t).random(len(order))
-            _coupled_sweep(pot, order, boundary, top, bot, us)
-        if top == bot:
-            values = dict(boundary)
-            values.update(top)
-            return HeightConfig(values, reference=region[0])
+        if found is None:
+            vt, vb = {**top, **boundary}, {**bot, **boundary}
+            for t in range(-span, 0):
+                _coupled_sweep(pot, order, vt, vb, rng.at(t).random(len(order)))
+            ends = [[chain[v] for v in region] for chain in (vt, vb)]
+        else:
+            chains = start.copy()
+            for t in range(-span, 0):
+                _coupled_waves(pot, plan, table, chains, rng.at(t).random(len(order)))
+            ends = chains[:, : len(region)].tolist()
+        sweeps += span
+        if ends[0] == ends[1]:
+            return HeightConfig({**boundary, **dict(zip(region, ends[0]))}, reference=region[0])
         span *= 2
-    raise NoCoalescence(max_epochs)
+    raise NoCoalescence(max_epochs, span // 2, sweeps)
 
 
-def _coupled_sweep(pot, order, boundary, top, bot, uniforms):
-    vt, _ = _lookup(top, boundary)
-    vb, _ = _lookup(bot, boundary)
-    draw, steps = _site_draws(pot, order, vt, None, uniforms)
-    for u, x, site in steps:
-        vt[x] = draw(vt, site, u)
-        vb[x] = draw(vb, site, u)
-        if vb[x] > vt[x]:
+def _coupled_sweep(pot, order, top, bot, uniforms):
+    """One sweep of both chains' height dicts, site by site with
+    ``site_conditional``'s code; raises NonMonotoneCoupling at the first
+    site where they cross."""
+    for u, x in zip(uniforms, order):
+        top[x] = _site_dist(pot, top, x, None).quantile(u)
+        bot[x] = _site_dist(pot, bot, x, None).quantile(u)
+        if bot[x] > top[x]:
             raise NonMonotoneCoupling(f"coupled chains crossed at site {x}")
-    for x in order:
-        top[x] = vt[x]
-        bot[x] = vb[x]
+
+
+def _coupled_waves(pot, plan, table, chains, uniforms):
+    """One sweep of the (2, N) ``chains`` in the plan's checkerboard order.
+    Each site is updated once, so the first site in that order where the
+    chains cross after the sweep is the site ``_coupled_sweep`` names; a
+    site without a finite-energy height replays the sweep through
+    ``_coupled_sweep``, which raises what it raises first."""
+    before = chains.copy()
+    try:
+        _sweep_waves(table, plan.coupled, chains.reshape(-1), uniforms)
+    except EmptySupport:
+        top, bot = (dict(zip(plan.sites, heights)) for heights in before.tolist())
+        _coupled_sweep(pot, plan.order, top, bot, uniforms)
+        raise
+    crossed = np.flatnonzero(chains[1] > chains[0]).tolist()
+    if crossed:
+        raise NonMonotoneCoupling(f"coupled chains crossed at site {checkerboard_order(plan.sites[k] for k in crossed)[0]}")
 
 
 # ---------------------------------------------------------------------------

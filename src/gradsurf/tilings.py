@@ -278,9 +278,6 @@ def uniform_tiling_sample(region: Iterable[Square], rng: RngStream) -> DominoMat
     pot = domino_potential()
     fixed = boundary_heights(squares)
     interior = sorted(region_vertices(squares) - set(fixed))
-    if not interior:
-        values = dict(fixed)
-        return height_to_matching(values, squares)
     try:
         config = cftp_sample(pot, interior, fixed, rng)
     except (Infeasible, NegativeCycle) as exc:

@@ -44,11 +44,12 @@ from .potential import (
 from .rng import RngStream
 from .sampler import cftp_sample, checkerboard_order, site_conditional, torus_sample
 from .tilings import (
-    DominoMatching,
+    boundary_heights,
     count_tilings_bruteforce,
     count_tilings_kasteleyn,
     height_to_matching,
     matching_to_height,
+    region_vertices,
 )
 
 F = Fraction
@@ -62,26 +63,6 @@ def _sos_trunc(cutoff):
 
 def _rect(w, h):
     return frozenset((i, j) for i in range(w) for j in range(h))
-
-
-def _enumerate_tilings(squares):
-    sq = frozenset(squares)
-    out = []
-
-    def rec(uncovered, chosen):
-        if not uncovered:
-            out.append(frozenset(chosen))
-            return
-        s = min(uncovered)
-        for d in ((1, 0), (0, 1)):
-            t = (s[0] + d[0], s[1] + d[1])
-            if t in uncovered:
-                chosen.append(frozenset((s, t)))
-                rec(uncovered - {s, t}, chosen)
-                chosen.pop()
-
-    rec(sq, [])
-    return out
 
 
 def check_domino_counts():
@@ -98,11 +79,19 @@ def check_domino_counts():
 
 
 def check_bijection_round_trip():
+    # every tiling, enumerated as a height function of the domino potential
     for region in (_rect(2, 3), _rect(3, 4)):
-        for dominoes in _enumerate_tilings(region):
-            t = DominoMatching(region, dominoes)
-            if height_to_matching(matching_to_height(t), region) != t:
+        fixed = boundary_heights(region)
+        interior = sorted(region_vertices(region) - set(fixed))
+        count = 0
+        for values, _ in enumerate_region_configs(domino_potential(), interior, fixed):
+            heights = {**fixed, **values}
+            t = height_to_matching(heights, region)
+            if matching_to_height(t).values != heights or height_to_matching(matching_to_height(t), region) != t:
                 return False, "round trip failed"
+            count += 1
+        if count != count_tilings_bruteforce(region):
+            return False, f"{count} height functions on {len(region)} squares, not one per tiling"
     return True, "matching <-> height identity on enumerated tilings"
 
 
@@ -264,8 +253,6 @@ def check_exact_methods_agree():
 
 def check_cftp_determinism(seed=99):
     pot = domino_potential()
-    from .tilings import boundary_heights
-
     region = _rect(2, 2)
     fixed = boundary_heights(region)
     interior = [(1, 1)]

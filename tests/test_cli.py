@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
@@ -176,3 +177,53 @@ def test_sample_unbounded_potential(tmp_path, preset, mode):
     side = 4 if mode == "torus" else 3
     assert sites == {(i, j) for i in range(side) for j in range(side)}
     assert len(rows) == 2 * side * side
+
+
+@pytest.mark.parametrize("command, extra", [("cftp", {}), ("sample", {"mode": "region"})])
+def test_empty_region_writes_config_error(tmp_path, command, extra):
+    cfg = _write_config(tmp_path, "c.json", {"potential": {"preset": "domino"}, "region": [], **extra})
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigParse"
+
+
+_ABS1 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-1": 1.0, "0": 0.0, "1": 1.0}}}
+_NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
+
+
+@pytest.mark.parametrize(
+    "command, cfg, digests",
+    [
+        (
+            "cftp",
+            {"potential": _ABS1, "region": "2x2", "samples": 200},
+            {"samples.csv": "65d593d7b8e6d71541fb2023c57b3900a585413baa8d8bb68baaae4aa40d4106"},
+        ),
+        (
+            "cftp",
+            {"potential": {"preset": "domino"}, "region": "6x6", "samples": 2},
+            {"samples.csv": "407d8cdfff30c57a9c202c744076212e45d06b5556131d0253738b0a6b1b7e7e"},
+        ),
+        (
+            "sample",
+            {"potential": _ABS1, "mode": "region", "region": "4x4", "sweeps": 8, "samples": 2},
+            {"samples.csv": "9e31bf7e2084e140840e5af9a7b4345d411c71dc45dbe6b6777098510840f05c"},
+        ),
+        (
+            "tile",
+            {"region": _NOTCHED_6X6, "count": True, "samples": 2},
+            {
+                "tilings.csv": "b31fbf920634b3d9024b0d62aa5a7e757590a5e9922acb44aeda885c9c00ee58",
+                "heights.csv": "98fd4511a4fe13a9b17914f5300fce3ae6a0b06a631bb9a23b4a8e2d7b7d7d06",
+            },
+        ),
+    ],
+    ids=["cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "tile-notched-6x6"],
+)
+def test_region_outputs_match_golden_digests(tmp_path, command, cfg, digests):
+    # region sampling outputs for a fixed config and seed stay byte-identical
+    rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest

@@ -85,6 +85,23 @@ def test_cftp_no_coalescence_budget(sos_trunc1):
         cftp_sample(sos_trunc1, interior, boundary, RngStream(1, 0), max_epochs=-1)
 
 
+def test_cftp_no_coalescence_reports_span_and_sweeps(sos_trunc1):
+    # one epoch of one coupled sweep does not coalesce on the 3x3 box
+    interior = sorted(box_region(3, 3))
+    boundary = {v: 0 for v in outer_boundary(interior)}
+    with pytest.raises(NoCoalescence) as caught:
+        cftp_sample(sos_trunc1, interior, boundary, RngStream(0), max_epochs=0)
+    err = caught.value
+    assert (err.budget, err.span, err.sweeps) == (0, 1, 1)
+    assert str(err) == "no coalescence within epoch budget 0 (last span 1, 1 coupled sweeps)"
+
+
+def test_cftp_empty_region_returns_boundary(sos_trunc1):
+    boundary = {(2, 1): 1, (0, 3): 0, (1, 1): 2}
+    out = cftp_sample(sos_trunc1, [], boundary, RngStream(0))
+    assert out.values == boundary and out.reference == (0, 3)
+
+
 def test_random_scan_order_is_permutation():
     sites = sorted(box_region(3, 3))
     order = random_scan_order(sites, RngStream(9, 0).at(0))

@@ -329,7 +329,8 @@ def test_cftp_ignores_edges_between_boundary_vertices(sos_trunc1):
 
 def test_cftp_one_extension_pass_per_direction(sos_trunc1, monkeypatch):
     # the maximal and minimal starts come from one seeded Bellman-Ford
-    # pass each, whatever the number of boundary vertices (8 here)
+    # pass each, whatever the number of boundary vertices (8 here) or of
+    # samples
     passes = []
     bellman_ford = feasibility._bellman_ford
 
@@ -341,6 +342,8 @@ def test_cftp_one_extension_pass_per_direction(sos_trunc1, monkeypatch):
     interior = sorted(box_region(2, 2))
     boundary = {v: 0 for v in outer_boundary(interior)}
     cftp_sample(sos_trunc1, interior, boundary, RngStream(0))
+    # a second sample of the region reuses the plan's windows
+    cftp_sample(sos_trunc1, interior, boundary, RngStream(1))
     assert passes == [{v: 0.0 for v in boundary}] * 2
 
 
@@ -563,29 +566,60 @@ def test_wide_supports_sweep_with_site_conditional_code():
     assert _exact(torus_sample(wide, 4, (F(1, 2), 0), 3, stream).values) == expected
 
 
-def test_cftp_memoized_path_equals_reference_path(monkeypatch):
-    # the coupled sweep with memoized conditionals against the per-site
-    # site_conditional code it replaces
+def test_cftp_memoized_path_equals_reference_path(monkeypatch, sos_trunc1, nonconvex):
+    # the coupled sweep on the region plan against the per-site
+    # site_conditional code, forced by a selector that accepts no plan
     from test_feasibility import _random_periodic_potential
+
+    from gradsurf.tilings import boundary_heights, region_vertices
 
     rng = random.Random(17)
     pots = [domino_potential()] + [_random_periodic_potential(rng) for _ in range(4)]
+    cases = {}
+    for k, pot in enumerate(pots):
+        for w, h in ((2, 2), (3, 3), (4, 2)):
+            interior = sorted(box_region(w, h))
+            boundary = {v: (v[0] + v[1]) % 2 if k == 0 else 0 for v in outer_boundary(interior)}
+            for seed in range(3):
+                cases[(k, w, h, seed)] = (pot, interior, boundary, RngStream(seed, k))
+    # a notched region: a notched domino square and |eta| <= 1 on it
+    squares = box_region(4, 4) - {(3, 3), (2, 3)}
+    fixed = boundary_heights(squares)
+    notched = sorted(region_vertices(squares) - set(fixed))
+    cases["notched-domino"] = (domino_potential(), notched, fixed, RngStream(4, 0))
+    cases["notched-abs1"] = (sos_trunc1, notched, {v: v[0] // 2 for v in outer_boundary(notched)}, RngStream(4, 1))
+    # a boundary that leaves (0, 0) without its -e1 neighbor
+    interior = sorted(box_region(3, 3))
+    open_side = {v: 0 for v in outer_boundary(interior) if v != (-1, 0)}
+    cases["missing-neighbor"] = (sos_trunc1, interior, open_side, RngStream(5, 0))
+    # the nonconvex crossing
+    cases["nonconvex"] = (nonconvex, interior, {v: 0 for v in outer_boundary(interior)}, RngStream(0))
+    # a table with a gap: the chains cross at (0, 0) in the sweep where a
+    # later site has no finite-energy height
+    gapped = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 1.0, 0: 1.5, 2: 1.5, 3: 0.5}))
+    interior = sorted(box_region(3, 4))
+    boundary = {v: 0 for v in outer_boundary(interior)}
+    boundary.update({(0, 4): 1, (1, 4): 1, (2, -1): -1, (3, 0): -1, (3, 1): -1, (3, 3): 1})
+    cases["gapped"] = (gapped, interior, boundary, RngStream(421))
+    plan_sweeps = []
+    coupled_waves = sampler._coupled_waves
+    monkeypatch.setattr(sampler, "_coupled_waves", lambda *args: plan_sweeps.append(1) or coupled_waves(*args))
     results = {}
-    for path in ("memo", "reference"):
+    for path in ("plan", "reference"):
         if path == "reference":
-            monkeypatch.setattr(sampler, "_site_table", lambda *args: None)
-        for k, pot in enumerate(pots):
-            for w, h in ((2, 2), (3, 3), (4, 2)):
-                interior = sorted(box_region(w, h))
-                boundary = {v: (v[0] + v[1]) % 2 if k == 0 else 0 for v in outer_boundary(interior)}
-                for seed in range(3):
-                    try:
-                        out = _exact(cftp_sample(pot, interior, boundary, RngStream(seed, k)).values)
-                    except GradsurfError as exc:
-                        out = exc.kind
-                    results.setdefault((k, w, h, seed), []).append(out)
+            monkeypatch.setattr(sampler, "_sweep_plan", lambda *args: None)
+        for key, (pot, interior, boundary, stream) in cases.items():
+            try:
+                out = _exact(cftp_sample(pot, interior, boundary, stream).values)
+            except GradsurfError as exc:
+                out = f"{exc.kind}: {exc}"
+            results.setdefault(key, []).append(out)
+        if path == "plan":
+            assert plan_sweeps
     assert all(a == b for a, b in results.values())
-    assert sum(a[0] not in ("Infeasible", "NegativeCycle", "NonMonotoneCoupling") for a in results.values()) >= 20
+    assert sum(a[0].split(":")[0] not in ("Infeasible", "NegativeCycle", "NonMonotoneCoupling") for a in results.values()) >= 23
+    assert results["nonconvex"][0].startswith("NonMonotoneCoupling: coupled chains crossed at site")
+    assert results["gapped"][0] == "NonMonotoneCoupling: coupled chains crossed at site (0, 0)"
 
 
 def test_torus_start_built_once_per_potential(monkeypatch):
