@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -136,7 +137,10 @@ def cmd_sample(cfg, seed, out: Path):
     else:
         region, boundary = _region_with_boundary(cfg)
         if pot.is_lipschitz():
-            start = _restrict(extend_boundary(_region_graph(pot, region, boundary), boundary), region)
+            top = extend_boundary(_region_graph(pot, region, boundary), boundary).values
+            # whole heights on an int domain, so every sweep runs the plan
+            cast = math.floor if pot.discrete else float
+            start = HeightConfig({v: cast(top[v]) for v in region}, reference=region[0])
         else:  # flat at boundary_level, the plane through the pins
             start = HeightConfig(dict.fromkeys(region, boundary[min(boundary)]), reference=region[0])
         for s in range(samples):

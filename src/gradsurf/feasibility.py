@@ -719,17 +719,18 @@ def _torus_plan(pot: PeriodicPotential, info: TorusInfo) -> TorusPlan:
 
 
 class RegionPlan:
-    """A region with fixed boundary heights as arrays, built once per
-    potential, sorted region and boundary (``_region_plan``) and shared by
-    CFTP, region sweeps and region enumeration.  ``sites`` lists the region,
-    then the boundary vertices outside it.  ``index``, ``nbr``, ``shift``
-    (zeros) and ``sig`` are laid out as in ``TorusPlan``, with -1 for a
-    neighbor outside region | boundary and in the rows of boundary
-    vertices.  ``waves`` is the wave schedule of the checkerboard ``order``,
-    None when a region vertex has a neighbor outside, and ``coupled`` the
-    same schedule for 2N heights, a second copy of the sites at N + index,
-    so CFTP sweeps its two chains as one array.  ``windows`` is filled by
-    ``_region_windows``.
+    """A region and its boundary vertices as arrays, built once per
+    potential, sorted region and sorted boundary vertices (``_region_plan``)
+    and shared by CFTP, region sweeps and region enumeration.  ``sites``
+    lists the region, then the boundary vertices outside it.  ``index``,
+    ``nbr``, ``shift`` (zeros) and ``sig`` are laid out as in ``TorusPlan``,
+    with -1 for a neighbor outside region | boundary and in the rows of
+    boundary vertices.  ``waves`` is the wave schedule of the checkerboard
+    ``order``, None when a region vertex has a neighbor outside, and
+    ``coupled`` the same schedule for 2N heights, a second copy of the
+    sites at N + index, so CFTP sweeps its two chains as one array.
+    ``windows`` maps the sorted boundary heights to their height windows,
+    filled by ``_region_windows``.
     """
 
     def __init__(self, pot: PeriodicPotential, region, boundary):
@@ -748,13 +749,14 @@ class RegionPlan:
         self.coupled = None if self.waves is None else tuple(
             tuple(np.concatenate([a, a + n * k]) for a, k in zip(wave, (0, 1, 1, 0, 0))) for wave in self.waves
         )
-        self.windows = None
+        self.windows = {}
 
 
 def _region_plan(pot: PeriodicPotential, region, boundary) -> RegionPlan:
-    """The potential's plan of the sorted region and the boundary heights."""
+    """The potential's plan of the sorted region and the boundary vertices;
+    boundaries that differ only in their heights share it."""
     plans = pot._memo("_region_plans")
-    key = (tuple(region), tuple(sorted(boundary.items())))
+    key = (tuple(region), tuple(sorted(boundary)))
     if key not in plans:
         plans[key] = RegionPlan(pot, region, boundary)
     return plans[key]
@@ -762,11 +764,12 @@ def _region_plan(pot: PeriodicPotential, region, boundary) -> RegionPlan:
 
 def _region_windows(pot, region, boundary):
     """``_value_windows`` of the sorted region under the boundary heights
-    on ``_region_graph``, computed once per plan."""
-    plan = _region_plan(pot, region, boundary)
-    if plan.windows is None:
-        plan.windows = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
-    return plan.windows
+    on ``_region_graph``, computed once per plan and boundary heights."""
+    windows = _region_plan(pot, region, boundary).windows
+    key = tuple(sorted(boundary.items()))
+    if key not in windows:
+        windows[key] = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
+    return windows[key]
 
 
 def _torus_frame(pot, n: int, slope):

@@ -134,77 +134,101 @@ def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radi
 
 
 def _transfer_matrix_log_z(pot, n, slope):
-    """Column-to-column product over profile states with anchored offsets."""
+    """log Z of the slope class on the n-torus as the trace of a chain of
+    per-column transfer matrices, in log space.
+
+    A state of column c is a profile d (heights above row 0, d[0] = 0, with
+    finite vertical energy, the wrap edge to row 0 at holonomy h[1]
+    included) and an anchor, the column's row-0 height, from the
+    ``_torus_frame`` windows; column 0 is pinned at anchor 0.  The matrix
+    of step c - 1 -> c holds minus the horizontal energies between the
+    states of the two columns and the vertical energy of column c's
+    profile; the wrap step n - 1 -> 0 adds the holonomy h[0] and no
+    vertical energy.  The chain starts from the diagonal of column 0's
+    profile energies and multiplies through the matrices in log space,
+    each entry's sum taken relative to its own largest term, so no finite
+    term underflows to 0.  An infeasible class gives -inf.
+    """
     try:
         info, windows, _, _ = _torus_frame(pot, n, slope)
     except Infeasible:
         return -INF
-    h = info.holonomy()
-    anchor_window = {c: windows[(c, 0)] for c in range(n)}
+    hol = info.holonomy()
+    tables = {cls: _energy_array(p) for cls, p in pot.class_potentials.items()}
 
-    def column_profiles(c):
-        """Profiles d[0..n-1] with d[0] = 0 whose vertical edges are finite."""
+    def energies(edge, increments):
+        lo, values = tables[pot.edge_class(edge)]
+        return np.take(values, increments - lo, mode="clip")
 
-        def profile_energy(prof):
-            total = 0.0
-            for j in range(n - 1):
-                total += pot.edge_energy(((c, j), 1), prof[j + 1] - prof[j])
-            return total
+    def column_states(c):
+        """Heights (S, n) and vertical energies (S,) of column c's states."""
+        steps = [range(*_support_range(pot.edge_potential(((c, j), 1)))) for j in range(n - 1)]
+        combos = list(itertools.product(*steps))
+        incs = np.array(combos, dtype=np.int64).reshape(len(combos), n - 1)
+        prof = np.concatenate([np.zeros((len(incs), 1), np.int64), incs.cumsum(axis=1)], axis=1)
+        incs = np.concatenate([incs, hol[1] - prof[:, -1:]], axis=1)
+        vert = sum(energies(((c, j), 1), incs[:, j]) for j in range(n))
+        keep = vert < INF
+        prof, vert = prof[keep], vert[keep]
+        anchors = np.array(windows[(c, 0)], dtype=np.int64)  # [0] at x0 = (0, 0)
+        heights = (anchors[:, None, None] + prof[None]).reshape(-1, n)
+        return heights, np.tile(vert, len(anchors))
 
-        out = []
-
-        def rec(prefix):
-            j = len(prefix)
-            if j == n:
-                # wrap edge (c, n-1) -> (c, 0): increment h2 - prefix[-1]
-                e = pot.edge_energy(((c, n - 1), 1), h[1] - prefix[-1])
-                if e < INF:
-                    out.append((tuple(prefix), profile_energy(prefix) + e))
-                return
-            if j == 0:
-                rec((0,))
-                return
-            lo, hi = pot.edge_potential(((c, j - 1), 1)).support()
-            for inc in range(int(lo), int(hi) + 1):
-                rec(prefix + (prefix[-1] + inc,))
-
-        rec(())
-        return out
-
-    profiles = {c: column_profiles(c) for c in range(n)}
-
-    def hor_weight(c, prof_a, anchor_a, prof_b, anchor_b, wrap):
-        total = 0.0
-        hol = h[0] if wrap else 0
+    def step(c, prev, cur, shift):
+        """Log weights of the horizontal edges of column c from ``prev``
+        states to ``cur`` states."""
+        energy = np.zeros((len(prev), len(cur)))
         for j in range(n):
-            inc = (anchor_b + prof_b[j] + hol) - (anchor_a + prof_a[j])
-            e = pot.edge_energy(((c, j), 0), inc)
-            if e == INF:
-                return INF
-            total += e
-        return total
+            energy += energies(((c, j), 0), cur[None, :, j] + shift - prev[:, None, j])
+        return -energy
 
-    z = 0.0
-    for prof0, e0 in profiles[0]:
-        # states: (profile index, anchor); anchor of column 0 pinned to 0
-        layer = {(prof0, 0): math.exp(-e0)}
-        for c in range(1, n):
-            nxt: dict = {}
-            for (pa, aa), w in layer.items():
-                for pb, eb in profiles[c]:
-                    for ab in anchor_window[c]:
-                        he = hor_weight(c - 1, pa, aa, pb, ab, wrap=False)
-                        if he == INF:
-                            continue
-                        key = (pb, ab)
-                        nxt[key] = nxt.get(key, 0.0) + w * math.exp(-(eb + he))
-            layer = nxt
-        # close the loop back to column 0 with the holonomy wrap
-        for (pa, aa), w in layer.items():
-            he = hor_weight(n - 1, pa, aa, prof0, 0, wrap=True)
-            if he < INF:
-                z += w * math.exp(-he)
-    return math.log(z) if z > 0 else -INF
+    first, vert0 = column_states(0)
+    chain = np.full((len(first), len(first)), -INF)
+    np.fill_diagonal(chain, -vert0)
+    prev = first
+    for c in range(1, n):
+        cur, vert = column_states(c)
+        chain = _log_matmul(chain, step(c - 1, prev, cur, 0) - vert)
+        prev = cur
+    closing = chain + step(n - 1, prev, first, hol[0]).T
+    peak = closing.max(initial=-INF)
+    if peak == -INF:
+        return -INF
+    return float(peak + np.log(np.exp(closing - peak).sum()))
+
+
+def _support_range(p) -> tuple[int, int]:
+    """(lo, hi + 1) of a Lipschitz potential's integer support."""
+    lo, hi = p.support()
+    return int(lo), int(hi) + 1
+
+
+def _energy_array(p):
+    """(lo - 1, values) with values[k] = p(lo - 1 + k) over the support and
+    +inf at both ends, so a clipped lookup gives +inf outside it."""
+    lo, hi = _support_range(p)
+    return lo - 1, np.array([INF] + [p(k) for k in range(lo, hi)] + [INF])
+
+
+# Floats of (row, inner, column) terms that ``_log_matmul`` holds at once:
+# 128 KiB, so a product's temporaries add nothing measurable to peak RSS
+_MATMUL_BLOCK = 1 << 14
+
+
+def _log_matmul(a, b):
+    """log(exp(a) @ exp(b)) with each entry's sum taken relative to its
+    largest term, a block of rows at a time."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    rows = max(1, _MATMUL_BLOCK // max(1, b.size))
+    with np.errstate(divide="ignore"):
+        for r in range(0, a.shape[0], rows):
+            terms = a[r : r + rows, :, None] + b[None]
+            peak = terms.max(axis=1, initial=-INF)
+            peak[peak == -INF] = 0.0
+            terms -= peak[:, None, :]
+            np.exp(terms, out=terms)
+            out[r : r + rows] = peak + np.log(terms.sum(axis=1))
+    return out
 
 
 # ---------------------------------------------------------------------------

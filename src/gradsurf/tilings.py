@@ -11,6 +11,7 @@ the domino potential, which hands sampling to the exact CFTP machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import (
@@ -275,14 +276,22 @@ def uniform_tiling_sample(region: Iterable[Square], rng: RngStream) -> DominoMat
     squares = frozenset(region)
     if len(squares) % 2:
         raise Untileable("odd number of squares")
-    pot = domino_potential()
-    fixed = boundary_heights(squares)
-    interior = sorted(region_vertices(squares) - set(fixed))
+    pot, fixed, interior = _tiling_setup(squares)
     try:
         config = cftp_sample(pot, interior, fixed, rng)
     except (Infeasible, NegativeCycle) as exc:
         raise Untileable(f"region admits no tiling: {exc}") from exc
     return height_to_matching(config, squares)
+
+
+@lru_cache(maxsize=16)
+def _tiling_setup(squares: frozenset):
+    """(domino potential, boundary heights, sorted interior vertices) of a
+    region, kept for the region's next samples: the potential holds the
+    region's plan, height windows and conditional table.  Every sample gets
+    the same objects, so none may change them."""
+    fixed = boundary_heights(squares)
+    return domino_potential(), fixed, sorted(region_vertices(squares) - set(fixed))
 
 
 # ---------------------------------------------------------------------------

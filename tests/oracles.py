@@ -241,3 +241,86 @@ def _meeting_energy(pot, region, universe):
                         return INF
                     total += e
     return total
+
+
+def transfer_matrix_log_z_loops(pot, n, slope):
+    """Reference transfer matrix: the same column states as the library's
+    log-space kernel, summed in linear space with explicit Python loops.
+
+    Shares only ``_torus_frame`` (slope rounding, typed errors and the
+    anchor windows) with the library.  A sum whose terms all underflow
+    returns -inf, so it is exact only away from stiff potentials.
+    """
+    from gradsurf.errors import Infeasible
+    from gradsurf.feasibility import _torus_frame
+
+    try:
+        info, windows, _, _ = _torus_frame(pot, n, slope)
+    except Infeasible:
+        return -INF
+    h = info.holonomy()
+    anchor_window = {c: windows[(c, 0)] for c in range(n)}
+
+    def column_profiles(c):
+        """Profiles d[0..n-1] with d[0] = 0 whose vertical edges are finite."""
+
+        def profile_energy(prof):
+            total = 0.0
+            for j in range(n - 1):
+                total += pot.edge_energy(((c, j), 1), prof[j + 1] - prof[j])
+            return total
+
+        out = []
+
+        def rec(prefix):
+            j = len(prefix)
+            if j == n:
+                # wrap edge (c, n-1) -> (c, 0): increment h2 - prefix[-1]
+                e = pot.edge_energy(((c, n - 1), 1), h[1] - prefix[-1])
+                if e < INF:
+                    out.append((tuple(prefix), profile_energy(prefix) + e))
+                return
+            if j == 0:
+                rec((0,))
+                return
+            lo, hi = pot.edge_potential(((c, j - 1), 1)).support()
+            for inc in range(int(lo), int(hi) + 1):
+                rec(prefix + (prefix[-1] + inc,))
+
+        rec(())
+        return out
+
+    profiles = {c: column_profiles(c) for c in range(n)}
+
+    def hor_weight(c, prof_a, anchor_a, prof_b, anchor_b, wrap):
+        total = 0.0
+        hol = h[0] if wrap else 0
+        for j in range(n):
+            inc = (anchor_b + prof_b[j] + hol) - (anchor_a + prof_a[j])
+            e = pot.edge_energy(((c, j), 0), inc)
+            if e == INF:
+                return INF
+            total += e
+        return total
+
+    z = 0.0
+    for prof0, e0 in profiles[0]:
+        # states: (profile, anchor); anchor of column 0 pinned to 0
+        layer = {(prof0, 0): math.exp(-e0)}
+        for c in range(1, n):
+            nxt: dict = {}
+            for (pa, aa), w in layer.items():
+                for pb, eb in profiles[c]:
+                    for ab in anchor_window[c]:
+                        he = hor_weight(c - 1, pa, aa, pb, ab, wrap=False)
+                        if he == INF:
+                            continue
+                        key = (pb, ab)
+                        nxt[key] = nxt.get(key, 0.0) + w * math.exp(-(eb + he))
+            layer = nxt
+        # close the loop back to column 0 with the holonomy wrap
+        for (pa, aa), w in layer.items():
+            he = hor_weight(n - 1, pa, aa, prof0, 0, wrap=True)
+            if he < INF:
+                z += w * math.exp(-he)
+    return math.log(z) if z > 0 else -INF

@@ -192,6 +192,16 @@ _ABS1 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table
 _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
 
 
+def test_region_sample_starts_from_integer_heights(tmp_path):
+    # the start is the maximal extension of the boundary: level + 1 on every
+    # site of the 2x2 box, written as an integer like every swept height
+    cfg = {"potential": _ABS1, "mode": "region", "region": "2x2", "boundary_level": 1, "sweeps": 0}
+    rc = main(["sample", "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = (tmp_path / "out" / "samples.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["2"] * 4
+
+
 @pytest.mark.parametrize(
     "command, cfg, digests",
     [

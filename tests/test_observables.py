@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from gradsurf.errors import NotIncreasing, SlopeMismatch
+from gradsurf.feasibility import torus_slope_feasible
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import Sublattice, box_region, outer_boundary
 from gradsurf.observables import (
@@ -11,6 +13,7 @@ from gradsurf.observables import (
     THERMODYNAMIC_INTEGRATION,
     TRANSFER_MATRIX,
     SigmaEstimate,
+    _transfer_matrix_log_z,
     convexity_margin,
     empirical_gradient_measure,
     fkg_check,
@@ -30,7 +33,7 @@ from gradsurf.potential import (
 )
 from gradsurf.rng import RngStream
 
-from oracles import torus_class_enumerate
+from oracles import torus_class_enumerate, transfer_matrix_log_z_loops
 
 F = Fraction
 
@@ -110,6 +113,87 @@ def test_exact_sum_vs_transfer_matrix_random_potentials():
                 assert a == pytest.approx(b, abs=1e-10), (classes, slope)
             compared += 1
     assert compared == 32
+
+
+def _random_table_potential(rng, lat, value):
+    """Random tables on the lattice's edge classes: supports of at most
+    three increments inside [-1, 2], values from ``value()``."""
+    classes = {}
+    for axis in (0, 1):
+        for base in lat.fundamental_domain():
+            lo = rng.randint(-1, 0)
+            hi = rng.randint(lo, lo + 2)
+            classes[(axis, base)] = TablePotential.from_dict({k: value() for k in range(lo, hi + 1)})
+    return PeriodicPotential.build("int", lat, classes)
+
+
+def _assert_three_way_agreement(pot, n, slope):
+    kernel = _transfer_matrix_log_z(pot, n, slope)
+    reference = transfer_matrix_log_z_loops(pot, n, slope)
+    tm = log_partition_exact(pot, torus=n, slope=slope, method=TRANSFER_MATRIX)
+    exact = log_partition_exact(pot, torus=n, slope=slope, method=EXACT_SUM)
+    if -INF in (kernel, reference, tm, exact):
+        assert kernel == reference == tm == exact == -INF, (pot, n, slope)
+    else:
+        assert kernel == pytest.approx(reference, abs=1e-10), (pot, n, slope)
+        assert tm == pytest.approx(exact, abs=1e-10), (pot, n, slope)
+    return exact
+
+
+@pytest.mark.parametrize("n,tables,per_table", [(1, 8, 4), (2, 8, 4), (3, 6, 3), (4, 3, 2)])
+def test_transfer_matrix_equals_loop_reference_and_exact_sum(n, tables, per_table):
+    # 2Z^2-periodic tables on even tori; odd sides are not multiples of that
+    # period, so they take Z^2-periodic tables (one random table per axis)
+    rng = random.Random(81000 + n)
+    lat = Sublattice(2, 2, 0) if n % 2 == 0 else Sublattice(1, 1, 0)
+    # every increment lies in [-1, 2], so a row cannot climb 2n + 1
+    infeasible = (F(2 * n + 1, n), F(0))
+    candidates = [(F(a, n), F(b, n)) for a in range(-n, 2 * n + 1) for b in range(-n, 2 * n + 1)]
+    finite = 0
+    for _ in range(tables):
+        pot = _random_table_potential(rng, lat, lambda: 0.5 * rng.randint(0, 3))
+        feasible = [s for s in candidates if torus_slope_feasible(pot, n, s)]
+        assert not torus_slope_feasible(pot, n, infeasible)
+        for slope in rng.sample(feasible, min(per_table, len(feasible))) + [infeasible]:
+            finite += _assert_three_way_agreement(pot, n, slope) > -INF
+    assert finite >= tables
+
+
+def test_transfer_matrix_stiff_abs1_does_not_underflow():
+    # |eta| <= 1 at 100 per unit step: each row of the 4-torus climbs 2, so
+    # the 6 ground states (two up-steps per row, the same columns in every
+    # row) cost 800, past the double range of exp(-energy)
+    stiff = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 100.0, 0: 0.0, 1: 100.0}))
+    slope = (F(1, 2), F(0))
+    exact = log_partition_exact(stiff, torus=4, slope=slope, method=EXACT_SUM)
+    tm = log_partition_exact(stiff, torus=4, slope=slope, method=TRANSFER_MATRIX)
+    assert exact == pytest.approx(-800 + math.log(6), abs=1e-9)
+    assert exact == pytest.approx(-798.2082405307, abs=1e-9)
+    assert tm == pytest.approx(exact, abs=1e-10)
+    sigma = sigma_estimate(stiff, slope, 4, method=TRANSFER_MATRIX)
+    assert sigma.value == pytest.approx(-exact / 16, abs=1e-12)
+
+
+def test_transfer_matrix_stiff_random_tables():
+    # every nonzero value is at least 60 and each row and column of the
+    # 4-torus at slope (1/2, 1/2) climbs 2, so every config costs at least
+    # 16 * 60 = 960
+    rng = random.Random(81060)
+    lat = Sublattice(2, 2, 0)
+    slope = (F(1, 2), F(1, 2))
+    for _ in range(3):
+        classes = {}
+        for axis in (0, 1):
+            for base in lat.fundamental_domain():
+                lo = rng.randint(-1, 0)
+                classes[(axis, base)] = TablePotential.from_dict(
+                    {k: 0.0 if k == 0 else rng.uniform(60.0, 120.0) for k in range(lo, 2)}
+                )
+        pot = PeriodicPotential.build("int", lat, classes)
+        exact = log_partition_exact(pot, torus=4, slope=slope, method=EXACT_SUM)
+        tm = log_partition_exact(pot, torus=4, slope=slope, method=TRANSFER_MATRIX)
+        assert -INF < exact < -900
+        assert tm == pytest.approx(exact, abs=1e-10)
 
 
 def test_sigma_exact_methods_agree(sos_trunc1):

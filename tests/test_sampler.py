@@ -347,6 +347,24 @@ def test_cftp_one_extension_pass_per_direction(sos_trunc1, monkeypatch):
     assert passes == [{v: 0.0 for v in boundary}] * 2
 
 
+def test_region_plan_shared_across_boundary_levels():
+    # one plan per region and boundary vertices; each boundary level adds
+    # only its own height windows
+    abs1 = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0}))
+    region = sorted(box_region(6, 6))
+    boundaries = [{v: level for v in outer_boundary(region)} for level in range(5)]
+    for level, boundary in enumerate(boundaries):
+        cftp_sample(abs1, region, boundary, RngStream(level))
+    plans = abs1._memo("_region_plans")
+    assert len(plans) == 1
+    (plan,) = plans.values()
+    assert len(plan.windows) == 5
+    for boundary in boundaries:
+        graph = feasibility._region_graph(abs1, region, boundary)
+        expected = feasibility._value_windows(abs1, graph, boundary, region)
+        assert plan.windows[tuple(sorted(boundary.items()))] == expected
+
+
 def test_cftp_nonconvex_potential_raises_typed_error(nonconvex):
     # V(0) = 1, V(+-1) = 0 is Lipschitz but not convex: site conditionals
     # are not ordered in the neighbor heights, so the coupled chains cross

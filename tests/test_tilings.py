@@ -216,6 +216,27 @@ def test_uniform_sample_2x4_five_tilings():
     assert stats.chisquare(sorted(counts.values())).pvalue > 0.01
 
 
+def test_uniform_samples_of_one_region_share_a_potential(monkeypatch):
+    # later samples of a region reuse its potential, and with it the plan,
+    # windows and conditional table; the tilings are those of fresh ones
+    from gradsurf import tilings
+
+    built = []
+
+    def counted():
+        built.append(domino_potential())
+        return built[-1]
+
+    monkeypatch.setattr(tilings, "domino_potential", counted)
+    region = frozenset((i + 7, j - 3) for i, j in rect(4, 2))
+    samples = [uniform_tiling_sample(region, RngStream(5, k)) for k in range(4)]
+    assert len(built) == 1
+    tilings._tiling_setup.cache_clear()
+    for k, t in enumerate(samples):
+        assert uniform_tiling_sample(region, RngStream(5, k)).dominoes == t.dominoes
+    assert len(built) == 2
+
+
 def test_uniform_sample_untileable():
     with pytest.raises(Untileable):
         uniform_tiling_sample({(0, 0), (1, 0), (0, 1)}, RngStream(1, 0))
