@@ -24,6 +24,7 @@ from .errors import ConfigParse, GradsurfError
 from .feasibility import (
     FeasibilityGraph,
     _region_graph,
+    _torus_side_fits,
     allowed_slope_polytope,
     distances_csv,
     extend_boundary,
@@ -32,7 +33,7 @@ from .feasibility import (
 )
 from .heights import HeightConfig
 from .lattice import outer_boundary
-from .observables import EXACT_SUM, convexity_margin, sigma_estimate
+from .observables import EXACT_SUM, THERMODYNAMIC_INTEGRATION, TRANSFER_MATRIX, convexity_margin, sigma_estimate
 from .potential import PeriodicPotential, validate_sap
 from .rng import RngStream
 from .sampler import cftp_sample, heat_bath_sweep, torus_sample
@@ -71,6 +72,15 @@ def _resolve_potential(cfg: dict) -> PeriodicPotential:
         bad = sorted(cls for cls, r in report.per_class.items() if not r.ok)
         raise ConfigParse(f"potential fails validation on classes {bad}")
     return pot
+
+
+def _torus_side(pot: PeriodicPotential, spec) -> int:
+    """A config's torus side, which must be a positive multiple of the
+    potential's period."""
+    n = int(spec)
+    if not _torus_side_fits(pot, n):
+        raise ConfigParse(f"torus side {n} is not a positive multiple of the period")
+    return n
 
 
 def _region_from_spec(spec) -> frozenset:
@@ -129,7 +139,7 @@ def cmd_sample(cfg, seed, out: Path):
     sweeps = int(cfg.get("sweeps", 64))
     rows = ["sample,x,y,height"]
     if mode == "torus":
-        n = int(cfg["n"])
+        n = _torus_side(pot, cfg["n"])
         slope = _slope(cfg.get("slope", [0, 0]))
         for s in range(samples):
             config = torus_sample(pot, n, slope, sweeps, RngStream(seed, s))
@@ -209,6 +219,7 @@ def cmd_tile(cfg, seed, out: Path):
 def cmd_feasibility(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
     bound = cfg.get("cycle_length_bound")
+    items = [(_slope(item["slope"]), _torus_side(pot, item["n"])) for item in cfg.get("slopes", [])]
     poly = allowed_slope_polytope(pot, None if bound is None else int(bound))
     _write(out / "polytope.csv", "\n".join(poly.csv_rows()) + "\n")
     if "distance_region" in cfg:
@@ -217,9 +228,7 @@ def cmd_feasibility(cfg, seed, out: Path):
         table = shortest_distances(graph, region)
         _write(out / "distances.csv", "\n".join(distances_csv(table)) + "\n")
     checks = []
-    for item in cfg.get("slopes", []):
-        u = _slope(item["slope"])
-        n = int(item["n"])
+    for u, n in items:
         checks.append(
             {
                 "slope": [str(u[0]), str(u[1])],
@@ -238,8 +247,10 @@ def cmd_feasibility(cfg, seed, out: Path):
 
 def cmd_sigma(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    n = int(cfg["n"])
+    n = _torus_side(pot, cfg["n"])
     method = cfg.get("method", EXACT_SUM)
+    if method not in (EXACT_SUM, TRANSFER_MATRIX, THERMODYNAMIC_INTEGRATION):
+        raise ConfigParse(f"unknown sigma method {method!r}")
     budget = int(cfg.get("budget", 2048))
     estimates = []
     records = []
@@ -262,7 +273,7 @@ def cmd_sigma(cfg, seed, out: Path):
 
 def cmd_swap(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    n = int(cfg.get("n", 8))
+    n = _torus_side(pot, cfg.get("n", 8))
     slope = _slope(cfg.get("slope", [0, 0]))
     sweeps = int(cfg.get("sweeps", 64))
     trials = int(cfg.get("trials", 16))

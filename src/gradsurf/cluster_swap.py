@@ -38,6 +38,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InfiniteEnergy, MixedClusterSign, NegativeResidual
+from .feasibility import _energy_table
 from .heights import HeightConfig
 from .lattice import AXIS_VECTORS, Edge, Vertex, add, edges_within, neighbors
 from .potential import INF, PeriodicPotential
@@ -302,10 +303,7 @@ class _SwapArrays:
             self.i1 = h1[self.head] - h1[self.base] - t.lo
             self.i2 = h2[self.head] - h2[self.base] - t.lo
             self.offset = h2[self.base] - h1[self.base]  # delta at shift 0
-            inside = (self.i1 >= 0) & (self.i1 < t.width) & (self.i2 >= 0) & (self.i2 < t.width)
-            row = self.cls * t.width
-            finite = np.take(t.finite, row + self.i1, mode="clip") & np.take(t.finite, row + self.i2, mode="clip")
-            self.pair_ok = inside & finite
+            self.pair_ok = t.finite[self.cls, np.clip(1 + self.i1, 0, t.width + 1)] & t.finite[self.cls, np.clip(1 + self.i2, 0, t.width + 1)]
 
     def _check_pairs(self, idx) -> None:
         """Raise InfiniteEnergy for the first edge of idx (integer heights)
@@ -439,16 +437,17 @@ class _DeficitTable:
     deficit is infinite, unless |delta| < width.  ``ceiling`` holds, at
     ((c * width + i1 - lo) * width + i2 - lo) * (2 width - 1) + delta +
     width - 1, the least float at or above the exact deficit (NaN until
-    computed), and ``exact`` the exact deficit; ``finite[c * width + i -
-    lo]`` says whether class c has finite energy at increment i.
+    computed), and ``exact`` the exact deficit; ``finite[c, 1 + i - lo]``
+    says whether class c has finite energy at increment i, from the
+    potential's ``_energy_table`` (classes in sorted order, as there).
     """
 
-    def __init__(self, pot, lo: int, width: int):
+    def __init__(self, pot, lo: int, energies):
         classes = sorted(pot.class_potentials)
         self.class_id = {c: k for k, c in enumerate(classes)}
-        self.lo, self.width = lo, width
-        self.finite = np.array([pot.class_potentials[c](lo + i) < INF for c in classes for i in range(width)])
-        self.ceiling = np.full(len(classes) * width * width * (2 * width - 1), math.nan)
+        self.lo, self.width = lo, energies.shape[2] - 2
+        self.finite = energies.reshape(len(classes), -1) < INF
+        self.ceiling = np.full(len(classes) * self.width**2 * (2 * self.width - 1), math.nan)
         self.exact = {}
 
 
@@ -462,11 +461,10 @@ def _deficit_table(pot) -> _DeficitTable | None:
     if "table" not in memo:
         memo["table"] = None
         if pot.discrete and pot.is_lipschitz():
-            supports = [p.support() for p in pot.class_potentials.values()]
-            lo = min(int(b[0]) for b in supports)
-            width = max(int(b[1]) for b in supports) - lo + 1
-            if len(supports) * width**2 * (2 * width - 1) <= _TABLE_LIMIT:
-                memo["table"] = _DeficitTable(pot, lo, width)
+            lo, energies = _energy_table(pot)
+            width = energies.shape[2] - 2
+            if len(pot.class_potentials) * width**2 * (2 * width - 1) <= _TABLE_LIMIT:
+                memo["table"] = _DeficitTable(pot, lo, energies)
     return memo["table"]
 
 

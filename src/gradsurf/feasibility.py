@@ -86,31 +86,6 @@ class FeasibilityGraph:
         """Arcs for every edge with both endpoints in the region."""
         return FeasibilityGraph.from_arcs(_edge_arcs(pot, edges_within(region)))
 
-    @staticmethod
-    def from_torus(pot: PeriodicPotential, n: int, slope) -> "FeasibilityGraph":
-        """Arcs on the n-torus for the homology class of the given slope.
-
-        Wrap edges absorb the holonomy shift n*u'_i, so distances refer to
-        the quasi-periodic lift phi(v + n e_i) = phi(v) + n u'_i.
-        """
-        info = torus_info(pot, n, slope)
-        h = info.holonomy()
-        vertices = [(i, j) for i in range(n) for j in range(n)]
-        arcs: dict[Arc, float] = {}
-        for x in vertices:
-            for axis in (0, 1):
-                lo, hi = pot.edge_potential((x, axis)).support()
-                raw_head = add(x, AXIS_VECTORS[axis])
-                head = info.wrap(raw_head)
-                delta = h[axis] if raw_head != head else 0
-                up = hi - delta
-                down = delta - lo
-                # parallel arcs can coincide on small tori; keep the tighter bound
-                a1, a2 = (x, head), (head, x)
-                arcs[a1] = min(arcs.get(a1, INF), up)
-                arcs[a2] = min(arcs.get(a2, INF), down)
-        return FeasibilityGraph.from_arcs(arcs, vertices)
-
     def reversed(self) -> "FeasibilityGraph":
         """Every arc flipped, so distances_from(x) gives D(., x)."""
         radj: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in self.vertices}
@@ -118,10 +93,6 @@ class FeasibilityGraph:
             for y, w in outs:
                 radj[y].append((x, w))
         return FeasibilityGraph(self.vertices, radj)
-
-    def extensions(self, partial: Mapping[Vertex, float]):
-        """Maximal and minimal extension heights of the partial heights."""
-        return extend_boundary(self, partial).values, extend_boundary_min(self, partial).values
 
     def distances_from(self, source: Vertex) -> dict[Vertex, float]:
         dist, _, cycle = _bellman_ford(self.vertices, self.adjacency, {source: 0.0})
@@ -278,11 +249,17 @@ def extend_boundary_min(graph: FeasibilityGraph, partial: Mapping[Vertex, float]
 # Torus slope feasibility
 
 
+def _torus_side_fits(pot: PeriodicPotential, n: int) -> bool:
+    """Whether n is a positive multiple of the period on both axes, as the
+    side of every torus must be."""
+    lat = pot.lattice
+    return n >= 1 and lat.contains((n, 0)) and lat.contains((0, n))
+
+
 def torus_info(pot: PeriodicPotential, n: int, slope) -> TorusInfo:
     """Validate torus side and round the slope for the discrete domain."""
-    lat = pot.lattice
-    if lat.reduce((n, 0)) != (0, 0) or lat.reduce((0, n)) != (0, 0):
-        raise ValueError(f"torus side {n} is not a multiple of the period")
+    if not _torus_side_fits(pot, n):
+        raise ValueError(f"torus side {n} is not a positive multiple of the period")
     if pot.discrete:
         u = round_slope(slope, n)
     else:
@@ -294,9 +271,14 @@ def torus_info(pot: PeriodicPotential, n: int, slope) -> TorusInfo:
 
 
 def torus_slope_feasible(pot: PeriodicPotential, n: int, slope) -> bool:
-    """True iff slope-class configurations of finite energy exist on T_n."""
-    graph = FeasibilityGraph.from_torus(pot, n, slope)
-    return graph.negative_cycle() is None
+    """True iff slope-class configurations of finite energy exist on T_n:
+    the plan's arcs, relaxed from a virtual source joined to every vertex
+    (every entry starts at 0), settle within one round per vertex, so no
+    cycle is negative."""
+    plan = _torus_plan(pot, torus_info(pot, n, slope))
+    start = np.zeros(2 * len(plan.sites) + 1)
+    start[-1] = INF
+    return plan.relax(start) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +509,37 @@ def _torus_energy(pot, config) -> float:
     return total
 
 
+def _energy_table(pot):
+    """(lo, table) of a discrete Lipschitz potential, built once per
+    potential: table[axis, r, 1 + k - lo] is the energy of the edge class
+    (axis, r-th fundamental-domain vertex) at increment k, for k from the
+    least to the greatest increment bound, with a +inf entry at each end,
+    so a lookup clipped to the table gives +inf outside every support."""
+    memo = pot._memo("_energy_table")
+    if "table" not in memo:
+        pots = [[pot.class_potentials[(axis, r)] for r in pot.lattice.fundamental_domain()] for axis in (0, 1)]
+        lo = min(int(p.support()[0]) for row in pots for p in row)
+        hi = max(int(p.support()[1]) for row in pots for p in row)
+        memo["table"] = lo, np.array([[[INF] + [p(k) for k in range(lo, hi + 1)] + [INF] for p in row] for row in pots])
+    return memo["table"]
+
+
 # ---------------------------------------------------------------------------
 # Exact enumeration and ground states
 
 
-def _value_windows(pot, graph, partial, keys):
-    """Per-key height ranges [ceil(min ext), floor(max ext)] of the partial
-    heights on the graph (a FeasibilityGraph or a TorusPlan); every
-    finite-energy config lies within them."""
-    if not (pot.discrete and pot.is_lipschitz()):
-        raise StateSpaceTooLarge("exact methods need a discrete Lipschitz potential")
-    top, bot = graph.extensions(partial)
-    return {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}
+def _value_windows(pot, plan, pins, keys):
+    """Per-key height ranges [ceil(min ext), floor(max ext)] of the pinned
+    heights on the plan (``Plan.extensions``); every finite-energy config
+    lies within them.  Memoized in ``plan.windows`` under the sorted pins,
+    so the keys must be the same on every call for a plan."""
+    key = tuple(sorted(pins.items()))
+    if key not in plan.windows:
+        if not (pot.discrete and pot.is_lipschitz()):
+            raise StateSpaceTooLarge("exact methods need a discrete Lipschitz potential")
+        top, bot = plan.extensions(pins)
+        plan.windows[key] = {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}
+    return plan.windows[key]
 
 
 def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_000):
@@ -607,7 +608,7 @@ def _dfs(pot, torus, order, keys, idx, known, energy, windows, budget):
 
 def _wave_schedule(plan, order):
     """The order's positions grouped into waves, as (positions, sites,
-    neighbors, shifts, sig) arrays per wave of a TorusPlan or RegionPlan.
+    neighbors, shifts, sig) arrays per wave of a Plan.
     A position's wave is one more than the highest wave among earlier
     positions at the same site or a neighbor, so no two sites of a wave are
     neighbors and updating wave by wave equals updating in order: even tori
@@ -631,145 +632,145 @@ def _wave_schedule(plan, order):
     )
 
 
-class TorusPlan:
-    """The slope class on the n-torus as arrays, built once per potential, n
-    and slope (``_torus_plan``) and shared by the torus frame, chain starts
-    and heat-bath sweeps.
+class Plan:
+    """A torus slope class, or a region with its boundary vertices, as
+    arrays: built once per potential by ``_torus_plan`` or ``_region_plan``
+    and shared by height windows, torus feasibility, chain starts, heat-bath
+    sweeps, CFTP and region enumeration.
 
-    Vertex (i, j) has index i * n + j, so ``sites`` is sorted and the
-    reference x0 = (0, 0) is index 0.  Per vertex, in the slot order of
-    ``_neighbor_slots`` (+e1, -e1, +e2, -e2), ``nbr`` holds the wrapped
-    neighbor indices and ``shift`` the signed holonomy shifts added to their
-    heights; ``sig`` is the index of the vertex modulo the period lattice
-    in its fundamental domain.  When n is a multiple of the period
-    (``periodic``, as ``torus_info`` requires), that index fixes the edge
-    class of every slot.  Row v of ``arc_src``/``arc_w`` holds the tails
-    and weights of the four increment-bound arcs into vertex v, and row
-    N + v those into v in the reversed graph (the arcs out of v); parallel
-    arcs of the 2-torus and the self-loops of the 1-torus stay separate,
-    which changes no distance.  ``order`` is the checkerboard order of the
-    free sites (all but x0) and ``waves`` its wave schedule
-    (``_wave_schedule``).  ``windows`` and ``start`` are filled by their
-    first users.
+    The builders give ``sites`` (the vertex of each index), the free
+    sites (those a sweep updates) and, per site in the slot order of
+    ``_neighbor_slots`` (+e1, -e1, +e2, -e2), ``nbr``, the neighbor index or
+    -1 for none, and ``shift``, the holonomy shift added to the neighbor's
+    height.  The rest is derived the same way for both: ``sig``, the index
+    of each site modulo the period lattice in its fundamental domain, which
+    fixes the edge class of every slot; row v of ``arc_src``/``arc_w``, the
+    tails and weights of the increment-bound arcs into v, and row N + v
+    those into v in the reversed graph (the arcs out of v), where a missing
+    neighbor points at the padding entry 2N, held at +inf; parallel arcs of
+    the 2-torus and the self-loops of the 1-torus stay separate, which
+    changes no distance.  ``order`` is the checkerboard order of the free
+    sites and ``waves`` its wave schedule (``_wave_schedule``), None when a
+    free site lacks a neighbor; ``coupled`` is the same schedule for 2N
+    heights, a second copy of the sites at N + index, so CFTP sweeps its
+    two chains as one array.  ``windows`` maps sorted pins to the height
+    windows of ``_value_windows``; ``start`` is filled by ``_torus_start``.
     """
 
-    def __init__(self, pot: PeriodicPotential, info: TorusInfo):
-        n = info.n
-        self.info, self.n = info, n
-        self.sites = [(i, j) for i in range(n) for j in range(n)]
-        self.index = {v: k for k, v in enumerate(self.sites)}
-        i, j = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        self.nbr = np.stack([(i + 1) % n * n + j, (i - 1) % n * n + j, i * n + (j + 1) % n, i * n + (j - 1) % n], axis=1)
-        h = info.holonomy()
-        # the +e_axis neighbor wraps at coordinate n - 1, the -e_axis one at 0
-        self.shift = np.stack([(i == n - 1) * h[0], (i == 0) * -h[0], (j == n - 1) * h[1], (j == 0) * -h[1]], axis=1)
-        # each vertex's base modulo the period lattice, as an index into its
-        # fundamental domain
+    def __init__(self, pot: PeriodicPotential, sites, nbr, shift, free):
+        self.sites, self.nbr, self.shift = sites, nbr, shift
+        self.index = {v: k for k, v in enumerate(sites)}
         lat = pot.lattice
-        self.periodic = lat.reduce((n, 0)) == (0, 0) == lat.reduce((0, n))
-        domain = lat.fundamental_domain()
-        row = i // lat.a
-        self.sig = (i - row * lat.a) * lat.b + (j - row * lat.c) % lat.b
-        bounds = np.array([[pot.class_potentials[(axis, d)].support() for d in domain] for axis in (0, 1)], dtype=float)
-        lo, hi = bounds[:, self.sig, 0].T, bounds[:, self.sig, 1].T
-        # arc x -> x + e_axis bounds the increment by hi - shift, the reverse
-        # arc bounds its negation by shift - lo
-        up = hi - self.shift[:, 0::2]
-        down = self.shift[:, 0::2] - lo
-        minus = self.nbr[:, 1::2]
-        into = np.stack([up[minus[:, 0], 0], down[:, 0], up[minus[:, 1], 1], down[:, 1]], axis=1)
-        out_of = np.stack([up[:, 0], down[minus[:, 0], 0], up[:, 1], down[minus[:, 1], 1]], axis=1)
-        self.arc_src = np.concatenate([self.nbr[:, [1, 0, 3, 2]], self.nbr + n * n])
-        self.arc_w = np.concatenate([into, out_of])
-        self.order = tuple(checkerboard_order(self.sites[1:]))
-        self.waves = _wave_schedule(self, self.order)
-        self.windows = None
+
+        def sig(i, j):
+            row = i // lat.a
+            return (i - row * lat.a) * lat.b + (j - row * lat.c) % lat.b
+
+        i, j = np.array(sites, dtype=np.int64).reshape(-1, 2).T
+        self.sig = sig(i, j)
+        bounds = np.array([[pot.class_potentials[(axis, d)].support() for d in lat.fundamental_domain()] for axis in (0, 1)], dtype=float)
+        ends = bounds[[0, 0, 1, 1], np.stack([self.sig, sig(i - 1, j), self.sig, sig(i, j - 1)], axis=1)]
+        # phi(neighbor) + shift - phi(v) lies in [low, high]: the class's
+        # support on the +e slots, its negation on the -e slots
+        plus = np.array([True, False, True, False])
+        low = np.where(plus, ends[..., 0], -ends[..., 1])
+        high = np.where(plus, ends[..., 1], -ends[..., 0])
+        size = len(sites)
+        self.arc_src = np.concatenate([np.where(nbr < 0, 2 * size, nbr), np.where(nbr < 0, 2 * size, nbr + size)])
+        self.arc_w = np.concatenate([shift - low, high - shift])
+        self.order = tuple(checkerboard_order(free))
+        try:
+            self.waves = _wave_schedule(self, self.order)
+        except KeyError:
+            self.waves = None
+        # positions and sig repeat; sites and neighbors of the copy shift by N
+        self.coupled = None if self.waves is None else tuple(
+            tuple(np.concatenate([a, a + size * k]) for a, k in zip(wave, (0, 1, 1, 0, 0))) for wave in self.waves
+        )
+        self.windows = {}
         self.start = None
 
+    def relax(self, dist):
+        """``dist`` (2N + 1 entries, the last +inf) lowered along every arc
+        of both directions at once until it stops changing; None when it
+        still changes after one round per site (a negative cycle)."""
+        for _ in range(len(self.sites)):
+            reach = (dist[self.arc_src] + self.arc_w).min(axis=1)
+            if not (reach < dist[:-1]).any():
+                return dist
+            dist[:-1] = np.minimum(dist[:-1], reach)
+        return None
+
     def extensions(self, partial: Mapping[Vertex, float]):
-        """Maximal and minimal extension heights of the partial heights, by
-        relaxing all arcs of both directions at once in numpy; raises
-        Infeasible when the relaxation still changes after one round per
-        vertex (a negative cycle) or lowers a pinned height."""
+        """Maximal and minimal extension heights of the partial heights from
+        one relaxation; raises Infeasible for a negative cycle, a lowered
+        pinned height or a site no pin reaches."""
         size = len(self.sites)
         pins = [self.index[v] for v in partial]
         heights = [float(h) for h in partial.values()]
         pins = np.array(pins + [k + size for k in pins], dtype=np.int64)
         heights = np.array(heights + [0.0 - h for h in heights])
-        dist = np.full(2 * size, INF)
+        dist = np.full(2 * size + 1, INF)
         dist[pins] = heights
-        for _ in range(size):
-            reach = (dist[self.arc_src] + self.arc_w).min(axis=1)
-            if not (reach < dist).any():
-                if (dist[pins] < heights).any():
-                    raise Infeasible("the pinned heights violate an increment bound")
-                top, bot = dist[:size].tolist(), np.subtract(0.0, dist[size:]).tolist()
-                return dict(zip(self.sites, top)), dict(zip(self.sites, bot))
-            dist = np.minimum(dist, reach)
-        raise Infeasible(f"relaxation still changing after {size} rounds")
+        dist = self.relax(dist)
+        if dist is None:
+            raise Infeasible(f"relaxation still changing after {size} rounds")
+        if (dist[pins] < heights).any():
+            raise Infeasible("the pinned heights violate an increment bound")
+        if (dist[:-1] == INF).any():
+            raise Infeasible("a site no pin reaches")
+        top, bot = dist[:size].tolist(), np.subtract(0.0, dist[size:-1]).tolist()
+        return dict(zip(self.sites, top)), dict(zip(self.sites, bot))
 
 
-def _torus_plan(pot: PeriodicPotential, info: TorusInfo) -> TorusPlan:
-    """The potential's plan of the torus and slope class of ``info``."""
+def _torus_plan(pot: PeriodicPotential, info: TorusInfo) -> Plan:
+    """The potential's plan of the torus and slope class of ``info``.
+    Vertex (i, j) has index i * n + j, so ``sites`` is sorted and the
+    reference x0 = (0, 0), the one site that is not free, is index 0."""
     plans = pot._memo("_torus_plans")
     key = (info.n, info.slope)
     if key not in plans:
-        plans[key] = TorusPlan(pot, info)
+        n, h = info.n, info.holonomy()
+        i, j = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        nbr = np.stack([(i + 1) % n * n + j, (i - 1) % n * n + j, i * n + (j + 1) % n, i * n + (j - 1) % n], axis=1)
+        # the +e_axis neighbor wraps at coordinate n - 1, the -e_axis one at 0
+        shift = np.stack([(i == n - 1) * h[0], (i == 0) * -h[0], (j == n - 1) * h[1], (j == 0) * -h[1]], axis=1)
+        sites = [(a, b) for a in range(n) for b in range(n)]
+        plans[key] = Plan(pot, sites, nbr, shift, sites[1:])
     return plans[key]
 
 
-class RegionPlan:
-    """A region and its boundary vertices as arrays, built once per
-    potential, sorted region and sorted boundary vertices (``_region_plan``)
-    and shared by CFTP, region sweeps and region enumeration.  ``sites``
-    lists the region, then the boundary vertices outside it.  ``index``,
-    ``nbr``, ``shift`` (zeros) and ``sig`` are laid out as in ``TorusPlan``,
-    with -1 for a neighbor outside region | boundary and in the rows of
-    boundary vertices.  ``waves`` is the wave schedule of the checkerboard
-    ``order``, None when a region vertex has a neighbor outside, and
-    ``coupled`` the same schedule for 2N heights, a second copy of the
-    sites at N + index, so CFTP sweeps its two chains as one array.
-    ``windows`` maps the sorted boundary heights to their height windows,
-    filled by ``_region_windows``.
-    """
-
-    def __init__(self, pot: PeriodicPotential, region, boundary):
-        inside = set(region)
-        self.sites = list(region) + [v for v in sorted(boundary) if v not in inside]
-        self.index = {v: k for k, v in enumerate(self.sites)}
-        rows = [[self.index.get(w, -1) if v in inside else -1 for w in neighbors(v)] for v in self.sites]
-        self.nbr = np.array(rows, dtype=np.int64).reshape(-1, 4)
-        self.shift = np.zeros_like(self.nbr)
-        lat = pot.lattice
-        self.sig = np.array([i * lat.b + j for i, j in map(lat.reduce, self.sites)], dtype=np.int64)
-        self.order = tuple(checkerboard_order(region))
-        self.waves = None if (self.nbr[: len(region)] < 0).any() else _wave_schedule(self, self.order)
-        # positions and sig repeat; sites and neighbors of the copy shift by N
-        n = len(self.sites)
-        self.coupled = None if self.waves is None else tuple(
-            tuple(np.concatenate([a, a + n * k]) for a, k in zip(wave, (0, 1, 1, 0, 0))) for wave in self.waves
-        )
-        self.windows = {}
-
-
-def _region_plan(pot: PeriodicPotential, region, boundary) -> RegionPlan:
+def _region_plan(pot: PeriodicPotential, region, boundary) -> Plan:
     """The potential's plan of the sorted region and the boundary vertices;
-    boundaries that differ only in their heights share it."""
+    boundaries that differ only in their heights share it.  ``sites`` lists
+    the region, then the boundary vertices outside it, and the region is
+    free.  Region rows list their neighbors in region | boundary, boundary
+    rows only their region neighbors: an edge joining two boundary vertices
+    has a fixed energy, so it vetoes nothing (as in ``_region_graph``)."""
     plans = pot._memo("_region_plans")
     key = (tuple(region), tuple(sorted(boundary)))
     if key not in plans:
-        plans[key] = RegionPlan(pot, region, boundary)
+        inside = set(region)
+        sites = list(region) + [v for v in key[1] if v not in inside]
+        index = {v: k for k, v in enumerate(sites)}
+        rows = [[index.get(w, -1) if v in inside or w in inside else -1 for w in neighbors(v)] for v in sites]
+        nbr = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        plans[key] = Plan(pot, sites, nbr, np.zeros_like(nbr), region)
     return plans[key]
 
 
 def _region_windows(pot, region, boundary):
     """``_value_windows`` of the sorted region under the boundary heights
-    on ``_region_graph``, computed once per plan and boundary heights."""
-    windows = _region_plan(pot, region, boundary).windows
-    key = tuple(sorted(boundary.items()))
-    if key not in windows:
-        windows[key] = _value_windows(pot, _region_graph(pot, region, boundary), boundary, region)
-    return windows[key]
+    on its plan.  When the relaxation fails, the extensions of
+    ``_region_graph`` run to raise their typed error and witness."""
+    plan = _region_plan(pot, region, boundary)
+    try:
+        return _value_windows(pot, plan, boundary, region)
+    except Infeasible:
+        graph = _region_graph(pot, region, boundary)
+        extend_boundary(graph, boundary)
+        extend_boundary_min(graph, boundary)
+        raise
 
 
 def _torus_frame(pot, n: int, slope):
@@ -778,25 +779,23 @@ def _torus_frame(pot, n: int, slope):
     Returns (info, windows, order, base_energy): per-vertex height ranges
     [-D(v, x0), D(x0, v)] holding every finite-energy config, the other
     vertices in sorted order, and the energy of the x0 self-loops, which
-    only exist at n = 1.  The windows come from the plan's relaxation and
-    are computed once per plan.  Raises Infeasible for an empty class (x0
-    reaches every negative cycle, as all arcs of a Lipschitz torus are
-    finite).
+    only exist at n = 1.  The windows come from the plan's relaxation.
+    Raises Infeasible for an empty class (x0 reaches every negative cycle,
+    as all arcs of a Lipschitz torus are finite).
     """
     info = torus_info(pot, n, slope)
     plan = _torus_plan(pot, info)
     x0 = (0, 0)
-    if plan.windows is None:
-        try:
-            plan.windows = _value_windows(pot, plan, {x0: 0}, plan.sites)
-        except Infeasible:
-            raise Infeasible(f"slope {slope} on the {n}-torus") from None
+    try:
+        windows = _value_windows(pot, plan, {x0: 0}, plan.sites)
+    except Infeasible:
+        raise Infeasible(f"slope {slope} on the {n}-torus") from None
     h = info.holonomy()
     base_energy = 0.0
     for axis in (0, 1):
         if info.wrap(add(x0, AXIS_VECTORS[axis])) == x0:
             base_energy += pot.edge_energy((x0, axis), h[axis])
-    return info, plan.windows, plan.sites[1:], base_energy
+    return info, windows, plan.sites[1:], base_energy
 
 
 def enumerate_torus_configs(pot, n: int, slope, node_budget: int = 10_000_000):

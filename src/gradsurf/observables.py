@@ -25,6 +25,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .feasibility import (
+    _energy_table,
     _torus_frame,
     enumerate_region_configs,
     enumerate_torus_configs,
@@ -108,8 +109,10 @@ def _region_energy(pot, region, boundary, assignment):
 
 
 def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radius: int = 45):
-    """(values, energy) pairs; unbounded supports fall back to a direct
-    tail-truncated window scan on very small regions.
+    """(values, energy) pairs; unbounded supports on integer heights fall
+    back to a direct tail-truncated window scan on very small regions, and
+    other domains raise StateSpaceTooLarge (a sum over integer heights is
+    not their measure).
 
     The window keeps terms down to relative weight exp(-radius), far below
     double precision at the default.
@@ -117,6 +120,8 @@ def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radi
     if pot.is_lipschitz():
         yield from enumerate_region_configs(pot, region, boundary, node_budget)
         return
+    if not pot.discrete:
+        raise StateSpaceTooLarge(f"exact sums over the {pot.domain} domain have no finite state space")
     region = sorted(region)
     if len(region) > 2:
         raise StateSpaceTooLarge("unbounded supports allow at most 2 free sites")
@@ -154,15 +159,18 @@ def _transfer_matrix_log_z(pot, n, slope):
     except Infeasible:
         return -INF
     hol = info.holonomy()
-    tables = {cls: _energy_array(p) for cls, p in pot.class_potentials.items()}
+    lo, table = _energy_table(pot)
+
+    def row(edge):
+        axis, r = pot.edge_class(edge)
+        return table[axis, r[0] * pot.lattice.b + r[1]]
 
     def energies(edge, increments):
-        lo, values = tables[pot.edge_class(edge)]
-        return np.take(values, increments - lo, mode="clip")
+        return np.take(row(edge), 1 + increments - lo, mode="clip")
 
     def column_states(c):
         """Heights (S, n) and vertical energies (S,) of column c's states."""
-        steps = [range(*_support_range(pot.edge_potential(((c, j), 1)))) for j in range(n - 1)]
+        steps = [(np.flatnonzero(row(((c, j), 1)) < INF) + lo - 1).tolist() for j in range(n - 1)]
         combos = list(itertools.product(*steps))
         incs = np.array(combos, dtype=np.int64).reshape(len(combos), n - 1)
         prof = np.concatenate([np.zeros((len(incs), 1), np.int64), incs.cumsum(axis=1)], axis=1)
@@ -195,19 +203,6 @@ def _transfer_matrix_log_z(pot, n, slope):
     if peak == -INF:
         return -INF
     return float(peak + np.log(np.exp(closing - peak).sum()))
-
-
-def _support_range(p) -> tuple[int, int]:
-    """(lo, hi + 1) of a Lipschitz potential's integer support."""
-    lo, hi = p.support()
-    return int(lo), int(hi) + 1
-
-
-def _energy_array(p):
-    """(lo - 1, values) with values[k] = p(lo - 1 + k) over the support and
-    +inf at both ends, so a clipped lookup gives +inf outside it."""
-    lo, hi = _support_range(p)
-    return lo - 1, np.array([INF] + [p(k) for k in range(lo, hi)] + [INF])
 
 
 # Floats of (row, inner, column) terms that ``_log_matmul`` holds at once:

@@ -19,7 +19,7 @@ Which code runs:
 
 - Chains with integer heights (``torus_sample``, CFTP, and
   ``heat_bath_sweep`` on a torus or region config) sweep on the
-  potential's ``TorusPlan`` or ``RegionPlan``.  Its wave schedule puts each
+  potential's ``Plan`` of the torus or region.  Its wave schedule puts each
   site in a later wave than every neighbor that precedes it in the order,
   so the sites of a wave share no edge and updating wave by wave equals
   updating in order.  A wave is one numpy step (``_sweep_waves``): each
@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
 from .feasibility import (
+    _energy_table,
     _local_energy,
     _neighbor_terms,
     _region_plan,
@@ -49,6 +50,7 @@ from .feasibility import (
     _torus_energy,
     _torus_frame,
     _torus_plan,
+    _torus_side_fits,
     _wave_schedule,
     torus_info,
 )
@@ -374,24 +376,24 @@ def _sweep_plan(pot, config, boundary, order):
     """(plan, waves, table) when a sweep of ``order`` runs on a plan: a
     potential with a conditional table, integer heights on the config and
     the boundary, every site of the order with four neighbors on the plan,
-    and either a region config disjoint from the boundary or a torus config
-    with a height at every site, no boundary and a side that is a multiple
-    of the period (on the 1-torus only the empty order qualifies: its one
-    site has no neighbor); else None."""
+    and either a region config disjoint from the boundary and the order or
+    a torus config with a height at every site, no boundary and a side
+    that is a positive multiple of the period (on the 1-torus only the
+    empty order qualifies: its one site has no neighbor); else None."""
     table = _conditional_table(pot)
     boundary = boundary or {}
     if table is None or not {*map(type, config.values.values()), *map(type, boundary.values())} <= {int}:
         return None
     info = config.torus
     if info is None:
-        if config.values.keys() & boundary.keys():
+        if config.values.keys() & boundary.keys() or not boundary.keys().isdisjoint(order):
             return None
         plan = _region_plan(pot, sorted(config.values), boundary)
     else:
-        if boundary or (info.n == 1 and order) or len(config.values) != info.n**2:
+        if boundary or (info.n == 1 and order) or not _torus_side_fits(pot, info.n) or len(config.values) != info.n**2:
             return None
         plan = _torus_plan(pot, info)
-        if not plan.periodic or config.values.keys() != plan.index.keys():
+        if config.values.keys() != plan.index.keys():
             return None
     try:
         waves = plan.waves if order is plan.order or tuple(order) == plan.order else _wave_schedule(plan, order)
@@ -468,28 +470,14 @@ class _TorusChain:
         sorted order, axis 0 before axis 1)."""
         if self.plan is None:
             return _torus_energy(self.pot, self.current)
-        lo, table = _edge_energies(self.pot)
-        plan, width = self.plan, table.shape[2]
-        inc = self.heights[plan.nbr[:, 0::2]] + plan.shift[:, 0::2] - self.heights[:, None] - lo
-        inside = (inc >= 0) & (inc < width)
-        energies = np.where(inside, table[[0, 1], plan.sig[:, None], np.clip(inc, 0, width - 1)], INF)
+        lo, table = _energy_table(self.pot)
+        plan = self.plan
+        inc = self.heights[plan.nbr[:, 0::2]] + plan.shift[:, 0::2] - self.heights[:, None]
+        energies = table[[0, 1], plan.sig[:, None], np.clip(1 + inc - lo, 0, table.shape[2] - 1)]
         total = 0.0
         for e in energies.ravel().tolist():
             total += e
         return total
-
-
-def _edge_energies(pot):
-    """(lo, table): table[axis, r, i - lo] is the energy of the edge class
-    (axis, r-th fundamental-domain vertex) at increment i, for i from the
-    least to the greatest increment bound of a discrete Lipschitz potential."""
-    memo = pot._memo("_edge_energies")
-    if "table" not in memo:
-        pots = [[pot.class_potentials[(axis, r)] for r in pot.lattice.fundamental_domain()] for axis in (0, 1)]
-        lo = min(int(p.support()[0]) for row in pots for p in row)
-        hi = max(int(p.support()[1]) for row in pots for p in row)
-        memo["table"] = lo, np.array([[[p(k) for k in range(lo, hi + 1)] for p in row] for row in pots])
-    return memo["table"]
 
 
 def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, tuple]:

@@ -22,7 +22,14 @@ from .cluster_swap import (
     synchronized_domination_coupling,
     total_energy,
 )
-from .feasibility import allowed_slope_polytope, enumerate_region_configs
+from .feasibility import (
+    _region_graph,
+    _region_windows,
+    allowed_slope_polytope,
+    enumerate_region_configs,
+    extend_boundary,
+    extend_boundary_min,
+)
 from .heights import HeightConfig
 from .lattice import box_region, edges_within, outer_boundary
 from .observables import (
@@ -255,6 +262,26 @@ def check_exact_methods_agree():
     return True, "class sums and transfer matrix agree to 1e-10"
 
 
+def check_window_relaxation():
+    # the plan relaxation serves every height window; Bellman-Ford on the
+    # region graph is the independent route
+    squares = _rect(6, 6) - {(4, 5), (5, 5)}
+    fixed = boundary_heights(squares)
+    box = sorted(box_region(4, 4))
+    cases = [
+        (domino_potential(), sorted(region_vertices(squares) - set(fixed)), fixed),
+        (_sos_trunc(1), box, {v: v[0] // 2 for v in outer_boundary(box)}),
+    ]
+    for pot, region, boundary in cases:
+        graph = _region_graph(pot, region, boundary)
+        top = extend_boundary(graph, boundary).values
+        bot = extend_boundary_min(graph, boundary).values
+        windows = _region_windows(pot, region, boundary)
+        if any(windows[v] != range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in region):
+            return False, f"plan and Bellman-Ford windows differ on a {len(region)}-site region"
+    return True, "plan windows equal Bellman-Ford extensions on 2 regions"
+
+
 def check_cftp_determinism(seed=99):
     pot = domino_potential()
     region = _rect(2, 2)
@@ -297,6 +324,7 @@ BATTERY = [
     ("log_concavity", check_log_concavity),
     ("fkg_mtp2", check_fkg),
     ("exact_methods_agree", check_exact_methods_agree),
+    ("window_relaxation", check_window_relaxation),
     ("cftp_determinism", check_cftp_determinism),
     ("torus_homology", check_torus_homology),
     ("wedge_invariants", check_wedge_invariants),

@@ -324,3 +324,41 @@ def transfer_matrix_log_z_loops(pot, n, slope):
             if he < INF:
                 z += w * math.exp(-he)
     return math.log(z) if z > 0 else -INF
+
+
+def torus_graph(pot, n, slope):
+    """The slope class on the n-torus as a dict-of-tuples FeasibilityGraph:
+    the reference for the torus plan's arcs.
+
+    Wrap edges absorb the holonomy shift n*u'_i, so distances refer to
+    the quasi-periodic lift phi(v + n e_i) = phi(v) + n u'_i.  Parallel
+    arcs of small tori keep the tighter bound.
+    """
+    from gradsurf.feasibility import FeasibilityGraph, torus_info
+    from gradsurf.lattice import AXIS_VECTORS, add
+
+    info = torus_info(pot, n, slope)
+    h = info.holonomy()
+    vertices = [(i, j) for i in range(n) for j in range(n)]
+    arcs = {}
+    for x in vertices:
+        for axis in (0, 1):
+            lo, hi = pot.edge_potential((x, axis)).support()
+            raw_head = add(x, AXIS_VECTORS[axis])
+            head = info.wrap(raw_head)
+            delta = h[axis] if raw_head != head else 0
+            a1, a2 = (x, head), (head, x)
+            arcs[a1] = min(arcs.get(a1, INF), hi - delta)
+            arcs[a2] = min(arcs.get(a2, INF), delta - lo)
+    return FeasibilityGraph.from_arcs(arcs, vertices)
+
+
+def graph_windows(graph, pins, keys):
+    """Height windows [ceil(min ext), floor(max ext)] per key from the dict
+    Bellman-Ford extensions of the graph (``extend_boundary`` and
+    ``extend_boundary_min``), which raise their typed errors."""
+    from gradsurf.feasibility import extend_boundary, extend_boundary_min
+
+    top = extend_boundary(graph, pins).values
+    bot = extend_boundary_min(graph, pins).values
+    return {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}

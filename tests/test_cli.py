@@ -188,6 +188,25 @@ def test_empty_region_writes_config_error(tmp_path, command, extra):
     assert err["error"] == "ConfigParse"
 
 
+def _torus_config(command, n, **extra):
+    slopes = [{"slope": [0, 0], "n": n}] if command == "feasibility" else [[0, 0]]
+    return command, {"potential": {"preset": "domino"}, "mode": "torus", "n": n, "slopes": slopes, **extra}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [_torus_config(c, n) for c in ("sample", "sigma", "swap", "feasibility") for n in (0, -2, 3)]
+    + [_torus_config("sigma", 2, method="Foo")],
+)
+def test_bad_torus_side_or_sigma_method_writes_config_error(tmp_path, command, cfg):
+    # domino tilings have period 2, so a torus side must be positive and even
+    rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigParse"
+    assert err["message"] == ("unknown sigma method 'Foo'" if "method" in cfg else f"torus side {cfg['n']} is not a positive multiple of the period")
+
+
 _ABS1 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-1": 1.0, "0": 0.0, "1": 1.0}}}
 _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
 

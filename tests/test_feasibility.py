@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradsurf.errors import Infeasible, NegativeCycle, StateSpaceTooLarge
+from gradsurf import feasibility
+from gradsurf.errors import GradsurfError, Infeasible, NegativeCycle, StateSpaceTooLarge
 from gradsurf.feasibility import (
     FeasibilityGraph,
     allowed_slope_polytope,
@@ -27,13 +28,18 @@ from gradsurf.potential import (
     TablePotential,
     domino_potential,
     hamiltonian_interior,
+    sos_abs_potential,
 )
-from gradsurf.sampler import _torus_start
+from gradsurf.rng import RngStream
+from gradsurf.sampler import _torus_start, cftp_sample
+from gradsurf.tilings import boundary_heights, region_vertices
 
 from oracles import (
     all_simple_path_distances,
     enumerate_feasible_configs,
+    graph_windows,
     torus_class_enumerate,
+    torus_graph,
 )
 
 F = Fraction
@@ -474,3 +480,84 @@ def test_extension_pass_matches_path_enumeration_random_graphs():
         for outcome in (top, bot):
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
     assert min(outcomes.get(k, 0) for k in ("cycle", "pair", "unreached", "values")) >= 20, outcomes
+
+
+def _outcome(run):
+    try:
+        return run()
+    except GradsurfError as exc:
+        return f"{exc.kind}: {exc}"
+
+
+def _random_skewed_potential(rng):
+    """Random 2Z^2-periodic tables on supports of one or two consecutive
+    increments inside [-2, 2], so a plaquette can close a negative cycle."""
+    lat = Sublattice(2, 2, 0)
+    classes = {}
+    for axis in (0, 1):
+        for base in lat.fundamental_domain():
+            lo = rng.randint(-2, 1)
+            classes[(axis, base)] = TablePotential.from_dict({k: 0.5 * rng.randint(0, 3) for k in range(lo, lo + rng.randint(1, 2))})
+    return PeriodicPotential.build("int", lat, classes)
+
+
+def test_region_windows_equal_dict_extensions():
+    # every region window comes from the plan relaxation; where it fails,
+    # the dict extensions on _region_graph raise their typed error, so both
+    # routes give the same windows or the same error kind and witness
+    rng = random.Random(909)
+    cases = []
+    for k in range(80):
+        pot = (_random_periodic_potential, _random_skewed_potential)[k % 2](rng)
+        region = sorted(box_region(rng.randint(1, 4), rng.randint(1, 4), origin=(rng.randint(-2, 1), rng.randint(-2, 1))))
+        level, tilt = rng.randint(-2, 2), rng.choice((0, 0, 1))
+        boundary = {v: level + tilt * (v[0] // 2) + (rng.random() < 0.2) * rng.randint(-2, 2) for v in outer_boundary(region)}
+        cases.append((pot, region, boundary))
+    # a second box beyond the reach of every pin
+    for pot, region, boundary in cases[:4]:
+        far = box_region(2, 2, origin=(max(region)[0] + 3, 0))
+        cases.append((pot, sorted({*region, *far}), boundary))
+    holed = {(i, j) for i in range(6) for j in range(6)} - {(2, 2), (2, 3), (3, 2), (3, 3)}
+    slot = {(i, j) for i in range(4) for j in range(4)} - {(1, 1), (2, 1)}
+    notched = {(i, j) for i in range(6) for j in range(6)} - {(4, 5), (5, 5)}
+    notched4 = {(i, j) for i in range(4) for j in range(4)} - {(0, 3), (1, 3)}
+    for squares in (holed, slot, notched, notched4):
+        fixed = boundary_heights(squares)
+        cases.append((domino_potential(), sorted(region_vertices(squares) - set(fixed)), fixed))
+    kinds = set()
+    for pot, region, boundary in cases:
+        graph = feasibility._region_graph(pot, region, boundary)
+        expected = _outcome(lambda: graph_windows(graph, boundary, region))
+        assert _outcome(lambda: feasibility._region_windows(pot, region, boundary)) == expected
+        kinds.add("windows" if isinstance(expected, dict) else expected.split(":")[0])
+    assert kinds == {"windows", "Infeasible", "NegativeCycle"}
+
+
+def test_torus_slope_feasible_equals_graph_negative_cycle():
+    # the plan relaxation from a virtual source against dict Bellman-Ford
+    # on the torus graph, with unbounded supports among the cases
+    from test_sampler import _sloped_torus_cases
+
+    cases = [(pot, n, slope) for _, pot, n, slope in _sloped_torus_cases()]
+    rng = random.Random(515)
+    for k in range(18):
+        slope = (F(rng.randint(-2, 2), 4), F(rng.randint(-2, 2), 4))
+        cases.append((_random_periodic_potential(rng), (2, 4, 6)[k % 3], slope))
+    for pot in (PeriodicPotential.isotropic("real", QuadraticPotential(1.0)), PeriodicPotential.isotropic("int", sos_abs_potential())):
+        cases += [(pot, n, (F(1, 2), F(-1, 4))) for n in (2, 4)]
+    feasible = [torus_slope_feasible(pot, n, slope) for pot, n, slope in cases]
+    assert feasible == [torus_graph(pot, n, slope).negative_cycle() is None for pot, n, slope in cases]
+    assert 10 <= sum(feasible) <= len(cases) - 10
+
+
+def test_feasible_cftp_runs_no_dict_bellman_ford(sos_trunc1, monkeypatch):
+    # region windows come from the plan alone when the boundary is feasible
+    calls = []
+    bellman_ford = feasibility._bellman_ford
+    monkeypatch.setattr(feasibility, "_bellman_ford", lambda *args: calls.append(1) or bellman_ford(*args))
+    squares = {(i, j) for i in range(6) for j in range(6)} - {(4, 5), (5, 5)}
+    fixed = boundary_heights(squares)
+    cftp_sample(domino_potential(), sorted(region_vertices(squares) - set(fixed)), fixed, RngStream(0))
+    interior = sorted(box_region(3, 3))
+    cftp_sample(sos_trunc1, interior, {v: v[0] // 2 for v in outer_boundary(interior)}, RngStream(1))
+    assert calls == []

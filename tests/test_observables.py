@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradsurf.errors import NotIncreasing, SlopeMismatch
+from gradsurf.errors import NotIncreasing, SlopeMismatch, StateSpaceTooLarge
 from gradsurf.feasibility import torus_slope_feasible
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import Sublattice, box_region, outer_boundary
@@ -26,6 +26,7 @@ from gradsurf.observables import (
 from gradsurf.potential import (
     INF,
     PeriodicPotential,
+    QuadraticPotential,
     TablePotential,
     domino_potential,
     lipschitz_truncate,
@@ -44,6 +45,22 @@ def test_log_partition_single_free_edge(sos):
     expected = math.log(1 + 2 / (math.e - 1))
     assert val == pytest.approx(expected, abs=1e-12)
     assert math.exp(val) == pytest.approx(2.16395, abs=1e-5)
+
+
+def test_exact_region_sums_need_integer_heights(sos):
+    # a real domain has no integer state space to sum over; the int
+    # sos-abs scan over two free sites keeps the value of the direct sum
+    gaussian = PeriodicPotential.isotropic("real", QuadraticPotential(1.0))
+    boundary = {(1, 0): 0, (-1, 0): 0, (0, 1): 0, (0, -1): 0}
+    with pytest.raises(StateSpaceTooLarge, match="real domain"):
+        log_partition_exact(gaussian, region=[(0, 0)], boundary=boundary)
+    with pytest.raises(StateSpaceTooLarge, match="real domain"):
+        fkg_check(gaussian, [(0, 0)], boundary, lambda s: s[(0, 0)] >= 0, lambda s: s[(0, 0)] >= 1)
+    with pytest.raises(StateSpaceTooLarge, match="real domain"):
+        log_concavity_check(gaussian, [(0, 0)], boundary, (0, 0))
+    val = log_partition_exact(sos, region=[(1, 0), (2, 0)], boundary={(0, 0): 0, (3, 0): 0})
+    terms = [math.exp(-(abs(a) + abs(b - a) + abs(b))) for a in range(-60, 61) for b in range(-60, 61)]
+    assert val == pytest.approx(math.log(math.fsum(terms)), abs=1e-12)
 
 
 def test_log_partition_domino_2torus_counts(domino):

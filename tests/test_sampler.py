@@ -36,7 +36,7 @@ from gradsurf.sampler import (
     torus_sample,
 )
 
-from oracles import exact_gibbs_distribution
+from oracles import exact_gibbs_distribution, graph_windows, torus_graph
 
 F = Fraction
 
@@ -328,23 +328,23 @@ def test_cftp_ignores_edges_between_boundary_vertices(sos_trunc1):
 
 
 def test_cftp_one_extension_pass_per_direction(sos_trunc1, monkeypatch):
-    # the maximal and minimal starts come from one seeded Bellman-Ford
-    # pass each, whatever the number of boundary vertices (8 here) or of
-    # samples
+    # the maximal and minimal starts come from one plan relaxation, both
+    # directions at once, per region and boundary heights, whatever the
+    # number of boundary vertices (8 here) or of samples
     passes = []
-    bellman_ford = feasibility._bellman_ford
+    extensions = feasibility.Plan.extensions
 
-    def counted(*args):
-        passes.append(args[2])
-        return bellman_ford(*args)
+    def counted(self, partial):
+        passes.append(dict(partial))
+        return extensions(self, partial)
 
-    monkeypatch.setattr(feasibility, "_bellman_ford", counted)
+    monkeypatch.setattr(feasibility.Plan, "extensions", counted)
     interior = sorted(box_region(2, 2))
     boundary = {v: 0 for v in outer_boundary(interior)}
     cftp_sample(sos_trunc1, interior, boundary, RngStream(0))
     # a second sample of the region reuses the plan's windows
     cftp_sample(sos_trunc1, interior, boundary, RngStream(1))
-    assert passes == [{v: 0.0 for v in boundary}] * 2
+    assert passes == [boundary]
 
 
 def test_region_plan_shared_across_boundary_levels():
@@ -360,8 +360,7 @@ def test_region_plan_shared_across_boundary_levels():
     (plan,) = plans.values()
     assert len(plan.windows) == 5
     for boundary in boundaries:
-        graph = feasibility._region_graph(abs1, region, boundary)
-        expected = feasibility._value_windows(abs1, graph, boundary, region)
+        expected = graph_windows(feasibility._region_graph(abs1, region, boundary), boundary, region)
         assert plan.windows[tuple(sorted(boundary.items()))] == expected
 
 
@@ -500,11 +499,11 @@ def test_memoized_torus_sweeps_equal_site_conditional_loop(name, pot, n, slope):
 
 @pytest.mark.parametrize("name, pot, n, slope", _sloped_torus_cases(), ids=lambda c: str(c) if isinstance(c, str) else None)
 def test_plan_windows_equal_graph_windows(name, pot, n, slope):
-    # the numpy relaxation against Bellman-Ford on from_torus, including
-    # the empty classes (a negative cycle there, Infeasible here)
-    graph = feasibility.FeasibilityGraph.from_torus(pot, n, slope)
+    # the numpy relaxation against Bellman-Ford on the dict torus graph,
+    # including the empty classes (a negative cycle there, Infeasible here)
+    graph = torus_graph(pot, n, slope)
     try:
-        expected = feasibility._value_windows(pot, graph, {(0, 0): 0}, graph.vertices)
+        expected = graph_windows(graph, {(0, 0): 0}, graph.vertices)
     except NegativeCycle:
         with pytest.raises(Infeasible):
             feasibility._torus_frame(pot, n, slope)
@@ -644,13 +643,13 @@ def test_torus_start_built_once_per_potential(monkeypatch):
     # one relaxation (both directions at once) for the plan's windows,
     # none after
     passes = []
-    extensions = feasibility.TorusPlan.extensions
+    extensions = feasibility.Plan.extensions
 
     def counted(self, *args):
         passes.append(args)
         return extensions(self, *args)
 
-    monkeypatch.setattr(feasibility.TorusPlan, "extensions", counted)
+    monkeypatch.setattr(feasibility.Plan, "extensions", counted)
     pot = domino_potential()
     slope = (F(1, 4), F(0))
     a = torus_sample(pot, 8, slope, sweeps=3, rng=RngStream(1, 0))
