@@ -23,11 +23,10 @@ from .cluster_swap import Triplet, shifted_analysis
 from .errors import ConfigParse, GradsurfError
 from .feasibility import (
     FeasibilityGraph,
-    _region_graph,
+    _region_plan,
     _torus_side_fits,
     allowed_slope_polytope,
     distances_csv,
-    extend_boundary,
     shortest_distances,
     torus_slope_feasible,
 )
@@ -74,10 +73,27 @@ def _resolve_potential(cfg: dict) -> PeriodicPotential:
     return pot
 
 
-def _torus_side(pot: PeriodicPotential, spec) -> int:
-    """A config's torus side, which must be a positive multiple of the
-    potential's period."""
-    n = int(spec)
+def _required(cfg: dict, key: str):
+    """cfg[key]; ConfigParse naming the key when it is missing."""
+    if key not in cfg:
+        raise ConfigParse(f"config needs {key!r}")
+    return cfg[key]
+
+
+def _integer(cfg: dict, key: str, default=None) -> int:
+    """cfg[key] as an integer, or the default when given and the key is
+    missing; ConfigParse naming the key otherwise."""
+    value = _required(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigParse(f"{key!r} must be an integer, not {value!r}") from None
+
+
+def _torus_side(pot: PeriodicPotential, cfg: dict, default=None) -> int:
+    """The torus side ``n`` of a config, which must be a positive multiple
+    of the potential's period."""
+    n = _integer(cfg, "n", default)
     if not _torus_side_fits(pot, n):
         raise ConfigParse(f"torus side {n} is not a positive multiple of the period")
     return n
@@ -135,11 +151,13 @@ def _config_csv(config, sample_id=None) -> list[str]:
 def cmd_sample(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
     mode = cfg.get("mode", "torus")
-    samples = int(cfg.get("samples", 1))
-    sweeps = int(cfg.get("sweeps", 64))
+    if mode not in ("torus", "region"):
+        raise ConfigParse(f"unknown sample mode {mode!r}")
+    samples = _integer(cfg, "samples", 1)
+    sweeps = _integer(cfg, "sweeps", 64)
     rows = ["sample,x,y,height"]
     if mode == "torus":
-        n = _torus_side(pot, cfg["n"])
+        n = _torus_side(pot, cfg)
         slope = _slope(cfg.get("slope", [0, 0]))
         for s in range(samples):
             config = torus_sample(pot, n, slope, sweeps, RngStream(seed, s))
@@ -147,7 +165,7 @@ def cmd_sample(cfg, seed, out: Path):
     else:
         region, boundary = _region_with_boundary(cfg)
         if pot.is_lipschitz():
-            top = extend_boundary(_region_graph(pot, region, boundary), boundary).values
+            top, _ = _region_plan(pot, region, boundary).extensions(boundary)
             # whole heights on an int domain, so every sweep runs the plan
             cast = math.floor if pot.discrete else float
             start = HeightConfig({v: cast(top[v]) for v in region}, reference=region[0])
@@ -166,8 +184,8 @@ def cmd_sample(cfg, seed, out: Path):
 
 def _region_with_boundary(cfg):
     """The sorted region and its outer boundary pinned at boundary_level."""
-    region = sorted(_region_from_spec(cfg["region"]))
-    level = int(cfg.get("boundary_level", 0))
+    region = sorted(_region_from_spec(_required(cfg, "region")))
+    level = _integer(cfg, "boundary_level", 0)
     return region, {v: level for v in outer_boundary(region)}
 
 
@@ -179,7 +197,7 @@ def _restrict(config, region):
 def cmd_cftp(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
     region, boundary = _region_with_boundary(cfg)
-    samples = int(cfg.get("samples", 1))
+    samples = _integer(cfg, "samples", 1)
     rows = ["sample,x,y,height"]
     for s in range(samples):
         config = cftp_sample(pot, region, boundary, RngStream(seed, s))
@@ -190,7 +208,7 @@ def cmd_cftp(cfg, seed, out: Path):
 
 
 def cmd_tile(cfg, seed, out: Path):
-    region = _region_from_spec(cfg["region"])
+    region = _region_from_spec(_required(cfg, "region"))
     result: dict = {"squares": len(region)}
     if cfg.get("count", True):
         brute = count_tilings_bruteforce(region) if len(region) <= BRUTE_FORCE_LIMIT else None
@@ -198,7 +216,7 @@ def cmd_tile(cfg, seed, out: Path):
         result["count_kasteleyn"] = kast
         result["count_bruteforce"] = brute
         print(kast)
-    samples = int(cfg.get("samples", 0))
+    samples = _integer(cfg, "samples", 0)
     if samples:
         rows = ["sample,square1_x,square1_y,square2_x,square2_y"]
         height_rows = ["sample,x,y,height"]
@@ -218,9 +236,9 @@ def cmd_tile(cfg, seed, out: Path):
 
 def cmd_feasibility(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    bound = cfg.get("cycle_length_bound")
-    items = [(_slope(item["slope"]), _torus_side(pot, item["n"])) for item in cfg.get("slopes", [])]
-    poly = allowed_slope_polytope(pot, None if bound is None else int(bound))
+    bound = None if cfg.get("cycle_length_bound") is None else _integer(cfg, "cycle_length_bound")
+    items = [(_slope(_required(item, "slope")), _torus_side(pot, item)) for item in cfg.get("slopes", [])]
+    poly = allowed_slope_polytope(pot, bound)
     _write(out / "polytope.csv", "\n".join(poly.csv_rows()) + "\n")
     if "distance_region" in cfg:
         region = sorted(_region_from_spec(cfg["distance_region"]))
@@ -247,14 +265,14 @@ def cmd_feasibility(cfg, seed, out: Path):
 
 def cmd_sigma(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    n = _torus_side(pot, cfg["n"])
+    n = _torus_side(pot, cfg)
     method = cfg.get("method", EXACT_SUM)
     if method not in (EXACT_SUM, TRANSFER_MATRIX, THERMODYNAMIC_INTEGRATION):
         raise ConfigParse(f"unknown sigma method {method!r}")
-    budget = int(cfg.get("budget", 2048))
+    budget = _integer(cfg, "budget", 2048)
     estimates = []
     records = []
-    for k, spec in enumerate(cfg["slopes"]):
+    for k, spec in enumerate(_required(cfg, "slopes")):
         u = _slope(spec)
         est = sigma_estimate(pot, u, n, method=method, budget=budget, rng=RngStream(seed, k))
         estimates.append(est)
@@ -273,10 +291,12 @@ def cmd_sigma(cfg, seed, out: Path):
 
 def cmd_swap(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    n = _torus_side(pot, cfg.get("n", 8))
+    n = _torus_side(pot, cfg, 8)
     slope = _slope(cfg.get("slope", [0, 0]))
-    sweeps = int(cfg.get("sweeps", 64))
-    trials = int(cfg.get("trials", 16))
+    sweeps = _integer(cfg, "sweeps", 64)
+    trials = _integer(cfg, "trials", 16)
+    if trials < 1:
+        raise ConfigParse(f"'trials' must be at least 1, not {trials}")
     window = sorted((i, j) for i in range(n) for j in range(n))
     scans = []
     cluster_rows = ["trial,x,y,zeta,cluster,boundary_touch"]

@@ -4,7 +4,9 @@ An edge whose potential is finite exactly on [lo, hi] constrains the
 increment phi(head) - phi(base) to that interval.  Shortest-path distances
 in the induced arc-weighted digraph decide which partial height functions
 extend to finite-energy configurations and which slopes are achievable on
-tori; enumerating torus cycles yields the allowed-slope polytope.
+tori; one relaxation kernel over in-arc arrays (``_InArcs``) computes them
+all, for ``FeasibilityGraph`` and for the plans of regions and tori.
+Enumerating torus cycles yields the allowed-slope polytope.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .lattice import (
     add,
     checkerboard_order,
     dot,
-    edge_head,
-    edges_meeting,
     edges_within,
     neighbors,
     round_slope,
@@ -58,12 +58,115 @@ def increment_bounds(pot: PeriodicPotential, edge: Edge) -> IncrementBounds:
 
 
 # ---------------------------------------------------------------------------
-# Arc-weighted digraphs and Bellman-Ford
+# Arc-weighted digraphs and the relaxation kernel
+
+
+class _InArcs:
+    """A digraph as in-arc arrays: row v of ``src`` and ``w`` holds the
+    tails and weights of the arcs into ``sites[v]``, padded with tail N,
+    whose entry is held at +inf.  ``index`` maps each vertex to its row.
+    Every distance, extension and feasibility answer relaxes one of these."""
+
+    def __init__(self, sites, index, src, w):
+        self.sites, self.index, self.src, self.w = sites, index, src, w
+
+    def seeded(self, partial: Mapping[Vertex, float]):
+        """(entries, pins, heights): N + 1 entries, +inf except the partial
+        heights at their pins; raises ValueError naming a pin that is not a
+        vertex."""
+        for v in partial:
+            if v not in self.index:
+                raise ValueError(f"{v} is not a vertex of the graph")
+        pins = np.array([self.index[v] for v in partial], dtype=np.int64)
+        heights = np.array([float(h) for h in partial.values()])
+        dist = np.full(len(self.sites) + 1, INF)
+        dist[pins] = heights
+        return dist, pins, heights
+
+    def relax(self, dist):
+        """Lower ``dist`` along every arc at once, one round per vertex,
+        and return the tail that last lowered each vertex (-1 for none).
+        Raises NegativeCycle when a vertex is still lowered in the last
+        round: its tails lead back to a negative cycle."""
+        size, width = self.src.shape
+        tail = np.full(size, -1)
+        tails, first = self.src.ravel(), np.arange(0, size * width, width)
+        head = dist[:-1]
+        lowered = np.zeros(size, dtype=bool)
+        for _ in range(size):
+            reach = dist[self.src]
+            reach += self.w
+            arc = reach.argmin(axis=1) + first  # flat index of each row's best arc
+            reach = reach.ravel()[arc]
+            lowered = reach < head
+            if not lowered.any():
+                break
+            np.copyto(tail, tails[arc], where=lowered)
+            np.minimum(head, reach, out=head)
+        if lowered.any():
+            raise NegativeCycle(*self._cycle(tail.tolist(), int(lowered.argmax())))
+        return tail
+
+    def _cycle(self, tail, v):
+        """(closed vertex list from its least vertex, total weight) of the
+        tail cycle that v leads to; v's tails reach it within N steps.
+        Integral weights print as integers."""
+        for _ in range(len(self.sites)):
+            v = tail[v]
+        cycle = [v]
+        while tail[cycle[-1]] != v:
+            cycle.append(tail[cycle[-1]])
+        cycle.reverse()  # tails run against the arcs
+        k = cycle.index(min(cycle, key=self.sites.__getitem__))
+        cycle = cycle[k:] + cycle[:k + 1]
+        weight = 0.0
+        for a, b in zip(cycle, cycle[1:]):
+            weight += float(self.w[b][self.src[b] == a].min())
+        return [self.sites[k] for k in cycle], int(weight) if weight.is_integer() else weight
+
+    def negative_cycle(self):
+        """A witness negative cycle (vertex list, weight) or None: the
+        relaxation with every entry seeded at 0."""
+        dist = np.zeros(len(self.sites) + 1)
+        dist[-1] = INF
+        try:
+            self.relax(dist)
+        except NegativeCycle as exc:
+            return exc.witness, exc.weight
+        return None
+
+    def distances(self, source: Vertex) -> dict[Vertex, float]:
+        """D(source, .); raises NegativeCycle for a cycle the source reaches."""
+        dist = self.seeded({source: 0.0})[0]
+        self.relax(dist)
+        return dict(zip(self.sites, dist[:-1].tolist()))
+
+    def extend(self, partial: Mapping[Vertex, float]):
+        """Per row, min over pinned x of phi(x) + D(x, v), from one
+        relaxation seeded with the pins.
+
+        Raises NegativeCycle for a negative cycle the pins reach, then
+        Infeasible((x, y)) for the least lowered pin y and the root x of its
+        tails, so D(x, y) < phi(y) - phi(x), then Infeasible(v) for the
+        least vertex no pin reaches."""
+        dist, pins, heights = self.seeded(partial)
+        tail = self.relax(dist)
+        lowered = pins[dist[pins] < heights].tolist()
+        if lowered:
+            y = x = min(lowered, key=self.sites.__getitem__)
+            while tail[x] >= 0:
+                x = tail[x]
+            raise Infeasible((self.sites[x], self.sites[y]))
+        unreached = np.flatnonzero(dist[:-1] == INF).tolist()
+        if unreached:
+            raise Infeasible(min(self.sites[k] for k in unreached))
+        return dist[:-1]
 
 
 @dataclass
 class FeasibilityGraph:
-    """Directed increment-bound graph."""
+    """Directed increment-bound graph.  Its in-arc arrays are derived from
+    ``vertices`` and ``adjacency`` whenever a query runs."""
 
     vertices: list[Vertex]
     adjacency: dict[Vertex, list[tuple[Vertex, float]]]
@@ -94,17 +197,25 @@ class FeasibilityGraph:
                 radj[y].append((x, w))
         return FeasibilityGraph(self.vertices, radj)
 
+    def _in_arcs(self) -> _InArcs:
+        index = {v: k for k, v in enumerate(self.vertices)}
+        into: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
+        for x in self.vertices:
+            for y, w in self.adjacency[x]:
+                into[index[y]].append((index[x], w))
+        size, width = len(into), max(1, max(map(len, into), default=0))
+        src, weights = np.full((size, width), size), np.zeros((size, width))
+        for v, arcs in enumerate(into):
+            for k, (x, w) in enumerate(arcs):
+                src[v, k], weights[v, k] = x, w
+        return _InArcs(self.vertices, index, src, weights)
+
     def distances_from(self, source: Vertex) -> dict[Vertex, float]:
-        dist, _, cycle = _bellman_ford(self.vertices, self.adjacency, {source: 0.0})
-        if cycle is not None:
-            raise NegativeCycle(*cycle)
-        return dist
+        return self._in_arcs().distances(source)
 
     def negative_cycle(self):
         """A witness negative cycle (vertex list, weight) or None."""
-        init = {v: 0 for v in self.vertices}  # virtual super-source
-        _, _, cycle = _bellman_ford(self.vertices, self.adjacency, init)
-        return cycle
+        return self._in_arcs().negative_cycle()
 
 
 def _edge_arcs(pot: PeriodicPotential, edges: Iterable[Edge]) -> dict[Arc, float]:
@@ -119,84 +230,13 @@ def _edge_arcs(pot: PeriodicPotential, edges: Iterable[Edge]) -> dict[Arc, float
     return arcs
 
 
-def _region_graph(pot: PeriodicPotential, region, boundary) -> FeasibilityGraph:
-    """Graph of a region with fixed boundary heights.
-
-    Vertices are region | boundary; arcs come from the edges meeting the
-    region.  An edge joining two boundary vertices has a fixed energy and is
-    left out, so it cannot veto the interior.
-    """
-    universe = set(region) | set(boundary)
-    edges = [e for e in edges_meeting(region) if e[0] in universe and edge_head(e) in universe]
-    return FeasibilityGraph.from_arcs(_edge_arcs(pot, edges), universe)
-
-
-def _bellman_ford(vertices, adjacency, init):
-    """Relaxation from the initialized vertices.
-
-    Returns (dist, pred, cycle) where cycle is (canonical vertex list
-    closing on its start, total weight) when a negative cycle is reachable,
-    else None.
-    """
-    dist = {v: INF for v in vertices}
-    pred: dict[Vertex, Vertex | None] = {v: None for v in vertices}
-    for v, d in init.items():
-        dist[v] = d
-    n = len(vertices)
-    for rounds in range(n):
-        changed = False
-        for x in vertices:
-            dx = dist[x]
-            if dx == INF:
-                continue
-            for y, w in adjacency[x]:
-                if w == INF:
-                    continue
-                cand = dx + w
-                if cand < dist[y]:
-                    dist[y] = cand
-                    pred[y] = x
-                    changed = True
-        if not changed:
-            return dist, pred, None
-    # a relaxation on round n witnesses a negative cycle; trace it via pred
-    for x in vertices:
-        if dist[x] == INF:
-            continue
-        for y, w in adjacency[x]:
-            if w != INF and dist[x] + w < dist[y]:
-                pred[y] = x
-                return dist, pred, _trace_cycle(pred, y, adjacency, n)
-    return dist, pred, None
-
-
-def _trace_cycle(pred, start, adjacency, n):
-    # walk back n steps to guarantee landing on the cycle itself
-    v = start
-    for _ in range(n):
-        v = pred[v]
-    cycle = [v]
-    w = pred[v]
-    while w != v:
-        cycle.append(w)
-        w = pred[w]
-    cycle.reverse()  # pred-walk runs against arc direction
-    # canonicalize: start at the lexicographically smallest vertex
-    k = cycle.index(min(cycle))
-    cycle = cycle[k:] + cycle[:k]
-    cycle.append(cycle[0])
-    weight = 0
-    for a, b in zip(cycle, cycle[1:]):
-        weight += min(w for y, w in adjacency[a] if y == b)
-    return cycle, weight
-
-
 def shortest_distances(graph: FeasibilityGraph, sources: Iterable[Vertex]) -> dict[Vertex, dict[Vertex, float]]:
     """D(source, .) for each source; raises NegativeCycle with a witness."""
-    cycle = graph.negative_cycle()
+    arcs = graph._in_arcs()
+    cycle = arcs.negative_cycle()
     if cycle is not None:
         raise NegativeCycle(*cycle)
-    return {s: graph.distances_from(s) for s in sources}
+    return {s: arcs.distances(s) for s in sources}
 
 
 def distances_csv(distances: dict) -> list[str]:
@@ -214,27 +254,16 @@ def distances_csv(distances: dict) -> list[str]:
 
 def extend_boundary(graph: FeasibilityGraph, partial: Mapping[Vertex, float]) -> HeightConfig:
     """Pointwise-maximal finite-energy extension, min over pinned x of
-    phi(x) + D(x, v), from one Bellman-Ford pass seeded with the pins.
+    phi(x) + D(x, v), from one relaxation seeded with the pins.
 
     Raises NegativeCycle for a negative cycle the pins reach, then
     Infeasible((x, y)) when D(x, y) < phi(y) - phi(x) for pinned x, y, then
-    Infeasible(v) for a vertex no pin reaches."""
+    Infeasible(v) for a vertex no pin reaches, and ValueError for a pin
+    that is not a vertex."""
     if not partial:
         raise ValueError("partial assignment must be nonempty")
-    seed = {x: float(partial[x]) for x in partial}
-    dist, pred, cycle = _bellman_ford(graph.vertices, graph.adjacency, seed)
-    if cycle is not None:
-        raise NegativeCycle(*cycle)
-    for y in sorted(partial):
-        if dist[y] < seed[y]:
-            x = pred[y]  # the pred chain starts at a pin the pass never lowered
-            while pred[x] is not None:
-                x = pred[x]
-            raise Infeasible((x, y))
-    for v in graph.vertices:
-        if dist[v] == INF:
-            raise Infeasible(v)
-    return HeightConfig(dist, reference=min(partial))
+    dist = graph._in_arcs().extend(partial)
+    return HeightConfig(dict(zip(graph.vertices, dist.tolist())), reference=min(partial))
 
 
 def extend_boundary_min(graph: FeasibilityGraph, partial: Mapping[Vertex, float]) -> HeightConfig:
@@ -272,13 +301,8 @@ def torus_info(pot: PeriodicPotential, n: int, slope) -> TorusInfo:
 
 def torus_slope_feasible(pot: PeriodicPotential, n: int, slope) -> bool:
     """True iff slope-class configurations of finite energy exist on T_n:
-    the plan's arcs, relaxed from a virtual source joined to every vertex
-    (every entry starts at 0), settle within one round per vertex, so no
-    cycle is negative."""
-    plan = _torus_plan(pot, torus_info(pot, n, slope))
-    start = np.zeros(2 * len(plan.sites) + 1)
-    start[-1] = INF
-    return plan.relax(start) is not None
+    the plan's forward arcs have no negative cycle."""
+    return _torus_plan(pot, torus_info(pot, n, slope)).forward.negative_cycle() is None
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +668,17 @@ class Plan:
     -1 for none, and ``shift``, the holonomy shift added to the neighbor's
     height.  The rest is derived the same way for both: ``sig``, the index
     of each site modulo the period lattice in its fundamental domain, which
-    fixes the edge class of every slot; row v of ``arc_src``/``arc_w``, the
-    tails and weights of the increment-bound arcs into v, and row N + v
-    those into v in the reversed graph (the arcs out of v), where a missing
-    neighbor points at the padding entry 2N, held at +inf; parallel arcs of
-    the 2-torus and the self-loops of the 1-torus stay separate, which
-    changes no distance.  ``order`` is the checkerboard order of the free
-    sites and ``waves`` its wave schedule (``_wave_schedule``), None when a
-    free site lacks a neighbor; ``coupled`` is the same schedule for 2N
-    heights, a second copy of the sites at N + index, so CFTP sweeps its
-    two chains as one array.  ``windows`` maps sorted pins to the height
-    windows of ``_value_windows``; ``start`` is filled by ``_torus_start``.
+    fixes the edge class of every slot; ``forward`` and ``reverse``, the
+    in-arc tables (``_InArcs``) of the increment-bound arcs and of the
+    reversed arcs, whose row v lists the neighbors of v as tails, a missing
+    neighbor as the padding tail N; parallel arcs of the 2-torus and the
+    self-loops of the 1-torus stay separate, which changes no distance.
+    ``order`` is the checkerboard order of the free sites and ``waves`` its
+    wave schedule (``_wave_schedule``), None when a free site lacks a
+    neighbor; ``coupled`` is the same schedule for 2N heights, a second
+    copy of the sites at N + index, so CFTP sweeps its two chains as one
+    array.  ``windows`` maps sorted pins to the height windows of
+    ``_value_windows``; ``start`` is filled by ``_torus_start``.
     """
 
     def __init__(self, pot: PeriodicPotential, sites, nbr, shift, free):
@@ -676,8 +700,9 @@ class Plan:
         low = np.where(plus, ends[..., 0], -ends[..., 1])
         high = np.where(plus, ends[..., 1], -ends[..., 0])
         size = len(sites)
-        self.arc_src = np.concatenate([np.where(nbr < 0, 2 * size, nbr), np.where(nbr < 0, 2 * size, nbr + size)])
-        self.arc_w = np.concatenate([shift - low, high - shift])
+        src = np.where(nbr < 0, size, nbr)
+        self.forward = _InArcs(sites, self.index, src, shift - low)
+        self.reverse = _InArcs(sites, self.index, src, high - shift)
         self.order = tuple(checkerboard_order(free))
         try:
             self.waves = _wave_schedule(self, self.order)
@@ -690,37 +715,14 @@ class Plan:
         self.windows = {}
         self.start = None
 
-    def relax(self, dist):
-        """``dist`` (2N + 1 entries, the last +inf) lowered along every arc
-        of both directions at once until it stops changing; None when it
-        still changes after one round per site (a negative cycle)."""
-        for _ in range(len(self.sites)):
-            reach = (dist[self.arc_src] + self.arc_w).min(axis=1)
-            if not (reach < dist[:-1]).any():
-                return dist
-            dist[:-1] = np.minimum(dist[:-1], reach)
-        return None
-
     def extensions(self, partial: Mapping[Vertex, float]):
-        """Maximal and minimal extension heights of the partial heights from
-        one relaxation; raises Infeasible for a negative cycle, a lowered
-        pinned height or a site no pin reaches."""
-        size = len(self.sites)
-        pins = [self.index[v] for v in partial]
-        heights = [float(h) for h in partial.values()]
-        pins = np.array(pins + [k + size for k in pins], dtype=np.int64)
-        heights = np.array(heights + [0.0 - h for h in heights])
-        dist = np.full(2 * size + 1, INF)
-        dist[pins] = heights
-        dist = self.relax(dist)
-        if dist is None:
-            raise Infeasible(f"relaxation still changing after {size} rounds")
-        if (dist[pins] < heights).any():
-            raise Infeasible("the pinned heights violate an increment bound")
-        if (dist[:-1] == INF).any():
-            raise Infeasible("a site no pin reaches")
-        top, bot = dist[:size].tolist(), np.subtract(0.0, dist[size:-1]).tolist()
-        return dict(zip(self.sites, top)), dict(zip(self.sites, bot))
+        """Maximal and minimal extension heights of the partial heights:
+        the extension step on the forward arcs, then on the reversed ones
+        with the heights negated, so it raises what ``extend_boundary`` and
+        then ``extend_boundary_min`` raise."""
+        top = self.forward.extend(partial)
+        bot = self.reverse.extend({v: 0.0 - h for v, h in partial.items()})
+        return dict(zip(self.sites, top.tolist())), dict(zip(self.sites, np.subtract(0.0, bot).tolist()))
 
 
 def _torus_plan(pot: PeriodicPotential, info: TorusInfo) -> Plan:
@@ -746,7 +748,7 @@ def _region_plan(pot: PeriodicPotential, region, boundary) -> Plan:
     the region, then the boundary vertices outside it, and the region is
     free.  Region rows list their neighbors in region | boundary, boundary
     rows only their region neighbors: an edge joining two boundary vertices
-    has a fixed energy, so it vetoes nothing (as in ``_region_graph``)."""
+    has a fixed energy, so it vetoes nothing."""
     plans = pot._memo("_region_plans")
     key = (tuple(region), tuple(sorted(boundary)))
     if key not in plans:
@@ -761,16 +763,8 @@ def _region_plan(pot: PeriodicPotential, region, boundary) -> Plan:
 
 def _region_windows(pot, region, boundary):
     """``_value_windows`` of the sorted region under the boundary heights
-    on its plan.  When the relaxation fails, the extensions of
-    ``_region_graph`` run to raise their typed error and witness."""
-    plan = _region_plan(pot, region, boundary)
-    try:
-        return _value_windows(pot, plan, boundary, region)
-    except Infeasible:
-        graph = _region_graph(pot, region, boundary)
-        extend_boundary(graph, boundary)
-        extend_boundary_min(graph, boundary)
-        raise
+    on its plan."""
+    return _value_windows(pot, _region_plan(pot, region, boundary), boundary, region)
 
 
 def _torus_frame(pot, n: int, slope):
@@ -788,7 +782,7 @@ def _torus_frame(pot, n: int, slope):
     x0 = (0, 0)
     try:
         windows = _value_windows(pot, plan, {x0: 0}, plan.sites)
-    except Infeasible:
+    except (Infeasible, NegativeCycle):
         raise Infeasible(f"slope {slope} on the {n}-torus") from None
     h = info.holonomy()
     base_energy = 0.0

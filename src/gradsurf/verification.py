@@ -23,15 +23,14 @@ from .cluster_swap import (
     total_energy,
 )
 from .feasibility import (
-    _region_graph,
+    FeasibilityGraph,
     _region_windows,
     allowed_slope_polytope,
     enumerate_region_configs,
-    extend_boundary,
-    extend_boundary_min,
+    shortest_distances,
 )
 from .heights import HeightConfig
-from .lattice import box_region, edges_within, outer_boundary
+from .lattice import box_region, edge_head, edges_within, outer_boundary
 from .observables import (
     EXACT_SUM,
     TRANSFER_MATRIX,
@@ -262,9 +261,24 @@ def check_exact_methods_agree():
     return True, "class sums and transfer matrix agree to 1e-10"
 
 
+def _floyd_warshall(pot, vertices, edges):
+    """(index, D): all-pairs distances over the increment bounds of the
+    edges between the vertices, by Floyd-Warshall."""
+    index = {v: k for k, v in enumerate(vertices)}
+    dist = np.full((len(vertices), len(vertices)), math.inf)
+    np.fill_diagonal(dist, 0.0)
+    for edge in edges:
+        x, y = index[edge[0]], index[edge_head(edge)]
+        lo, hi = pot.edge_potential(edge).support()
+        dist[x, y], dist[y, x] = min(dist[x, y], hi), min(dist[y, x], -lo)
+    for k in range(len(vertices)):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    return index, dist
+
+
 def check_window_relaxation():
-    # the plan relaxation serves every height window; Bellman-Ford on the
-    # region graph is the independent route
+    # the relaxation kernel serves every height window and distance table;
+    # Floyd-Warshall over the same increment bounds is the independent route
     squares = _rect(6, 6) - {(4, 5), (5, 5)}
     fixed = boundary_heights(squares)
     box = sorted(box_region(4, 4))
@@ -273,13 +287,21 @@ def check_window_relaxation():
         (_sos_trunc(1), box, {v: v[0] // 2 for v in outer_boundary(box)}),
     ]
     for pot, region, boundary in cases:
-        graph = _region_graph(pot, region, boundary)
-        top = extend_boundary(graph, boundary).values
-        bot = extend_boundary_min(graph, boundary).values
+        inside, universe = set(region), sorted(set(region) | set(boundary))
+        # an edge joining two boundary vertices has a fixed energy and no arcs
+        edges = [e for e in edges_within(universe) if e[0] in inside or edge_head(e) in inside]
+        index, dist = _floyd_warshall(pot, universe, edges)
         windows = _region_windows(pot, region, boundary)
-        if any(windows[v] != range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in region):
-            return False, f"plan and Bellman-Ford windows differ on a {len(region)}-site region"
-    return True, "plan windows equal Bellman-Ford extensions on 2 regions"
+        for v in region:
+            top = min(h + dist[index[x], index[v]] for x, h in boundary.items())
+            bot = max(h - dist[index[v], index[x]] for x, h in boundary.items())
+            if windows[v] != range(math.ceil(bot), math.floor(top) + 1):
+                return False, f"plan and Floyd-Warshall windows differ at {v}"
+        table = shortest_distances(FeasibilityGraph.from_potential(pot, region), region)
+        index, dist = _floyd_warshall(pot, region, edges_within(region))
+        if any(table[x][y] != dist[index[x], index[y]] for x in region for y in region):
+            return False, f"distance table and Floyd-Warshall differ on a {len(region)}-site region"
+    return True, "plan windows and distance tables equal Floyd-Warshall on 2 regions"
 
 
 def check_cftp_determinism(seed=99):

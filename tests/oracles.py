@@ -353,12 +353,133 @@ def torus_graph(pot, n, slope):
     return FeasibilityGraph.from_arcs(arcs, vertices)
 
 
+def bellman_ford(vertices, adjacency, init):
+    """Gauss-Seidel Bellman-Ford over dict adjacency lists, relaxing the
+    vertices in list order, from the initialized vertices.
+
+    Returns (dist, pred, cycle) where cycle is (vertex list closing on its
+    least vertex, total weight) when a negative cycle is reachable, else
+    None.
+    """
+    dist = {v: INF for v in vertices}
+    pred = {v: None for v in vertices}
+    for v, d in init.items():
+        dist[v] = d
+    n = len(vertices)
+    for _ in range(n):
+        changed = False
+        for x in vertices:
+            dx = dist[x]
+            if dx == INF:
+                continue
+            for y, w in adjacency[x]:
+                if w == INF:
+                    continue
+                cand = dx + w
+                if cand < dist[y]:
+                    dist[y] = cand
+                    pred[y] = x
+                    changed = True
+        if not changed:
+            return dist, pred, None
+    # a relaxation on round n witnesses a negative cycle; trace it via pred
+    for x in vertices:
+        if dist[x] == INF:
+            continue
+        for y, w in adjacency[x]:
+            if w != INF and dist[x] + w < dist[y]:
+                pred[y] = x
+                return dist, pred, _trace_cycle(pred, y, adjacency, n)
+    return dist, pred, None
+
+
+def _trace_cycle(pred, start, adjacency, n):
+    # walk back n steps to land on the cycle itself
+    v = start
+    for _ in range(n):
+        v = pred[v]
+    cycle = [v]
+    w = pred[v]
+    while w != v:
+        cycle.append(w)
+        w = pred[w]
+    cycle.reverse()  # the pred walk runs against the arcs
+    k = cycle.index(min(cycle))
+    cycle = cycle[k:] + cycle[:k]
+    cycle.append(cycle[0])
+    weight = 0
+    for a, b in zip(cycle, cycle[1:]):
+        weight += min(w for y, w in adjacency[a] if y == b)
+    return cycle, weight
+
+
+def graph_negative_cycle(graph):
+    """A witness negative cycle (vertex list, weight) of a FeasibilityGraph
+    or None, from Bellman-Ford with every vertex seeded at 0."""
+    return bellman_ford(graph.vertices, graph.adjacency, dict.fromkeys(graph.vertices, 0))[2]
+
+
+def bellman_ford_distances(vertices, arcs, sources):
+    """D(x, y) for each source x, keyed (x, y) as all_simple_path_distances
+    gives them, from dict Bellman-Ford per source; None when a source
+    reaches a negative cycle."""
+    adjacency = {v: [] for v in vertices}
+    for (x, y), w in arcs.items():
+        adjacency[x].append((y, w))
+    out = {}
+    for x in sources:
+        dist, _, cycle = bellman_ford(vertices, adjacency, {x: 0.0})
+        if cycle is not None:
+            return None
+        out.update(((x, y), d) for y, d in dist.items())
+    return out
+
+
+def graph_extend_boundary(graph, partial):
+    """Maximal extension values of the pins from one seeded Bellman-Ford
+    pass; raises NegativeCycle, then Infeasible((x, y)) for the first
+    lowered pin y and the root x of its pred chain, then Infeasible(v) for
+    the first vertex no pin reaches."""
+    from gradsurf.errors import Infeasible, NegativeCycle
+
+    seed = {x: float(h) for x, h in partial.items()}
+    dist, pred, cycle = bellman_ford(graph.vertices, graph.adjacency, seed)
+    if cycle is not None:
+        raise NegativeCycle(*cycle)
+    for y in sorted(partial):
+        if dist[y] < seed[y]:
+            x = pred[y]  # the pred chain starts at a pin the pass never lowered
+            while pred[x] is not None:
+                x = pred[x]
+            raise Infeasible((x, y))
+    for v in graph.vertices:
+        if dist[v] == INF:
+            raise Infeasible(v)
+    return dist
+
+
+def graph_extend_boundary_min(graph, partial):
+    """Minimal extension values: the negated maximal extension of the
+    reversed graph with negated pins."""
+    top = graph_extend_boundary(graph.reversed(), {x: 0.0 - h for x, h in partial.items()})
+    return {v: 0.0 - h for v, h in top.items()}
+
+
+def region_graph(pot, region, boundary):
+    """FeasibilityGraph of a region with fixed boundary heights: vertices
+    region | boundary, arcs from the edges meeting the region.  An edge
+    joining two boundary vertices has a fixed energy and is left out."""
+    from gradsurf.feasibility import FeasibilityGraph, _edge_arcs
+    from gradsurf.lattice import edge_head, edges_meeting
+
+    universe = set(region) | set(boundary)
+    edges = [e for e in edges_meeting(region) if e[0] in universe and edge_head(e) in universe]
+    return FeasibilityGraph.from_arcs(_edge_arcs(pot, edges), universe)
+
+
 def graph_windows(graph, pins, keys):
     """Height windows [ceil(min ext), floor(max ext)] per key from the dict
-    Bellman-Ford extensions of the graph (``extend_boundary`` and
-    ``extend_boundary_min``), which raise their typed errors."""
-    from gradsurf.feasibility import extend_boundary, extend_boundary_min
-
-    top = extend_boundary(graph, pins).values
-    bot = extend_boundary_min(graph, pins).values
+    Bellman-Ford extensions of the graph, which raise their typed errors."""
+    top = graph_extend_boundary(graph, pins)
+    bot = graph_extend_boundary_min(graph, pins)
     return {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}

@@ -211,6 +211,10 @@ _ABS1 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table
 _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
 
 
+def _box_10x10(dx, dy):
+    return [[i + dx, j + dy] for i in range(10) for j in range(10)]
+
+
 def test_region_sample_starts_from_integer_heights(tmp_path):
     # the start is the maximal extension of the boundary: level + 1 on every
     # site of the 2x2 box, written as an integer like every swept height
@@ -247,12 +251,50 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
                 "heights.csv": "98fd4511a4fe13a9b17914f5300fce3ae6a0b06a631bb9a23b4a8e2d7b7d7d06",
             },
         ),
+        (
+            "feasibility",
+            {"potential": _ABS1, "distance_region": _box_10x10(1, 2)},
+            {"distances.csv": "acd20c9d21209e4eb82b7d272c435bffff8789ab74f106fda1b732f2375d1eb8"},
+        ),
+        (
+            "feasibility",
+            {"potential": {"preset": "domino"}, "distance_region": _box_10x10(3, 1)},
+            {"distances.csv": "c5510bfb08b6c06373691bca4732f593937dc5f2080c5dc0c7c4759cab86a248"},
+        ),
     ],
-    ids=["cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "tile-notched-6x6"],
+    ids=["cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "tile-notched-6x6", "distances-abs1-10x10", "distances-domino-10x10"],
 )
 def test_region_outputs_match_golden_digests(tmp_path, command, cfg, digests):
-    # region sampling outputs for a fixed config and seed stay byte-identical
+    # region sampling outputs and distance tables for a fixed config and
+    # seed stay byte-identical
     rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+_DOMINO = {"preset": "domino"}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("swap", {"potential": _DOMINO, "n": 4, "sweeps": 1, "trials": 0}),
+        ("sigma", {"potential": _DOMINO, "n": 4}),
+        ("sigma", {"potential": _DOMINO, "slopes": [[0, 0]]}),
+        ("cftp", {"potential": _DOMINO}),
+        ("tile", {}),
+        ("sample", {"potential": _DOMINO, "mode": "region"}),
+        ("feasibility", {"potential": _DOMINO, "slopes": [{"slope": [0, 0]}]}),
+        ("cftp", {"potential": _DOMINO, "region": "2x2", "samples": "x"}),
+        ("sample", {"potential": _DOMINO, "mode": "bogus", "region": "2x2", "n": 4}),
+    ],
+    ids=["swap-no-trials", "sigma-no-slopes", "sigma-no-n", "cftp-no-region", "tile-no-region", "sample-no-region", "feasibility-item-no-n", "cftp-samples-not-int", "sample-bogus-mode"],
+)
+def test_malformed_config_writes_config_error(tmp_path, command, cfg):
+    # a missing key, a non-integer field, zero trials or an unknown mode
+    # exits 2 with a ConfigParse error, not a traceback or a wrong mode
+    rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigParse"

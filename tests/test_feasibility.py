@@ -30,14 +30,16 @@ from gradsurf.potential import (
     hamiltonian_interior,
     sos_abs_potential,
 )
-from gradsurf.rng import RngStream
-from gradsurf.sampler import _torus_start, cftp_sample
+from gradsurf.sampler import _torus_start
 from gradsurf.tilings import boundary_heights, region_vertices
 
 from oracles import (
     all_simple_path_distances,
+    bellman_ford_distances,
     enumerate_feasible_configs,
+    graph_negative_cycle,
     graph_windows,
+    region_graph,
     torus_class_enumerate,
     torus_graph,
 )
@@ -94,6 +96,19 @@ def test_negative_cycle_forced_ring():
     # the witness itself must verify: sum of arc weights is negative
     total = sum(arcs[(a, b)] for a, b in zip(wit, wit[1:]))
     assert total == -4
+
+
+def test_pin_or_source_outside_the_graph_raises_value_error(sos_trunc1):
+    g = FeasibilityGraph.from_potential(sos_trunc1, box_region(2, 2))
+    runs = [
+        lambda: extend_boundary(g, {(5, 5): 0}),
+        lambda: extend_boundary_min(g, {(0, 0): 0, (5, 5): 0}),
+        lambda: g.distances_from((5, 5)),
+        lambda: shortest_distances(g, [(0, 0), (5, 5)]),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"\(5, 5\) is not a vertex"):
+            run()
 
 
 def test_distances_match_path_enumeration_random_graphs():
@@ -425,14 +440,15 @@ def _reachable(verts, arcs, sources):
     return reach
 
 
-def _check_max_extension(run, verts, arcs, pins):
+def _check_max_extension(run, verts, arcs, pins, distances=all_simple_path_distances):
     """run() must give the maximal extension of ``pins`` on ``arcs`` or the
     error a single seeded pass owes: NegativeCycle for a cycle the pins
     reach, then Infeasible((x, y)) with D(x, y) < phi(y) - phi(x), then
-    Infeasible(v) for an unreached v.  Returns the outcome's name."""
+    Infeasible(v) for an unreached v.  D comes from ``distances(vertices,
+    arcs)`` of the part the pins reach.  Returns the outcome's name."""
     reach = _reachable(verts, arcs, pins)
     inner = {a: w for a, w in arcs.items() if a[0] in reach and a[1] in reach}
-    dist = all_simple_path_distances(sorted(reach), inner)
+    dist = distances(sorted(reach), inner)
     if dist is None:
         with pytest.raises(NegativeCycle) as exc:
             run()
@@ -482,11 +498,13 @@ def test_extension_pass_matches_path_enumeration_random_graphs():
     assert min(outcomes.get(k, 0) for k in ("cycle", "pair", "unreached", "values")) >= 20, outcomes
 
 
-def _outcome(run):
+def _error(run):
+    """The GradsurfError run() raises, or None."""
     try:
-        return run()
+        run()
     except GradsurfError as exc:
-        return f"{exc.kind}: {exc}"
+        return exc
+    return None
 
 
 def _random_skewed_potential(rng):
@@ -502,9 +520,10 @@ def _random_skewed_potential(rng):
 
 
 def test_region_windows_equal_dict_extensions():
-    # every region window comes from the plan relaxation; where it fails,
-    # the dict extensions on _region_graph raise their typed error, so both
-    # routes give the same windows or the same error kind and witness
+    # the plan windows and the public extensions on region_graph against
+    # the dict Bellman-Ford reference: the same windows, or an error of the
+    # reference's kind whose witness keeps the contract of
+    # _check_max_extension in the direction that fails first
     rng = random.Random(909)
     cases = []
     for k in range(80):
@@ -526,10 +545,37 @@ def test_region_windows_equal_dict_extensions():
         cases.append((domino_potential(), sorted(region_vertices(squares) - set(fixed)), fixed))
     kinds = set()
     for pot, region, boundary in cases:
-        graph = feasibility._region_graph(pot, region, boundary)
-        expected = _outcome(lambda: graph_windows(graph, boundary, region))
-        assert _outcome(lambda: feasibility._region_windows(pot, region, boundary)) == expected
-        kinds.add("windows" if isinstance(expected, dict) else expected.split(":")[0])
+        graph = region_graph(pot, region, boundary)
+        verts = graph.vertices
+        arcs = {(x, y): w for x in verts for y, w in graph.adjacency[x]}
+        rarcs = {(y, x): w for (x, y), w in arcs.items()}
+        rpins = {x: -h for x, h in boundary.items()}
+
+        def distances(vertices, inner):
+            return bellman_ford_distances(vertices, inner, boundary)
+
+        def windows():
+            return feasibility._region_windows(pot, region, boundary)
+
+        top = _check_max_extension(lambda: extend_boundary(graph, boundary).values, verts, arcs, boundary, distances)
+        bot = _check_max_extension(
+            lambda: {v: -h for v, h in extend_boundary_min(graph, boundary).values.items()}, verts, rarcs, rpins, distances
+        )
+        if top != "values":
+            _check_max_extension(windows, verts, arcs, boundary, distances)
+        elif bot != "values":
+            _check_max_extension(windows, verts, rarcs, rpins, distances)
+        else:
+            assert windows() == graph_windows(graph, boundary, region)
+        expected = _error(lambda: graph_windows(graph, boundary, region))
+        for run in (windows, lambda: (extend_boundary(graph, boundary), extend_boundary_min(graph, boundary))):
+            got = _error(run)
+            assert type(got) is type(expected)
+            if isinstance(expected, Infeasible):
+                # the least lowered pin, or the least unreached vertex, as the reference names it
+                pair = isinstance(expected.detail[0], tuple)
+                assert got.detail[1] == expected.detail[1] if pair else got.detail == expected.detail
+        kinds.add(type(expected).__name__ if expected else "windows")
     assert kinds == {"windows", "Infeasible", "NegativeCycle"}
 
 
@@ -546,18 +592,5 @@ def test_torus_slope_feasible_equals_graph_negative_cycle():
     for pot in (PeriodicPotential.isotropic("real", QuadraticPotential(1.0)), PeriodicPotential.isotropic("int", sos_abs_potential())):
         cases += [(pot, n, (F(1, 2), F(-1, 4))) for n in (2, 4)]
     feasible = [torus_slope_feasible(pot, n, slope) for pot, n, slope in cases]
-    assert feasible == [torus_graph(pot, n, slope).negative_cycle() is None for pot, n, slope in cases]
+    assert feasible == [graph_negative_cycle(torus_graph(pot, n, slope)) is None for pot, n, slope in cases]
     assert 10 <= sum(feasible) <= len(cases) - 10
-
-
-def test_feasible_cftp_runs_no_dict_bellman_ford(sos_trunc1, monkeypatch):
-    # region windows come from the plan alone when the boundary is feasible
-    calls = []
-    bellman_ford = feasibility._bellman_ford
-    monkeypatch.setattr(feasibility, "_bellman_ford", lambda *args: calls.append(1) or bellman_ford(*args))
-    squares = {(i, j) for i in range(6) for j in range(6)} - {(4, 5), (5, 5)}
-    fixed = boundary_heights(squares)
-    cftp_sample(domino_potential(), sorted(region_vertices(squares) - set(fixed)), fixed, RngStream(0))
-    interior = sorted(box_region(3, 3))
-    cftp_sample(sos_trunc1, interior, {v: v[0] // 2 for v in outer_boundary(interior)}, RngStream(1))
-    assert calls == []

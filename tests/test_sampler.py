@@ -36,7 +36,7 @@ from gradsurf.sampler import (
     torus_sample,
 )
 
-from oracles import exact_gibbs_distribution, graph_windows, torus_graph
+from oracles import exact_gibbs_distribution, graph_windows, region_graph, torus_graph
 
 F = Fraction
 
@@ -360,7 +360,7 @@ def test_region_plan_shared_across_boundary_levels():
     (plan,) = plans.values()
     assert len(plan.windows) == 5
     for boundary in boundaries:
-        expected = graph_windows(feasibility._region_graph(abs1, region, boundary), boundary, region)
+        expected = graph_windows(region_graph(abs1, region, boundary), boundary, region)
         assert plan.windows[tuple(sorted(boundary.items()))] == expected
 
 
