@@ -49,7 +49,13 @@ F = Fraction
 
 
 def _slope(spec) -> tuple[Fraction, Fraction]:
-    return (Fraction(str(spec[0])), Fraction(str(spec[1])))
+    """A slope [u1, u2] of two rationals; ConfigParse otherwise."""
+    if isinstance(spec, list) and len(spec) == 2:
+        try:
+            return (Fraction(str(spec[0])), Fraction(str(spec[1])))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigParse(f"a slope must be a list of two rationals, not {spec!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -236,9 +242,8 @@ def cmd_tile(cfg, seed, out: Path):
 
 def cmd_feasibility(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    bound = None if cfg.get("cycle_length_bound") is None else _integer(cfg, "cycle_length_bound")
     items = [(_slope(_required(item, "slope")), _torus_side(pot, item)) for item in cfg.get("slopes", [])]
-    poly = allowed_slope_polytope(pot, bound)
+    poly = allowed_slope_polytope(pot)
     _write(out / "polytope.csv", "\n".join(poly.csv_rows()) + "\n")
     if "distance_region" in cfg:
         region = sorted(_region_from_spec(cfg["distance_region"]))
@@ -257,7 +262,7 @@ def cmd_feasibility(cfg, seed, out: Path):
         )
     _write_json(
         out / "feasibility.json",
-        {"truncated": poly.truncated, "feasible_at_zero": poly.feasible, "checks": checks},
+        {"feasible_at_zero": poly.feasible, "checks": checks},
     )
     _write_json(out / "manifest.json", _manifest("feasibility", cfg, seed, pot))
     return 0
@@ -376,10 +381,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default="out")
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out = Path(args.out)
     try:
+        cfg = _load_config(args.config) if args.config else {}
+        seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
         return COMMANDS[args.command](cfg, seed, out)
     except GradsurfError as exc:
         payload = {"error": exc.kind, "message": str(exc)}

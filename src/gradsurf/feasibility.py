@@ -5,8 +5,10 @@ increment phi(head) - phi(base) to that interval.  Shortest-path distances
 in the induced arc-weighted digraph decide which partial height functions
 extend to finite-energy configurations and which slopes are achievable on
 tori; one relaxation kernel over in-arc arrays (``_InArcs``) computes them
-all, for ``FeasibilityGraph`` and for the plans of regions and tori.
-Enumerating torus cycles yields the allowed-slope polytope.
+all, for ``FeasibilityGraph`` and for the plans of regions and tori.  The
+same kernel, relaxing the fundamental torus at one slope at a time, is the
+separation oracle of the cutting planes that give the allowed-slope
+polytope.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class _InArcs:
     def negative_cycle(self):
         """A witness negative cycle (vertex list, weight) or None: the
         relaxation with every entry seeded at 0."""
-        dist = np.zeros(len(self.sites) + 1)
+        dist = np.zeros(len(self.sites) + 1, dtype=self.w.dtype)
         dist[-1] = INF
         try:
             self.relax(dist)
@@ -328,8 +330,7 @@ class SlopePolytope:
     """Intersection of halfspaces (u, s_i) <= d_i from torus cycles."""
 
     halfspaces: tuple[Halfspace, ...]
-    feasible: bool = True  # False when a null-homotopic negative cycle exists
-    truncated: bool = False  # a cycle at the enumeration length bound was binding
+    feasible: bool = True  # False when no slope is allowed
 
     def contains(self, u, strict: bool = False) -> bool:
         if not self.feasible:
@@ -348,93 +349,94 @@ class SlopePolytope:
 
 
 def _fundamental_torus_steps(pot: PeriodicPotential):
-    """Per-vertex directed steps on Z^2 / L with exact weights."""
+    """Steps of Z^2 / L as in-arc arrays with exact weights, and the
+    displacement of each slot: edge (v, axis) steps v -> v + e_axis at the
+    top of its support and back at minus the bottom, where finite."""
     lat = pot.lattice
-    verts = sorted(lat.fundamental_domain())
-    steps: dict[Vertex, list[tuple[Vertex, Vertex, object]]] = {v: [] for v in verts}
-    exact = pot.discrete
-    for v in verts:
+    sites = sorted(lat.fundamental_domain())
+    index = {v: k for k, v in enumerate(sites)}
+    into: list[list] = [[] for _ in sites]
+    for v in sites:
         for axis in (0, 1):
             e = AXIS_VECTORS[axis]
+            head = index[lat.reduce(add(v, e))]
             lo, hi = pot.edge_potential((v, axis)).support()
-            back = sub(v, e)
-            lo2, hi2 = pot.edge_potential((lat.reduce(back), axis)).support()
-            for disp, w in (((e), hi), ((-e[0], -e[1]), -lo2)):
-                if w == INF:
-                    continue
-                if exact:
-                    w = Fraction(w) if w == int(w) else Fraction(w).limit_denominator(10**9)
-                steps[v].append((lat.reduce(add(v, disp)), disp, w))
-    return verts, steps
+            for tail, row, disp, w in ((index[v], head, e, hi), (head, index[v], (-e[0], -e[1]), -lo)):
+                if w < INF:
+                    into[row].append((tail, disp, Fraction(w)))
+    size, width = len(sites), max(1, max(map(len, into)))
+    src = np.full((size, width), size)
+    weights = np.full((size, width), Fraction(0), dtype=object)
+    disps = np.zeros((size, width, 2), dtype=object)
+    for v, arcs in enumerate(into):
+        for k, (tail, disp, w) in enumerate(arcs):
+            src[v, k], disps[v, k], weights[v, k] = tail, disp, w
+    return _InArcs(sites, index, src, weights), disps
 
 
-def allowed_slope_polytope(pot: PeriodicPotential, cycle_length_bound: int | None = None) -> SlopePolytope:
-    """Polytope of slopes from non-self-intersecting fundamental-torus cycles.
-
-    Cycles up to the length bound are enumerated; larger bounds can only
-    shrink the polytope, and ``truncated`` flags a binding cycle at the
-    bound exactly.
-    """
-    lat = pot.lattice
-    if cycle_length_bound is None:
-        cycle_length_bound = 4 * lat.diameter()
-    verts, steps = _fundamental_torus_steps(pot)
-    best: dict[tuple[int, int], tuple[object, tuple[Vertex, ...], int]] = {}
-    feasible = True
-    witness_path: list[Vertex] = []
-
-    def record(disp: Vertex, weight, path: tuple[Vertex, ...], length: int):
-        nonlocal feasible
-        if disp == (0, 0):
-            if weight < 0:
-                feasible = False
-            return
-        g = math.gcd(abs(disp[0]), abs(disp[1]))
-        normal = (disp[0] // g, disp[1] // g)
-        offset = weight / g if not isinstance(weight, Fraction) else weight / g
-        cur = best.get(normal)
-        if cur is None or offset < cur[0]:
-            best[normal] = (offset, path, length)
-
-    def dfs(start: Vertex, v: Vertex, disp: Vertex, weight, path: tuple[Vertex, ...], visited: frozenset):
-        if len(path) > cycle_length_bound:
-            return
-        for nxt, step_disp, w in steps[v]:
-            nd = add(disp, step_disp)
-            nw = weight + w
-            if nxt == start:
-                record(nd, nw, path, len(path))
-            if len(path) < cycle_length_bound and nxt not in visited and nxt > start:
-                dfs(start, nxt, nd, nw, path + (nxt,), visited | {nxt})
-
-    for start in verts:
-        dfs(start, start, (0, 0), Fraction(0) if pot.discrete else 0.0, (start,), frozenset([start]))
-
-    halfspaces = [
-        Halfspace(normal=n, offset=off, cycle=path + (path[0],))
-        for n, (off, path, _) in sorted(best.items())
-    ]
-    kept = _prune_redundant(halfspaces)
-    truncated = any(
-        best[h.normal][2] == cycle_length_bound for h in kept if h.normal in best
-    )
-    return SlopePolytope(halfspaces=tuple(kept), feasible=feasible, truncated=truncated)
+def allowed_slope_polytope(pot: PeriodicPotential) -> SlopePolytope:
+    """The slopes u at which the fundamental-torus steps, weighted
+    w - u.disp, have no negative cycle, by cutting planes from a box that
+    strictly holds every vertex.  At each unconfirmed vertex of the polygon
+    the kernel relaxes the weights, scaled to integers; its witness cycle C
+    (cheapest parallel steps) cuts the vertex off by (disp(C)/g).u <= w(C)/g,
+    and a vertex without one is confirmed.  A negative cycle of displacement
+    (0, 0), or a polygon cut empty, leaves no slope."""
+    steps, disps = _fundamental_torus_steps(pot)
+    bound = 2 * len(steps.sites) ** 2 * max(map(abs, steps.w.ravel())) + 1
+    cuts = {(normal, bound): Halfspace(normal, bound, ()) for normal in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+    confirmed: set = set()
+    while not confirmed.issuperset(corners := _vertices(list(cuts.values()))):
+        for u in [c for c in corners if c not in confirmed]:
+            q = math.lcm(u[0].denominator, u[1].denominator, *(w.denominator for w in steps.w.flat))
+            scaled = np.frompyfunc(int, 1, 1)(q * (steps.w - disps[..., 0] * u[0] - disps[..., 1] * u[1]))
+            found = _InArcs(steps.sites, steps.index, steps.src, scaled).negative_cycle()
+            if found is None:
+                confirmed.add(u)
+                continue
+            disp, weight, path = np.zeros(2, dtype=object), Fraction(0), found[0]
+            for x, y in zip(path, path[1:]):
+                row = steps.index[y]
+                k = min(np.flatnonzero(steps.src[row] == steps.index[x]), key=scaled[row].__getitem__)
+                disp, weight = disp + disps[row, k], weight + steps.w[row, k]
+            g = math.gcd(*disp)
+            if g == 0:
+                return SlopePolytope(halfspaces=(), feasible=False)
+            normal = (disp[0] // g, disp[1] // g)
+            cuts.setdefault((normal, weight / g), Halfspace(normal, weight / g, tuple(path)))
+    if not corners:
+        return SlopePolytope(halfspaces=(), feasible=False)
+    kept = _prune_redundant([h for h in cuts.values() if h.cycle])
+    if not pot.discrete:
+        kept = [Halfspace(h.normal, float(h.offset), h.cycle) for h in kept]
+    return SlopePolytope(halfspaces=tuple(sorted(kept, key=lambda h: h.normal)))
 
 
 def _prune_redundant(halfspaces: list[Halfspace]) -> list[Halfspace]:
-    """Drop halfspaces implied by the others (exact 2D reasoning)."""
+    """Drop, in order, each halfspace the ones still kept imply (exact 2D
+    reasoning); fewer others never imply a kept one."""
     kept = list(halfspaces)
-    changed = True
-    while changed:
-        changed = False
-        for i, h in enumerate(kept):
-            others = kept[:i] + kept[i + 1 :]
-            m = _max_objective([o for o in others], h.normal)
-            if m is not None and m <= h.offset:
-                kept.pop(i)
-                changed = True
-                break
+    for h in halfspaces:
+        others = [o for o in kept if o is not h]
+        m = _max_objective(others, h.normal)
+        if m is not None and m <= h.offset:
+            kept = others
     return kept
+
+
+def _vertices(halfspaces: list[Halfspace]) -> list[tuple[Fraction, Fraction]]:
+    """The sorted vertices of the intersection, exact: the meeting points of
+    two boundary lines that satisfy every halfspace."""
+    points = set()
+    for h1, h2 in itertools.combinations(halfspaces, 2):
+        det = h1.normal[0] * h2.normal[1] - h1.normal[1] * h2.normal[0]
+        if det == 0:
+            continue
+        ux = Fraction(h1.offset * h2.normal[1] - h2.offset * h1.normal[1], det)
+        uy = Fraction(h1.normal[0] * h2.offset - h2.normal[0] * h1.offset, det)
+        if all(dot(h.normal, (ux, uy)) <= h.offset for h in halfspaces):
+            points.add((ux, uy))
+    return sorted(points)
 
 
 def _max_objective(halfspaces: list[Halfspace], objective: tuple[int, int]):
@@ -450,17 +452,7 @@ def _max_objective(halfspaces: list[Halfspace], objective: tuple[int, int]):
     for d in candidates:
         if dot(n, d) > 0 and all(dot(h.normal, d) <= 0 for h in halfspaces):
             return None
-    best = None
-    for h1, h2 in itertools.combinations(halfspaces, 2):
-        det = h1.normal[0] * h2.normal[1] - h1.normal[1] * h2.normal[0]
-        if det == 0:
-            continue
-        ux = Fraction(h1.offset * h2.normal[1] - h2.offset * h1.normal[1], det)
-        uy = Fraction(h1.normal[0] * h2.offset - h2.normal[0] * h1.offset, det)
-        if all(dot(h.normal, (ux, uy)) <= h.offset for h in halfspaces):
-            val = dot(n, (ux, uy))
-            if best is None or val > best:
-                best = val
+    best = max((dot(n, p) for p in _vertices(halfspaces)), default=None)
     if best is None:
         # no vertex: a single active constraint line; optimum on its boundary
         for h in halfspaces:

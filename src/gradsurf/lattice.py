@@ -110,9 +110,6 @@ class Sublattice:
     def matrix(self) -> list[list[int]]:
         return [[self.a, 0], [self.c, self.b]]
 
-    def diameter(self) -> int:
-        return self.a + self.b
-
 
 def _bezout(r: int, s: int) -> tuple[int, int]:
     """u, v with u*r + v*s = gcd(r, s)."""

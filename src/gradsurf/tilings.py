@@ -189,6 +189,11 @@ def count_tilings_kasteleyn(region: Iterable[Square]) -> int:
     Gauge: horizontal edges carry +1, vertical edges (-1)^column, which
     puts an odd number of minus signs around every unit face.  The sign is
     computed as 1 - 2 * (column mod 2), an integer for negative columns too.
+    A hole H of 2k boundary edges encloses |H| + k - 1 unit faces (Pick),
+    so the gauge fails on it exactly when |H| is odd; each such hole then
+    negates the vertical pairs a ray from it to the outer face crosses
+    (``_odd_hole_rays``), which flips every other face an even number of
+    times.
     """
     squares = sorted(region)
     black = [s for s in squares if (s[0] + s[1]) % 2 == 0]
@@ -196,19 +201,52 @@ def count_tilings_kasteleyn(region: Iterable[Square]) -> int:
     if len(black) != len(white):
         return 0
     widx = {s: j for j, s in enumerate(white)}
+    rays = _odd_hole_rays(frozenset(squares))
     n = len(black)
     mat = [[0] * n for _ in range(n)]
     for i, s in enumerate(black):
         for t, sign in (
             ((s[0] + 1, s[1]), 1),
             ((s[0] - 1, s[1]), 1),
-            ((s[0], s[1] + 1), 1 - 2 * (s[0] % 2)),
-            ((s[0], s[1] - 1), 1 - 2 * (s[0] % 2)),
+            ((s[0], s[1] + 1), _vertical_sign(s[0], s[1], rays)),
+            ((s[0], s[1] - 1), _vertical_sign(s[0], s[1] - 1, rays)),
         ):
             j = widx.get(t)
             if j is not None:
                 mat[i][j] = sign
     return abs(_bareiss_determinant(mat))
+
+
+def _vertical_sign(x: int, y: int, rays: dict[int, list[int]]) -> int:
+    """Sign of the pair (x, y)-(x, y + 1): the column gauge, negated once
+    per odd-hole ray along row y that starts left of x."""
+    return (1 - 2 * (x % 2)) * (-1) ** sum(x_h < x for x_h in rays.get(y, ()))
+
+
+def _odd_hole_rays(squares: frozenset[Square]) -> dict[int, list[int]]:
+    """Row y -> columns x_h of the odd holes whose least square is
+    (x_h, y): the ray from such a hole crosses the vertical pairs
+    (x, y)-(x, y + 1) with x > x_h.  A hole is an 8-connected set of
+    missing squares inside the bounding box that does not reach its
+    border."""
+    if not squares:
+        return {}
+    xs, ys = [s[0] for s in squares], [s[1] for s in squares]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    missing = {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)} - squares
+    rays: dict[int, list[int]] = {}
+    while missing:
+        hole = [missing.pop()]
+        for x, y in hole:  # grows while it is walked
+            for t in [(x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]:
+                if t in missing:
+                    missing.remove(t)
+                    hole.append(t)
+        inner = all(x0 < x < x1 and y0 < y < y1 for x, y in hole)
+        if inner and len(hole) % 2:
+            x, y = min(hole)
+            rays.setdefault(y, []).append(x)
+    return rays
 
 
 def _bareiss_determinant(mat) -> int:

@@ -28,6 +28,7 @@ from .feasibility import (
     allowed_slope_polytope,
     enumerate_region_configs,
     shortest_distances,
+    torus_slope_feasible,
 )
 from .heights import HeightConfig
 from .lattice import box_region, edge_head, edges_within, outer_boundary
@@ -78,10 +79,11 @@ def check_domino_counts():
     for n in range(1, 11):
         if count_tilings_bruteforce(_rect(n, 2)) != fib[n]:
             return False, f"2x{n} strip count disagrees with the recurrence"
-    for region in (_rect(2, 2), _rect(2, 3), _rect(3, 4), _rect(4, 4)):
+    ring = _rect(3, 3) - {(1, 1)}  # a hole with an odd number of squares
+    for region in (_rect(2, 2), _rect(2, 3), _rect(3, 4), _rect(4, 4), ring):
         if count_tilings_kasteleyn(region) != count_tilings_bruteforce(region):
             return False, f"Kasteleyn and brute force disagree on {len(region)} squares"
-    return True, "Fibonacci strips and Kasteleyn agreement"
+    return True, "Fibonacci strips and Kasteleyn agreement, the 3x3 ring included"
 
 
 def check_bijection_round_trip():
@@ -102,15 +104,22 @@ def check_bijection_round_trip():
 
 
 def check_domino_polytope():
-    poly = allowed_slope_polytope(domino_potential(), cycle_length_bound=8)
+    pot = domino_potential()
+    poly = allowed_slope_polytope(pot)
     expected = {
         (1, 1, F(1, 2)),
         (1, -1, F(1, 2)),
         (-1, 1, F(1, 2)),
         (-1, -1, F(1, 2)),
     }
-    ok = set(poly.canonical()) == expected and poly.feasible
-    return ok, "allowed slopes are |u1| + |u2| <= 1/2"
+    if set(poly.canonical()) != expected or not poly.feasible:
+        return False, f"halfspaces {poly.canonical()}"
+    # torus plans on the quotient graph of each side answer independently
+    for n in (4, 8):
+        for u in ((F(i, n), F(j, n)) for i in range(-n, n + 1) for j in range(-n, n + 1)):
+            if poly.contains(u) != torus_slope_feasible(pot, n, u):
+                return False, f"membership of {u} differs from feasibility on the {n}-torus"
+    return True, "allowed slopes are |u1| + |u2| <= 1/2, as on the 4- and 8-torus slope grids"
 
 
 def check_sweep_stationarity():

@@ -483,3 +483,51 @@ def graph_windows(graph, pins, keys):
     top = graph_extend_boundary(graph, pins)
     bot = graph_extend_boundary_min(graph, pins)
     return {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}
+
+
+def cycle_polytope(pot, cycle_length_bound=None):
+    """Allowed-slope polytope from every simple fundamental-torus cycle of
+    at most ``cycle_length_bound`` steps (default: all of them, one step
+    per vertex of Z^2 / L), by depth-first search from each cycle's least
+    vertex: the halfspace (disp/g).u <= w/g of the cheapest cycle per
+    primitive normal, pruned.  ``feasible`` is False only for a negative
+    cycle of displacement (0, 0); an empty intersection keeps it True.
+    Exponential in the bound."""
+    from fractions import Fraction
+
+    from gradsurf.feasibility import Halfspace, SlopePolytope, _prune_redundant
+
+    lat = pot.lattice
+    verts = sorted(lat.fundamental_domain())
+    bound = len(verts) if cycle_length_bound is None else cycle_length_bound
+    steps = {v: [] for v in verts}
+    for v in verts:
+        for axis, e in ((0, (1, 0)), (1, (0, 1))):
+            lo, hi = pot.edge_potential((v, axis)).support()
+            lo2 = pot.edge_potential((lat.reduce((v[0] - e[0], v[1] - e[1])), axis)).support()[0]
+            for disp, w in ((e, hi), ((-e[0], -e[1]), -lo2)):
+                if w < INF:
+                    head = lat.reduce((v[0] + disp[0], v[1] + disp[1]))
+                    steps[v].append((head, disp, Fraction(w) if pot.discrete else w))
+    best = {}
+    feasible = True
+
+    def dfs(start, v, disp, weight, path):
+        nonlocal feasible
+        for nxt, step, w in steps[v]:
+            nd, nw = (disp[0] + step[0], disp[1] + step[1]), weight + w
+            if nxt == start:
+                if nd == (0, 0):
+                    feasible = feasible and nw >= 0
+                else:
+                    g = math.gcd(*nd)
+                    normal = (nd[0] // g, nd[1] // g)
+                    if normal not in best or nw / g < best[normal][0]:
+                        best[normal] = (nw / g, path + (start,))
+            elif len(path) < bound and nxt > start and nxt not in path:
+                dfs(start, nxt, nd, nw, path + (nxt,))
+
+    for start in verts:
+        dfs(start, start, (0, 0), Fraction(0) if pot.discrete else 0.0, (start,))
+    halfspaces = [Halfspace(normal, off, cycle) for normal, (off, cycle) in sorted(best.items())]
+    return SlopePolytope(halfspaces=tuple(_prune_redundant(halfspaces)), feasible=feasible)

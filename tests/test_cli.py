@@ -86,7 +86,6 @@ def test_feasibility_polytope_csv(tmp_path):
         "c.json",
         {
             "potential": {"preset": "domino"},
-            "cycle_length_bound": 8,
             "slopes": [
                 {"slope": ["0", "0"], "n": 4},
                 {"slope": ["3/4", "0"], "n": 4},
@@ -288,12 +287,20 @@ _DOMINO = {"preset": "domino"}
         ("feasibility", {"potential": _DOMINO, "slopes": [{"slope": [0, 0]}]}),
         ("cftp", {"potential": _DOMINO, "region": "2x2", "samples": "x"}),
         ("sample", {"potential": _DOMINO, "mode": "bogus", "region": "2x2", "n": 4}),
+        ("sample", {"potential": _DOMINO, "n": 4, "slope": ["a", 0]}),
+        ("sigma", {"potential": _DOMINO, "n": 4, "slopes": [["1/0", 0]]}),
+        ("feasibility", {"potential": _DOMINO, "slopes": [{"slope": [0], "n": 4}]}),
+        ("cftp", {"potential": _DOMINO, "region": "2x2", "seed": "x"}),
     ],
-    ids=["swap-no-trials", "sigma-no-slopes", "sigma-no-n", "cftp-no-region", "tile-no-region", "sample-no-region", "feasibility-item-no-n", "cftp-samples-not-int", "sample-bogus-mode"],
+    ids=[
+        "swap-no-trials", "sigma-no-slopes", "sigma-no-n", "cftp-no-region", "tile-no-region", "sample-no-region", "feasibility-item-no-n",
+        "cftp-samples-not-int", "sample-bogus-mode", "sample-bad-slope", "sigma-zero-denominator", "feasibility-short-slope", "cftp-seed-not-int",
+    ],
 )
 def test_malformed_config_writes_config_error(tmp_path, command, cfg):
-    # a missing key, a non-integer field, zero trials or an unknown mode
-    # exits 2 with a ConfigParse error, not a traceback or a wrong mode
+    # a missing key, a non-integer field, zero trials, an unknown mode or a
+    # slope that is not two rationals exits 2 with a ConfigParse error, not
+    # a traceback or a wrong mode
     rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())

@@ -36,6 +36,7 @@ from gradsurf.tilings import boundary_heights, region_vertices
 from oracles import (
     all_simple_path_distances,
     bellman_ford_distances,
+    cycle_polytope,
     enumerate_feasible_configs,
     graph_negative_cycle,
     graph_windows,
@@ -215,8 +216,8 @@ def test_torus_feasibility_vs_enumeration_small(domino):
 
 
 def test_domino_polytope(domino):
-    poly = allowed_slope_polytope(domino, cycle_length_bound=8)
-    assert poly.feasible and not poly.truncated
+    poly = allowed_slope_polytope(domino)
+    assert poly.feasible
     expected = {
         (1, 1, F(1, 2)),
         (1, -1, F(1, 2)),
@@ -236,26 +237,6 @@ def test_box_polytope(sos_trunc1):
     poly = allowed_slope_polytope(sos_trunc1)
     expected = {(1, 0, F(1)), (-1, 0, F(1)), (0, 1, F(1)), (0, -1, F(1))}
     assert set(poly.canonical()) == expected
-
-
-def test_polytope_monotone_in_bound(domino):
-    small = allowed_slope_polytope(domino, cycle_length_bound=2)
-    big = allowed_slope_polytope(domino, cycle_length_bound=8)
-    rng = random.Random(5)
-    for _ in range(200):
-        u = (F(rng.randint(-8, 8), 8), F(rng.randint(-8, 8), 8))
-        if big.contains(u):
-            assert small.contains(u)
-
-
-def test_polytope_truncation_flag(domino):
-    # at bound 2 only the straight two-step cycles exist; they are retained
-    # and sit exactly at the bound, so truncation must be flagged
-    short = allowed_slope_polytope(domino, cycle_length_bound=2)
-    assert short.truncated
-    expected_box = {(1, 0, F(1, 2)), (-1, 0, F(1, 2)), (0, 1, F(1, 2)), (0, -1, F(1, 2))}
-    assert set(short.canonical()) == expected_box
-    assert not allowed_slope_polytope(domino, cycle_length_bound=8).truncated
 
 
 def _random_lipschitz_potential(rng):
@@ -291,8 +272,95 @@ def test_polytope_equals_torus_feasibility_random_potentials():
     assert tested == 288
 
 
+def _random_sheared_table(rng):
+    """Random table on a lattice with periods <= 3, sheared when b > 1,
+    with integer supports in [-2, 2]."""
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    lat = Sublattice(a, b, rng.randrange(b))
+    classes = {}
+    for axis in (0, 1):
+        for base in lat.fundamental_domain():
+            lo = rng.randint(-2, 0)
+            hi = rng.randint(lo, 2)
+            classes[(axis, base)] = TablePotential.from_dict({k: float(rng.randint(0, 2)) for k in range(lo, hi + 1)})
+    return PeriodicPotential.build("int", lat, classes)
+
+
+def _exact_corners(halfspaces):
+    """Corners of the halfspaces' intersection with the box |u_i| <= 3, by
+    brute force over pairs of boundary lines; empty when they share no
+    point in the box."""
+    rows = [((1, 0), 3), ((-1, 0), 3), ((0, 1), 3), ((0, -1), 3)] + [(h.normal, h.offset) for h in halfspaces]
+    corners = set()
+    for (n1, d1), (n2, d2) in itertools.combinations(rows, 2):
+        det = n1[0] * n2[1] - n1[1] * n2[0]
+        if det:
+            u = (F(d1 * n2[1] - d2 * n1[1], det), F(n1[0] * d2 - n2[0] * d1, det))
+            if all(n[0] * u[0] + n[1] * u[1] <= d for n, d in rows):
+                corners.add(u)
+    return sorted(corners)
+
+
+def test_polytope_equals_cycle_enumeration(domino, sos, sos_trunc1, sos_trunc2, gaussian, nonconvex):
+    # the cutting-plane polytope against every simple cycle: the same
+    # halfspaces where the polytope is full-dimensional; otherwise the same
+    # weak and strict membership on a 1/12 grid around it and at its
+    # corners, and feasible exactly when the halfspaces share a point
+    from test_periodicity import _column_striped_potential, _contradictory_potential
+
+    rng = random.Random(20240810)
+    tables = [domino, sos, sos_trunc1, sos_trunc2, gaussian, nonconvex, _column_striped_potential(), _contradictory_potential()]
+    tables += [_random_lipschitz_potential(rng) for _ in range(12)]
+    rng = random.Random(11)
+    tables += [_random_sheared_table(rng) for _ in range(200)]
+    kinds = {"full": 0, "lower": 0, "empty": 0}
+    for k, pot in enumerate(tables):
+        new, ref = allowed_slope_polytope(pot), cycle_polytope(pot)
+        corners = _exact_corners(ref.halfspaces) if ref.feasible else []
+        assert new.feasible == bool(corners), k
+        if not corners:
+            kinds["empty"] += 1
+            continue
+        centre = (sum(u[0] for u in corners) / len(corners), sum(u[1] for u in corners) / len(corners))
+        if ref.contains(centre, strict=True):
+            kinds["full"] += 1
+            assert new.canonical() == ref.canonical(), k
+            continue
+        kinds["lower"] += 1
+        lo = [math.floor(12 * min(u[i] for u in corners)) - 3 for i in (0, 1)]
+        hi = [math.ceil(12 * max(u[i] for u in corners)) + 3 for i in (0, 1)]
+        grid = [(F(i, 12), F(j, 12)) for i in range(lo[0], hi[0] + 1) for j in range(lo[1], hi[1] + 1)]
+        for u in grid + corners:
+            assert new.contains(u) == ref.contains(u), (k, u)
+            assert new.contains(u, strict=True) == ref.contains(u, strict=True), (k, u)
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_polytope_matches_torus_feasibility_at_period_8():
+    # on a torus whose side is the period, slope feasibility asks the same
+    # graph as the polytope: weak membership is torus feasibility on the
+    # whole n = 8 grid
+    rng = random.Random(8)
+    lat = Sublattice(8, 8, 0)
+    classes = {}
+    for axis in (0, 1):
+        for base in lat.fundamental_domain():
+            lo, hi = rng.randint(-2, 0), rng.randint(0, 2)
+            classes[(axis, base)] = TablePotential.from_dict({k: float(abs(k)) for k in range(lo, hi + 1)})
+    pot = PeriodicPotential.build("int", lat, classes)
+    poly = allowed_slope_polytope(pot)
+    assert poly.feasible and len(poly.halfspaces) >= 4
+    inside = 0
+    for i in range(-16, 17):
+        for j in range(-16, 17):
+            u = (F(i, 8), F(j, 8))
+            assert poly.contains(u) == torus_slope_feasible(pot, 8, u), u
+            inside += poly.contains(u)
+    assert 0 < inside < 33 * 33
+
+
 def test_polytope_soundness_domino(domino):
-    poly = allowed_slope_polytope(domino, cycle_length_bound=8)
+    poly = allowed_slope_polytope(domino)
     rng = random.Random(31)
     inside = outside = 0
     while inside < 50 or outside < 50:

@@ -1,11 +1,13 @@
 """Non-diagonal invariance lattices and periodic-potential consistency."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gradsurf.cli import main
 from gradsurf.errors import InsufficientBudget
 from gradsurf.feasibility import allowed_slope_polytope, torus_slope_feasible
 from gradsurf.heights import HeightConfig
@@ -79,16 +81,23 @@ def _contradictory_potential():
     return PeriodicPotential.build("int", lat, classes)
 
 
-def test_polytope_contradictory_potential():
-    # row loops force u1 = 1 and u1 = 0 simultaneously: the halfspace
-    # intersection is empty even though no single null cycle is negative
+def test_polytope_contradictory_potential(tmp_path):
+    # row loops force u1 = 1 and u1 = 0 simultaneously: no slope is allowed
+    # even though no single null cycle is negative
     pot = _contradictory_potential()
     poly = allowed_slope_polytope(pot)
+    assert not poly.feasible
     for u in ((F(0), F(0)), (F(1), F(0)), (F(1, 2), F(0)), (F(0), F(1))):
         assert not poly.contains(u)
     assert not torus_slope_feasible(pot, 2, (F(0), F(0)))
     assert not torus_slope_feasible(pot, 2, (F(1, 2), F(0)))
     assert not torus_slope_feasible(pot, 2, (F(1), F(0)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"potential": pot.to_dict(), "slopes": [{"slope": [0, 0], "n": 2}]}))
+    assert main(["feasibility", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "feasibility.json").read_text())
+    assert report["feasible_at_zero"] is False
+    assert report["checks"] == [{"slope": ["0", "0"], "n": 2, "feasible": False, "in_polytope": False}]
 
 
 def test_domino_sigma_sequence_internal_consistency():

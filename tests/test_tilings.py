@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from gradsurf.potential import domino_potential, hamiltonian_interior
 from gradsurf.rng import RngStream
 from gradsurf.tilings import (
     DominoMatching,
+    _odd_hole_rays,
     _psi_step,
     boundary_heights,
     count_tilings_bruteforce,
@@ -178,6 +180,36 @@ def test_kasteleyn_aztec_diamonds_centred_at_origin():
         assert len(diamond) == 2 * n * (n + 1)
         count = count_tilings_kasteleyn(diamond)
         assert type(count) is int and count == 2 ** (n * (n + 1) // 2)
+
+
+def _random_holed_region(rng):
+    """A box of sides 3-9 with 1-20 random squares removed, at most 36 and
+    an even number of squares left."""
+    while True:
+        w, h = rng.randint(3, 9), rng.randint(3, 9)
+        cells = {(i, j) for i in range(w) for j in range(h)}
+        for _ in range(rng.randint(1, 20)):
+            cells.discard((rng.randrange(w), rng.randrange(h)))
+        if len(cells) <= 36 and len(cells) % 2 == 0:
+            return frozenset(cells)
+
+
+def test_kasteleyn_counts_regions_with_holes():
+    # a hole with an odd number of squares breaks the column gauge, so its
+    # ray of flipped signs must bring back brute force's count, on every
+    # translate of the region
+    ring = rect(3, 3) - {(1, 1)}
+    assert count_tilings_kasteleyn(ring) == count_tilings_bruteforce(ring) == 2
+    assert count_tilings_kasteleyn(rect(6, 6) - {(2, 2), (2, 3), (3, 2), (3, 3)}) == 1444
+    rng = random.Random(7)
+    odd_holes = 0
+    for _ in range(600):
+        region = _random_holed_region(rng)
+        count = count_tilings_bruteforce(region)
+        odd_holes += bool(_odd_hole_rays(region))
+        for dx, dy in ((0, 0), (-9, 3), (4, -11)):
+            assert count_tilings_kasteleyn({(x + dx, y + dy) for x, y in region}) == count, (sorted(region), dx, dy)
+    assert odd_holes >= 80
 
 
 def test_boundary_heights_match_tilings():
