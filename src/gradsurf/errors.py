@@ -98,6 +98,16 @@ class Untileable(GradsurfError):
     """The region admits no domino tiling."""
 
 
+class NotSimplyConnected(GradsurfError):
+    """The region has holes.  A tiling fixes the heights on each boundary
+    component only up to an offset of its own, which the fixed-boundary
+    sampler cannot draw; ``holes`` is their number."""
+
+    def __init__(self, holes):
+        super().__init__(f"region has {holes} hole(s); uniform sampling needs a simply connected region")
+        self.holes = holes
+
+
 class SlopeMismatch(GradsurfError):
     """Convexity margin inputs are not a collinear slope triple."""
 

@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     InconsistentCycle,
     Infeasible,
     NegativeCycle,
     NotAHeightFunction,
+    NotSimplyConnected,
     RegionTooLarge,
     Untileable,
 )
@@ -184,7 +187,7 @@ def count_tilings_bruteforce(region: Iterable[Square]) -> int:
 
 
 def count_tilings_kasteleyn(region: Iterable[Square]) -> int:
-    """|det| of the Kasteleyn-signed bipartite adjacency, exact integers.
+    """|det K| of the Kasteleyn-signed bipartite adjacency K, exact.
 
     Gauge: horizontal edges carry +1, vertical edges (-1)^column, which
     puts an odd number of minus signs around every unit face.  The sign is
@@ -194,16 +197,31 @@ def count_tilings_kasteleyn(region: Iterable[Square]) -> int:
     negates the vertical pairs a ray from it to the outer face crosses
     (``_odd_hole_rays``), which flips every other face an even number of
     times.
+
+    Rows (black squares) and columns (white squares) are each ordered
+    along the longer side of the bounding box, so K is banded: every
+    nonzero lies within b of the diagonal, b about half the short side.
+    Each row of K has at most four entries +-1, so for n black squares
+    |det K| <= 2^n (Hadamard).  The determinant is taken modulo primes
+    below 2^31 whose product exceeds 2^(n+1) by banded elimination
+    (``_banded_det_residues``) and rebuilt from its symmetric residue by
+    the Chinese remainder theorem: O(n b^2) word operations per prime.
     """
-    squares = sorted(region)
-    black = [s for s in squares if (s[0] + s[1]) % 2 == 0]
-    white = [s for s in squares if (s[0] + s[1]) % 2 == 1]
+    squares = frozenset(region)
+    if not squares:
+        return 1
+    xs, ys = [s[0] for s in squares], [s[1] for s in squares]
+    if max(xs) - min(xs) >= max(ys) - min(ys):
+        ordered = sorted(squares)
+    else:
+        ordered = sorted(squares, key=lambda s: (s[1], s[0]))
+    black = [s for s in ordered if (s[0] + s[1]) % 2 == 0]
+    white = [s for s in ordered if (s[0] + s[1]) % 2 == 1]
     if len(black) != len(white):
         return 0
     widx = {s: j for j, s in enumerate(white)}
-    rays = _odd_hole_rays(frozenset(squares))
-    n = len(black)
-    mat = [[0] * n for _ in range(n)]
+    rays = _odd_hole_rays(squares)
+    entries = []
     for i, s in enumerate(black):
         for t, sign in (
             ((s[0] + 1, s[1]), 1),
@@ -213,8 +231,13 @@ def count_tilings_kasteleyn(region: Iterable[Square]) -> int:
         ):
             j = widx.get(t)
             if j is not None:
-                mat[i][j] = sign
-    return abs(_bareiss_determinant(mat))
+                entries.append((i, j, sign))
+    b = max((abs(i - j) for i, j, _ in entries), default=0)
+    band = np.zeros((len(black), 2 * b + 1), dtype=np.int8)
+    for i, j, sign in entries:
+        band[i, j - i + b] = sign
+    primes = _word_primes(len(black) + 1)
+    return abs(_symmetric_crt(_banded_det_residues(band, primes), primes))
 
 
 def _vertical_sign(x: int, y: int, rays: dict[int, list[int]]) -> int:
@@ -223,18 +246,15 @@ def _vertical_sign(x: int, y: int, rays: dict[int, list[int]]) -> int:
     return (1 - 2 * (x % 2)) * (-1) ** sum(x_h < x for x_h in rays.get(y, ()))
 
 
-def _odd_hole_rays(squares: frozenset[Square]) -> dict[int, list[int]]:
-    """Row y -> columns x_h of the odd holes whose least square is
-    (x_h, y): the ray from such a hole crosses the vertical pairs
-    (x, y)-(x, y + 1) with x > x_h.  A hole is an 8-connected set of
-    missing squares inside the bounding box that does not reach its
-    border."""
+def _holes(squares: frozenset[Square]) -> list[list[Square]]:
+    """The holes of a region: 8-connected sets of missing squares inside
+    its bounding box that do not reach the box's border."""
     if not squares:
-        return {}
+        return []
     xs, ys = [s[0] for s in squares], [s[1] for s in squares]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     missing = {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)} - squares
-    rays: dict[int, list[int]] = {}
+    holes = []
     while missing:
         hole = [missing.pop()]
         for x, y in hole:  # grows while it is walked
@@ -242,36 +262,109 @@ def _odd_hole_rays(squares: frozenset[Square]) -> dict[int, list[int]]:
                 if t in missing:
                     missing.remove(t)
                     hole.append(t)
-        inner = all(x0 < x < x1 and y0 < y < y1 for x, y in hole)
-        if inner and len(hole) % 2:
+        if all(x0 < x < x1 and y0 < y < y1 for x, y in hole):
+            holes.append(hole)
+    return holes
+
+
+def _odd_hole_rays(squares: frozenset[Square]) -> dict[int, list[int]]:
+    """Row y -> columns x_h of the odd holes whose least square is
+    (x_h, y): the ray from such a hole crosses the vertical pairs
+    (x, y)-(x, y + 1) with x > x_h."""
+    rays: dict[int, list[int]] = {}
+    for hole in _holes(squares):
+        if len(hole) % 2:
             x, y = min(hole)
             rays.setdefault(y, []).append(x)
     return rays
 
 
-def _bareiss_determinant(mat) -> int:
-    """Fraction-free integer determinant (Bareiss elimination)."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _banded_det_residues(band: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """det A mod p for each prime p (int64 array, each p < 2^31), where
+    band[i, j - i + b] = A[i, j] holds the entries with |i - j| <= b.
+
+    Gaussian elimination with partial pivoting, all primes at once, on a
+    window of rows k..k+b and columns k..k+2b: only those rows can hold a
+    nonzero in column k, and row swaps widen the upper band to at most 2b.
+    Entries stay in [0, p), so every product stays below 2^62.
+    """
+    n, width = band.shape
+    b = width // 2
+    p2, p3 = primes[:, None], primes[:, None, None]
+    lanes = np.arange(len(primes))
+    win = np.zeros((len(primes), b + 1, width), dtype=np.int64)
+    for i in range(min(b + 1, n)):
+        win[:, i, : b + i + 1] = band[i, b - i :] % p2
+    det = np.ones(len(primes), dtype=np.int64)
+    for k in range(n):
+        pivot_row = np.argmax(win[:, :, 0] != 0, axis=1)
+        swapped = pivot_row != 0
+        if swapped.any():
+            top = win[:, 0].copy()
+            win[:, 0] = win[lanes, pivot_row]
+            win[lanes, pivot_row] = top
+            det = np.where(swapped, primes - det, det)
+        pivot = win[:, 0, 0]
+        det = det * pivot % primes
+        inverse = np.array([pow(a, -1, p) if a else 0 for a, p in zip(pivot.tolist(), primes.tolist())], dtype=np.int64)
+        # the update reaches only as far as some prime's pivot row does
+        reach = width - int(np.argmax(win[:, 0, ::-1].any(axis=0)))
+        rest = win[:, 1:, :reach]
+        update = win[:, 1:, :1] * inverse[:, None, None] % p3 * win[:, :1, :reach]
+        np.remainder(np.subtract(rest, update, out=update), p3, out=rest)
+        # slide to rows k+1..k+b+1 and columns k+1..k+2b+1
+        win[:, :-1, :-1] = win[:, 1:, 1:]
+        win[:, :-1, -1] = 0
+        win[:, -1] = band[k + b + 1] % p2 if k + b + 1 < n else 0
+    return det % primes
+
+
+@lru_cache(maxsize=None)
+def _prime_pool(size: int) -> tuple[int, ...]:
+    """The ``size`` largest primes below 2^31, largest first."""
+    pool: list[int] = []
+    m = 2**31 - 1
+    while len(pool) < size:
+        if _is_prime(m):
+            pool.append(m)
+        m -= 2
+    return tuple(pool)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for odd 7 < m < 3215031751."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _word_primes(bits: int) -> np.ndarray:
+    """The largest bits // 30 + 1 primes below 2^31, largest first: each
+    exceeds 2^30, so their product exceeds 2^bits.  Drawn from a pool
+    memoised in power-of-two sizes."""
+    count = bits // 30 + 1
+    return np.array(_prime_pool(1 << (count - 1).bit_length())[:count], dtype=np.int64)
+
+
+def _symmetric_crt(residues: np.ndarray, primes: np.ndarray) -> int:
+    """The integer x with |x| < (product of primes) / 2 and x = r mod p for
+    each residue r and prime p."""
+    x, m = 0, 1
+    for r, p in zip(residues.tolist(), primes.tolist()):
+        x += m * ((r - x) * pow(m, -1, p) % p)
+        m *= p
+    return x - m if 2 * x > m else x
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +375,9 @@ def boundary_heights(region: Iterable[Square]) -> dict[Vertex, int]:
     """Heights forced on the region's boundary vertices by its shape.
 
     No boundary edge crosses a domino, so the psi walk along the boundary
-    is determined; failure to close means no tiling exists.
+    is determined; failure to close means no tiling exists.  On a region
+    with holes the walk ties each hole's boundary to the outer one, which
+    its tilings do not force, so ``uniform_tiling_sample`` refuses those.
     """
     squares = frozenset(region)
     verts = region_vertices(squares)
@@ -308,7 +403,8 @@ def _touching_squares(v: Vertex):
 
 
 def uniform_tiling_sample(region: Iterable[Square], rng: RngStream) -> DominoMatching:
-    """An exactly uniform tiling via CFTP on the domino potential."""
+    """An exactly uniform tiling via CFTP on the domino potential, for
+    simply connected regions (``NotSimplyConnected`` otherwise)."""
     from .sampler import cftp_sample  # deferred to avoid an import cycle
 
     squares = frozenset(region)
@@ -328,6 +424,9 @@ def _tiling_setup(squares: frozenset):
     region, kept for the region's next samples: the potential holds the
     region's plan, height windows and conditional table.  Every sample gets
     the same objects, so none may change them."""
+    holes = _holes(squares)
+    if holes:
+        raise NotSimplyConnected(len(holes))
     fixed = boundary_heights(squares)
     return domino_potential(), fixed, sorted(region_vertices(squares) - set(fixed))
 

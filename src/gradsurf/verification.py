@@ -83,6 +83,9 @@ def check_domino_counts():
     for region in (_rect(2, 2), _rect(2, 3), _rect(3, 4), _rect(4, 4), ring):
         if count_tilings_kasteleyn(region) != count_tilings_bruteforce(region):
             return False, f"Kasteleyn and brute force disagree on {len(region)} squares"
+    aztec = {(x, y) for x in range(-16, 16) for y in range(-16, 16) if abs(2 * x + 1) + abs(2 * y + 1) <= 32}
+    if count_tilings_kasteleyn(aztec) != 2**136:
+        return False, "the order-16 Aztec diamond does not count 2^136"
     return True, "Fibonacci strips and Kasteleyn agreement, the 3x3 ring included"
 
 

@@ -103,6 +103,68 @@ def fibonacci_tiling_count(n):
     return b
 
 
+def bareiss_determinant(mat) -> int:
+    """Fraction-free integer determinant (Bareiss elimination)."""
+    m = [row[:] for row in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def count_tilings_bareiss(squares):
+    """|det| of the dense Kasteleyn matrix by Bareiss: rows and columns are
+    the black and white squares in plain sorted order, with the library's
+    signs (column gauge and odd-hole rays).  0 for unequal colour classes."""
+    from gradsurf.tilings import _odd_hole_rays, _vertical_sign
+
+    squares = sorted(squares)
+    black = [s for s in squares if (s[0] + s[1]) % 2 == 0]
+    white = [s for s in squares if (s[0] + s[1]) % 2 == 1]
+    if len(black) != len(white):
+        return 0
+    widx = {s: j for j, s in enumerate(white)}
+    rays = _odd_hole_rays(frozenset(squares))
+    mat = [[0] * len(black) for _ in black]
+    for i, (x, y) in enumerate(black):
+        for t, sign in (
+            ((x + 1, y), 1),
+            ((x - 1, y), 1),
+            ((x, y + 1), _vertical_sign(x, y, rays)),
+            ((x, y - 1), _vertical_sign(x, y - 1, rays)),
+        ):
+            if t in widx:
+                mat[i][widx[t]] = sign
+    return abs(bareiss_determinant(mat))
+
+
+def temperley_fisher_log_count(m, n):
+    """log of the number of domino tilings of an m x n box, from the
+    Kasteleyn / Temperley-Fisher product over j <= ceil(m/2), k <= ceil(n/2)
+    of 4cos^2(pi j/(m+1)) + 4cos^2(pi k/(n+1)), in floats."""
+    return math.fsum(
+        math.log(4 * math.cos(math.pi * j / (m + 1)) ** 2 + 4 * math.cos(math.pi * k / (n + 1)) ** 2)
+        for j in range(1, (m + 1) // 2 + 1)
+        for k in range(1, (n + 1) // 2 + 1)
+    )
+
+
 def transfer_matrix_strip_count(width, height):
     """Domino tilings of a (width x height)-square rectangle, column DP.
 

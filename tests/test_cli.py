@@ -24,6 +24,16 @@ def test_tile_count_2x2(tmp_path, capsys):
     assert counts["count_bruteforce"] == 2
 
 
+def test_tile_ring_counts_then_refuses_to_sample(tmp_path, capsys):
+    ring = [[x, y] for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+    cfg = _write_config(tmp_path, "c.json", {"region": ring, "count": True, "samples": 1})
+    rc = main(["tile", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "2"
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "NotSimplyConnected"
+
+
 def test_tile_sampling_writes_rows(tmp_path):
     cfg = _write_config(tmp_path, "c.json", {"region": "2x2", "count": False, "samples": 3})
     rc = main(["tile", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "out")])

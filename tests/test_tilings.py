@@ -1,17 +1,27 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gradsurf.cluster_swap import Triplet, swappable_set
-from gradsurf.errors import InconsistentCycle, NotAHeightFunction, RegionTooLarge, Untileable
+from gradsurf.errors import (
+    InconsistentCycle,
+    NotAHeightFunction,
+    NotSimplyConnected,
+    RegionTooLarge,
+    Untileable,
+)
 from gradsurf.lattice import edges_within
 from gradsurf.potential import domino_potential, hamiltonian_interior
 from gradsurf.rng import RngStream
 from gradsurf.tilings import (
     DominoMatching,
+    _banded_det_residues,
     _odd_hole_rays,
+    _prime_pool,
     _psi_step,
     boundary_heights,
     count_tilings_bruteforce,
@@ -25,9 +35,12 @@ from gradsurf.tilings import (
 )
 
 from oracles import (
+    bareiss_determinant,
     count_tilings_backtracking,
+    count_tilings_bareiss,
     enumerate_tilings,
     fibonacci_tiling_count,
+    temperley_fisher_log_count,
     transfer_matrix_strip_count,
 )
 
@@ -173,7 +186,7 @@ def test_kasteleyn_translation_invariant_exact_int():
 def test_kasteleyn_aztec_diamonds_centred_at_origin():
     # the order-n Aztec diamond has 2^(n(n+1)/2) tilings; centred at the
     # origin, half of its columns are negative
-    for n in range(1, 13):
+    for n in range(1, 33):
         diamond = {
             (x, y) for x in range(-n, n) for y in range(-n, n) if abs(2 * x + 1) + abs(2 * y + 1) <= 2 * n
         }
@@ -210,6 +223,80 @@ def test_kasteleyn_counts_regions_with_holes():
         for dx, dy in ((0, 0), (-9, 3), (4, -11)):
             assert count_tilings_kasteleyn({(x + dx, y + dy) for x, y in region}) == count, (sorted(region), dx, dy)
     assert odd_holes >= 80
+
+
+def test_banded_residues_equal_bareiss_mod_small_primes():
+    # with primes this small, singular matrices mod p and zero leading
+    # pivots are common, so the kernel's row swaps and all-zero columns run
+    rng = random.Random(11)
+    primes = [3, 5, 7, 11]
+    swaps = zero_columns = 0
+    for _ in range(400):
+        n, b = rng.randint(1, 12), rng.randint(0, 4)
+        dense = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(max(0, i - b), min(n, i + b + 1)):
+                dense[i][j] = rng.choice((0, 0, 0, -1, 1, 2, -3, 5, 13))
+        if rng.random() < 0.2 and n > 1:  # two equal rows: singular over Z
+            i = rng.randrange(n - 1)
+            row = [dense[i][c] if abs(i + 1 - c) <= b else 0 for c in range(n)]
+            dense[i], dense[i + 1] = row, row[:]
+        band = np.zeros((n, 2 * b + 1), dtype=np.int64)
+        for i in range(n):
+            for j in range(max(0, i - b), min(n, i + b + 1)):
+                band[i, j - i + b] = dense[i][j]
+        det = bareiss_determinant(dense)
+        residues = _banded_det_residues(band, np.array(primes, dtype=np.int64))
+        assert residues.tolist() == [det % p for p in primes], (dense, det)
+        for p in primes:
+            swaps += dense[0][0] % p == 0 and det % p != 0
+            zero_columns += det % p == 0 and det != 0
+    assert swaps >= 50 and zero_columns >= 50
+
+
+def test_prime_pool_is_the_largest_primes_below_2_31():
+    sieve = bytearray([1]) * 46341
+    sieve[:2] = b"\0\0"
+    for i in range(2, 216):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    small = [i for i, f in enumerate(sieve) if f]
+    pool = _prime_pool(40)
+    candidates = range(2**31 - 1, pool[-1] - 1, -1)
+    assert list(pool) == [m for m in candidates if all(m % q for q in small)]
+
+
+def test_kasteleyn_equals_bareiss_oracle():
+    # the banded residue kernel against Bareiss on the same signs, on the
+    # corpus, on the holed regions of the brute-force test, on larger holed
+    # regions that need several primes, and on every region's transpose
+    rng = random.Random(7)
+    regions = CORPUS + [_random_holed_region(rng) for _ in range(600)]
+    for _ in range(12):  # boxes less random dominoes, so colours balance
+        w, h = rng.randint(8, 16), rng.randint(8, 14)
+        cells = {(i - 6, j + 3) for i in range(w) for j in range(h)}
+        for _ in range(rng.randint(0, 15)):
+            x, y = rng.randrange(w - 1) - 6, rng.randrange(h) + 3
+            if {(x, y), (x + 1, y)} <= cells:
+                cells -= {(x, y), (x + 1, y)}
+        regions.append(frozenset(cells))
+    nonzero = 0
+    for region in regions:
+        count = count_tilings_bareiss(region)
+        nonzero += count > 0
+        assert count_tilings_kasteleyn(region) == count, sorted(region)
+        assert count_tilings_kasteleyn({(y, x) for x, y in region}) == count, sorted(region)
+    assert nonzero >= 100
+
+
+def test_kasteleyn_boxes_match_temperley_fisher():
+    sides = (2, 3, 4, 7, 10, 16, 25, 32, 33, 64)
+    for m, n in itertools.combinations_with_replacement(sides, 2):
+        if m * n % 2:
+            continue
+        count = count_tilings_kasteleyn(rect(m, n))
+        assert type(count) is int
+        assert math.isclose(math.log(count), temperley_fisher_log_count(m, n), rel_tol=1e-12), (m, n)
 
 
 def test_boundary_heights_match_tilings():
@@ -272,6 +359,19 @@ def test_uniform_samples_of_one_region_share_a_potential(monkeypatch):
 def test_uniform_sample_untileable():
     with pytest.raises(Untileable):
         uniform_tiling_sample({(0, 0), (1, 0), (0, 1)}, RngStream(1, 0))
+
+
+def test_uniform_sample_holed_regions_raise_not_simply_connected():
+    # each hole's height offset is random, so the fixed-boundary sampler
+    # must refuse both regions on every seed, before any boundary walk
+    ring = rect(3, 3) - {(1, 1)}
+    holed = rect(6, 6) - {(2, 2), (2, 3), (3, 2), (3, 3)}
+    two = rect(8, 3) - {(1, 1), (5, 1)}
+    for region, holes in ((ring, 1), (holed, 1), (two, 2)):
+        for seed in range(20):
+            with pytest.raises(NotSimplyConnected) as info:
+                uniform_tiling_sample(region, RngStream(seed, 0))
+            assert info.value.holes == holes and info.value.kind == "NotSimplyConnected"
 
 
 def test_symmetric_difference_empty():
