@@ -60,6 +60,7 @@ from .potential import (
 from .rng import RngStream
 from .sampler import (
     cftp_sample,
+    cftp_samples,
     checkerboard_order,
     heat_bath_sweep,
     random_round,
@@ -74,4 +75,5 @@ from .tilings import (
     matching_to_height,
     symmetric_difference_cycles,
     uniform_tiling_sample,
+    uniform_tiling_samples,
 )

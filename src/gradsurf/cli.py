@@ -35,13 +35,13 @@ from .lattice import outer_boundary
 from .observables import EXACT_SUM, THERMODYNAMIC_INTEGRATION, TRANSFER_MATRIX, convexity_margin, sigma_estimate
 from .potential import PeriodicPotential, validate_sap
 from .rng import RngStream
-from .sampler import cftp_sample, heat_bath_sweep, torus_sample
+from .sampler import cftp_samples, heat_bath_sweep, torus_sample
 from .tilings import (
     BRUTE_FORCE_LIMIT,
     count_tilings_bruteforce,
     count_tilings_kasteleyn,
     matching_to_height,
-    uniform_tiling_sample,
+    uniform_tiling_samples,
 )
 from .verification import run_battery
 
@@ -205,8 +205,7 @@ def cmd_cftp(cfg, seed, out: Path):
     region, boundary = _region_with_boundary(cfg)
     samples = _integer(cfg, "samples", 1)
     rows = ["sample,x,y,height"]
-    for s in range(samples):
-        config = cftp_sample(pot, region, boundary, RngStream(seed, s))
+    for s, config in enumerate(cftp_samples(pot, region, boundary, [RngStream(seed, s) for s in range(samples)])):
         rows.extend(_config_csv(config, s))
     _write(out / "samples.csv", "\n".join(rows) + "\n")
     _write_json(out / "manifest.json", _manifest("cftp", cfg, seed, pot))
@@ -226,8 +225,7 @@ def cmd_tile(cfg, seed, out: Path):
     if samples:
         rows = ["sample,square1_x,square1_y,square2_x,square2_y"]
         height_rows = ["sample,x,y,height"]
-        for s in range(samples):
-            t = uniform_tiling_sample(region, RngStream(seed, s))
+        for s, t in enumerate(uniform_tiling_samples(region, [RngStream(seed, s) for s in range(samples)])):
             for d in sorted(tuple(sorted(dom)) for dom in t.dominoes):
                 (ax, ay), (bx, by) = d
                 rows.append(f"{s},{ax},{ay},{bx},{by}")

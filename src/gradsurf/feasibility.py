@@ -667,10 +667,9 @@ class Plan:
     self-loops of the 1-torus stay separate, which changes no distance.
     ``order`` is the checkerboard order of the free sites and ``waves`` its
     wave schedule (``_wave_schedule``), None when a free site lacks a
-    neighbor; ``coupled`` is the same schedule for 2N heights, a second
-    copy of the sites at N + index, so CFTP sweeps its two chains as one
-    array.  ``windows`` maps sorted pins to the height windows of
-    ``_value_windows``; ``start`` is filled by ``_torus_start``.
+    neighbor; CFTP repeats it for each chain of a batch of samples
+    (``sampler._copied_waves``).  ``windows`` maps sorted pins to the height
+    windows of ``_value_windows``; ``start`` is filled by ``_torus_start``.
     """
 
     def __init__(self, pot: PeriodicPotential, sites, nbr, shift, free):
@@ -700,10 +699,6 @@ class Plan:
             self.waves = _wave_schedule(self, self.order)
         except KeyError:
             self.waves = None
-        # positions and sig repeat; sites and neighbors of the copy shift by N
-        self.coupled = None if self.waves is None else tuple(
-            tuple(np.concatenate([a, a + size * k]) for a, k in zip(wave, (0, 1, 1, 0, 0))) for wave in self.waves
-        )
         self.windows = {}
         self.start = None
 

@@ -25,6 +25,10 @@ Which code runs:
   updating in order.  A wave is one numpy step (``_sweep_waves``): each
   site draws the first support value whose running sum, from a table
   filled by ``_discrete_conditional``, exceeds u, as ``quantile`` does.
+  CFTP (``cftp_samples``) sweeps the top and bottom chains of many samples
+  as one flat array, on the plan's schedule repeated for each chain
+  (``_copied_waves``), with each sample's own uniforms; ``cftp_sample`` is
+  its one-stream case.
 - Non-integer heights, continuous domains, unbounded increments (whose
   scan starts from a rounded mean, which a shift can move), tables over
   ``_TABLE_LIMIT`` keys and region sites with a neighbor outside region |
@@ -35,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import EmptySupport, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
+from .errors import EmptySupport, GradsurfError, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
 from .feasibility import (
     _energy_table,
     _local_energy,
@@ -510,43 +515,95 @@ def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, tuple]:
 # Exact sampling by coupling from the past
 
 
-def cftp_sample(pot, region, boundary, rng: RngStream, max_epochs: int = 22) -> HeightConfig:
-    """Perfect sample from the finite-region Gibbs kernel.
+_CFTP_HEIGHTS = 1 << 14  # chain heights of one CFTP batch (128 kB per array)
 
-    Monotone CFTP: coupled maximal and minimal chains share uniforms from
-    counter-addressed past epochs (1, 2, 4, ... sweeps back) until they
-    coalesce at time zero.  Requires a discrete Lipschitz potential with
-    convex edge potentials; chains that cross raise NonMonotoneCoupling.
-    An empty region returns the boundary heights.
+
+def cftp_sample(pot, region, boundary, rng: RngStream, max_epochs: int = 22) -> HeightConfig:
+    """Perfect sample from the finite-region Gibbs kernel: ``cftp_samples``
+    with the one stream ``rng``."""
+    return cftp_samples(pot, region, boundary, [rng], max_epochs)[0]
+
+
+def cftp_samples(pot, region, boundary, streams, max_epochs: int = 22) -> list[HeightConfig]:
+    """One perfect sample from the finite-region Gibbs kernel per stream.
+
+    Monotone CFTP: each sample's maximal and minimal chains share uniforms
+    from its stream's counter-addressed past epochs (1, 2, 4, ... sweeps
+    back) until they coalesce at time zero.  Requires a discrete Lipschitz
+    potential with convex edge potentials; chains that cross raise
+    NonMonotoneCoupling.  An empty region returns the boundary heights.
+
+    The samples run in chunks of at most _CFTP_HEIGHTS chain heights, taken
+    in stream order (``_cftp_chunk``): every epoch sweeps the chains of a
+    chunk's samples that have not coalesced as one array, and each sample
+    draws ``stream.at(t).random(len(region))`` at time t as it would alone.
+    So sample a equals ``cftp_sample`` with streams[a], and the batch
+    raises what the first of those calls to fail raises.
     """
+    streams = list(streams)
     region = sorted(region)
-    if not region:
-        return HeightConfig(dict(boundary), reference=min(boundary))
+    if not region or not streams:
+        return [HeightConfig(dict(boundary), reference=min(boundary)) for _ in streams]
     windows = _region_windows(pot, region, boundary)
     order = checkerboard_order(region)
     top = {v: windows[v][-1] for v in region}
     bot = {v: windows[v][0] for v in region}
     found = _sweep_plan(pot, HeightConfig(top, reference=region[0]), boundary, order)
-    if found is not None:
-        plan, _, table = found
+    if found is None:
+        # site_conditional's code on the region's and boundary's heights
+        sites = list({**top, **boundary})
+        start = np.array([[{**chain, **boundary}[v] for v in sites] for chain in (top, bot)], dtype=object)
+        sweep = partial(_replay, pot, order, sites)
+    else:
+        plan, waves, table = found
         start = np.array([[chain.get(v, boundary.get(v)) for v in plan.sites] for chain in (top, bot)], dtype=np.int64)
+        # the number of samples changes only between epochs and on failures
+        schedule = lru_cache(maxsize=1)(partial(_copied_waves, waves, start.shape[1], len(order)))
+        sweep = partial(_coupled_waves, pot, plan, table, schedule)
+    chunk = _CFTP_HEIGHTS // start.size or 1
+    return [
+        HeightConfig({**boundary, **dict(zip(region, heights))}, reference=region[0])
+        for lo in range(0, len(streams), chunk)
+        for heights in _cftp_chunk(streams[lo : lo + chunk], start, len(region), sweep, max_epochs)
+    ]
+
+
+def _cftp_chunk(streams, start, size, sweep, max_epochs):
+    """The heights of the region, the first ``size`` sites of the (2, N)
+    ``start``, at which each stream's pair of chains from ``start``
+    coalesces.  ``sweep(chains, uniforms)`` sweeps the (A, 2, N) chains of
+    the A active samples, sample k with row k of the (A, size) uniforms,
+    and returns None, or (k, error) when sample k is the first to fail,
+    after sweeping the samples before it.  A failing sample and those after
+    it leave the batch and the others go on, so the first sample to fail or
+    to exhaust the epoch budget is the one whose error is raised."""
+    active = list(range(len(streams)))
+    ends = [None] * len(streams)
+    failure = None
     span, sweeps = 1, 0
-    while max_epochs >= 0 and span <= (1 << max_epochs):
-        if found is None:
-            vt, vb = {**top, **boundary}, {**bot, **boundary}
-            for t in range(-span, 0):
-                _coupled_sweep(pot, order, vt, vb, rng.at(t).random(len(order)))
-            ends = [[chain[v] for v in region] for chain in (vt, vb)]
-        else:
-            chains = start.copy()
-            for t in range(-span, 0):
-                _coupled_waves(pot, plan, table, chains, rng.at(t).random(len(order)))
-            ends = chains[:, : len(region)].tolist()
+    while active and max_epochs >= 0 and span <= (1 << max_epochs):
+        chains = np.repeat(start[None], len(active), axis=0)
+        uniforms = np.empty((len(active), size))
+        for t in range(-span, 0):
+            for k, a in enumerate(active):
+                streams[a].at(t).random(out=uniforms[k])
+            failed = sweep(chains, uniforms)
+            if failed is not None:
+                k, failure = failed
+                active, chains, uniforms = active[:k], chains[:k], uniforms[:k]
+                if not active:
+                    break
         sweeps += span
-        if ends[0] == ends[1]:
-            return HeightConfig({**boundary, **dict(zip(region, ends[0]))}, reference=region[0])
+        done = (chains[:, 0, :size] == chains[:, 1, :size]).all(axis=1)
+        for k in np.flatnonzero(done).tolist():
+            ends[active[k]] = chains[k, 0, :size].tolist()
+        active = [a for a, d in zip(active, done.tolist()) if not d]
         span *= 2
-    raise NoCoalescence(max_epochs, span // 2, sweeps)
+    if active:
+        raise NoCoalescence(max_epochs, span // 2, sweeps)
+    if failure is not None:
+        raise failure
+    return ends
 
 
 def _coupled_sweep(pot, order, top, bot, uniforms):
@@ -560,22 +617,63 @@ def _coupled_sweep(pot, order, top, bot, uniforms):
             raise NonMonotoneCoupling(f"coupled chains crossed at site {x}")
 
 
-def _coupled_waves(pot, plan, table, chains, uniforms):
-    """One sweep of the (2, N) ``chains`` in the plan's checkerboard order.
-    Each site is updated once, so the first site in that order where the
-    chains cross after the sweep is the site ``_coupled_sweep`` names; a
-    site without a finite-energy height replays the sweep through
-    ``_coupled_sweep``, which raises what it raises first."""
+def _replay(pot, order, sites, chains, uniforms):
+    """One ``_coupled_sweep`` of each sample's pair of the (A, 2, N) chains,
+    with heights at ``sites``, in sample order; returns (k, error) for the
+    first sample k that raises, after sweeping those before it, else
+    None."""
+    for k, (pair, us) in enumerate(zip(chains, uniforms)):
+        top, bot = (dict(zip(sites, heights)) for heights in pair.tolist())
+        try:
+            _coupled_sweep(pot, order, top, bot, us)
+        except GradsurfError as exc:
+            return k, exc
+        pair[:] = [[chain[v] for v in sites] for chain in (top, bot)]
+    return None
+
+
+def _copied_waves(waves, size, draws, copies):
+    """The plan's wave schedule for the chains of ``copies`` samples in one
+    flat array: sample a's top and bottom chains hold their N = ``size``
+    heights at offsets 2aN and (2a + 1)N, and both draw the uniform at
+    position p + a * ``draws`` for position p."""
+    chain = np.arange(2 * copies, dtype=np.int64)[:, None]
+    offset, drawn = chain * size, chain // 2 * draws
+    return [
+        (
+            (pos + drawn).ravel(),
+            (sites + offset).ravel(),
+            (nbr + offset[..., None]).reshape(-1, 4),
+            np.concatenate([shift] * len(chain)),
+            np.concatenate([sig] * len(chain)),
+        )
+        for pos, sites, nbr, shift, sig in waves
+    ]
+
+
+def _coupled_waves(pot, plan, table, schedule, chains, uniforms):
+    """One sweep of the (A, 2, N) int64 ``chains`` in the plan's checkerboard
+    order, as ``_cftp_chunk`` asks: one ``_sweep_waves`` call on
+    ``schedule(A)``, the ``_copied_waves`` of A samples.  Each site is updated once, so the first site in
+    that order where a sample's chains cross after the sweep is the site
+    ``_coupled_sweep`` names; a site without a finite-energy height replays
+    the sweep sample by sample (``_replay``), which finds the first sample
+    to fail and what it raises first."""
     before = chains.copy()
     try:
-        _sweep_waves(table, plan.coupled, chains.reshape(-1), uniforms)
+        _sweep_waves(table, schedule(len(chains)), chains.reshape(-1), uniforms.reshape(-1))
     except EmptySupport:
-        top, bot = (dict(zip(plan.sites, heights)) for heights in before.tolist())
-        _coupled_sweep(pot, plan.order, top, bot, uniforms)
-        raise
-    crossed = np.flatnonzero(chains[1] > chains[0]).tolist()
-    if crossed:
-        raise NonMonotoneCoupling(f"coupled chains crossed at site {checkerboard_order(plan.sites[k] for k in crossed)[0]}")
+        chains[:] = before
+        failed = _replay(pot, plan.order, plan.sites, chains, uniforms)
+        if failed is None:
+            raise
+        return failed
+    crossed = chains[:, 1] > chains[:, 0]
+    if not crossed.any():
+        return None
+    k = int(crossed.any(axis=1).argmax())
+    site = checkerboard_order(plan.sites[i] for i in np.flatnonzero(crossed[k]).tolist())[0]
+    return k, NonMonotoneCoupling(f"coupled chains crossed at site {site}")
 
 
 # ---------------------------------------------------------------------------

@@ -403,19 +403,26 @@ def _touching_squares(v: Vertex):
 
 
 def uniform_tiling_sample(region: Iterable[Square], rng: RngStream) -> DominoMatching:
-    """An exactly uniform tiling via CFTP on the domino potential, for
-    simply connected regions (``NotSimplyConnected`` otherwise)."""
-    from .sampler import cftp_sample  # deferred to avoid an import cycle
+    """An exactly uniform tiling via CFTP on the domino potential:
+    ``uniform_tiling_samples`` with the one stream ``rng``."""
+    return uniform_tiling_samples(region, [rng])[0]
+
+
+def uniform_tiling_samples(region: Iterable[Square], streams) -> list[DominoMatching]:
+    """One exactly uniform tiling per stream, via batched CFTP
+    (``cftp_samples``) on the domino potential, for simply connected
+    regions (``NotSimplyConnected`` otherwise)."""
+    from .sampler import cftp_samples  # deferred to avoid an import cycle
 
     squares = frozenset(region)
     if len(squares) % 2:
         raise Untileable("odd number of squares")
     pot, fixed, interior = _tiling_setup(squares)
     try:
-        config = cftp_sample(pot, interior, fixed, rng)
+        configs = cftp_samples(pot, interior, fixed, streams)
     except (Infeasible, NegativeCycle) as exc:
         raise Untileable(f"region admits no tiling: {exc}") from exc
-    return height_to_matching(config, squares)
+    return [height_to_matching(config, squares) for config in configs]
 
 
 @lru_cache(maxsize=16)

@@ -49,7 +49,7 @@ from .potential import (
     wedge_normalize,
 )
 from .rng import RngStream
-from .sampler import cftp_sample, checkerboard_order, site_conditional, torus_sample
+from .sampler import cftp_sample, cftp_samples, checkerboard_order, site_conditional, torus_sample
 from .tilings import (
     boundary_heights,
     count_tilings_bruteforce,
@@ -323,6 +323,10 @@ def check_cftp_determinism(seed=99):
     interior = [(1, 1)]
     a = cftp_sample(pot, interior, fixed, RngStream(seed, 0))
     b = cftp_sample(pot, interior, fixed, RngStream(seed, 0))
+    streams = [RngStream(seed, k) for k in range(3)]
+    batch = cftp_samples(pot, interior, fixed, streams)
+    if [c.values for c in batch] != [cftp_sample(pot, interior, fixed, s).values for s in streams]:
+        return False, "a batch of three streams differs from their single samples"
     return a.values == b.values, "same stream reproduces the exact sample"
 
 

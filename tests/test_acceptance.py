@@ -47,7 +47,7 @@ from gradsurf.potential import (
     sos_abs_potential,
 )
 from gradsurf.rng import RngStream
-from gradsurf.sampler import cftp_sample, checkerboard_order, site_conditional
+from gradsurf.sampler import cftp_samples, checkerboard_order, site_conditional
 from gradsurf.tilings import (
     DominoMatching,
     count_tilings_bruteforce,
@@ -184,8 +184,7 @@ def test_criterion_03_gibbs_kernel_correctness():
     index = {k: i for i, k in enumerate(keys)}
     counts = [0] * len(states)
     trials = 100_000
-    for k in range(trials):
-        out = cftp_sample(pot, interior, boundary, RngStream(31337, k))
+    for out in cftp_samples(pot, interior, boundary, [RngStream(31337, k) for k in range(trials)]):
         key = tuple(sorted((v, out.values[v]) for v in interior))
         counts[index[key]] += 1
     expected = [trials * p for p in probs]

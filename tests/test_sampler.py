@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -583,9 +584,10 @@ def test_wide_supports_sweep_with_site_conditional_code():
     assert _exact(torus_sample(wide, 4, (F(1, 2), 0), 3, stream).values) == expected
 
 
-def test_cftp_memoized_path_equals_reference_path(monkeypatch, sos_trunc1, nonconvex):
-    # the coupled sweep on the region plan against the per-site
-    # site_conditional code, forced by a selector that accepts no plan
+def _cftp_cases(sos_trunc1, nonconvex):
+    """(potential, interior, boundary, stream) per case: random tables on
+    boxes, a notched region, a missing neighbor, a nonconvex crossing and a
+    table with a gap."""
     from test_feasibility import _random_periodic_potential
 
     from gradsurf.tilings import boundary_heights, region_vertices
@@ -618,6 +620,13 @@ def test_cftp_memoized_path_equals_reference_path(monkeypatch, sos_trunc1, nonco
     boundary = {v: 0 for v in outer_boundary(interior)}
     boundary.update({(0, 4): 1, (1, 4): 1, (2, -1): -1, (3, 0): -1, (3, 1): -1, (3, 3): 1})
     cases["gapped"] = (gapped, interior, boundary, RngStream(421))
+    return cases
+
+
+def test_cftp_memoized_path_equals_reference_path(monkeypatch, sos_trunc1, nonconvex):
+    # the batched coupled sweep on the region plan against the per-site
+    # site_conditional code, forced by a selector that accepts no plan
+    cases = _cftp_cases(sos_trunc1, nonconvex)
     plan_sweeps = []
     coupled_waves = sampler._coupled_waves
     monkeypatch.setattr(sampler, "_coupled_waves", lambda *args: plan_sweeps.append(1) or coupled_waves(*args))
@@ -637,6 +646,97 @@ def test_cftp_memoized_path_equals_reference_path(monkeypatch, sos_trunc1, nonco
     assert sum(a[0].split(":")[0] not in ("Infeasible", "NegativeCycle", "NonMonotoneCoupling") for a in results.values()) >= 23
     assert results["nonconvex"][0].startswith("NonMonotoneCoupling: coupled chains crossed at site")
     assert results["gapped"][0] == "NonMonotoneCoupling: coupled chains crossed at site (0, 0)"
+
+
+def _cftp_outcome(run):
+    try:
+        return [_exact(config.values) for config in run()]
+    except GradsurfError as exc:
+        return f"{exc.kind}: {exc}"
+
+
+# streams on the nonconvex table in a 3x3 box at level 0 with 4 epochs:
+# samples 0 and 1 coalesce, sample 2 exhausts the budget, and samples 3 and
+# 4 cross in the second epoch
+_LATE = [RngStream(11), RngStream(421, 7), RngStream(10), RngStream(9), RngStream(7)]
+_LATE_ERROR = "NoCoalescence: no coalescence within epoch budget 4 (last span 16, 31 coupled sweeps)"
+
+
+def _batch_equals_loop(pot, interior, boundary, streams, max_epochs=22):
+    """The outcome of one batch, asserted equal to one call per stream."""
+    batch = _cftp_outcome(lambda: sampler.cftp_samples(pot, interior, boundary, streams, max_epochs))
+    alone = _cftp_outcome(lambda: [cftp_sample(pot, interior, boundary, s, max_epochs) for s in streams])
+    assert batch == alone
+    return batch
+
+
+def test_cftp_samples_equal_per_stream_samples(monkeypatch, sos_trunc1, nonconvex):
+    # a batch returns each stream's sample, or raises what the first
+    # failing stream raises alone, on every case of the plan test above and
+    # on the reference path
+    outcomes = []
+    for pot, interior, boundary, stream in _cftp_cases(sos_trunc1, nonconvex).values():
+        streams = [stream] + [RngStream(stream.seed, stream.stream_id + k) for k in range(1, 6)]
+        for max_epochs in (-1, 0, 22):
+            outcomes.append(_batch_equals_loop(pot, interior, boundary, streams, max_epochs))
+    assert outcomes.count("NoCoalescence: no coalescence within epoch budget -1 (last span 0, 0 coupled sweeps)") >= 20
+    assert sum(isinstance(out, list) for out in outcomes) >= 20
+    # the middle sample's error is raised when later samples fail first:
+    # in _LATE, and when sample 1 crosses in a later epoch than sample 2
+    interior = sorted(box_region(3, 3))
+    ring = {v: 0 for v in outer_boundary(interior)}
+    assert _batch_equals_loop(nonconvex, interior, ring, _LATE, 4) == _LATE_ERROR
+    crossing = [RngStream(11), RngStream(3), RngStream(7)]
+    assert _batch_equals_loop(nonconvex, interior, ring, crossing, 4) == "NonMonotoneCoupling: coupled chains crossed at site (1, 1)"
+    # empty supports replay the batch's sweep sample by sample
+    gapped = _cftp_cases(sos_trunc1, nonconvex)["gapped"][:3]
+    pair = [RngStream(421, 1), RngStream(421, 0)]
+    assert _batch_equals_loop(*gapped, pair, 6) == "EmptySupport: no height has finite energy"
+    assert _batch_equals_loop(*gapped, pair[::-1], 6).startswith("NonMonotoneCoupling")
+    monkeypatch.setattr(sampler, "_sweep_plan", lambda *args: None)
+    assert _batch_equals_loop(nonconvex, interior, ring, _LATE, 4) == _LATE_ERROR
+    assert _batch_equals_loop(*gapped, pair, 6) == "EmptySupport: no height has finite energy"
+
+
+def test_coupled_waves_replays_empty_supports_sample_by_sample(sos_trunc1):
+    # a boundary height of sample 1 leaves site (1, 0) without a
+    # finite-energy height, so the batched sweep raises EmptySupport; the
+    # replay sweeps sample 0 as it would be swept alone and names sample 1
+    interior = sorted(box_region(3, 2))
+    boundary = {v: 0 for v in outer_boundary(interior)}
+    order = checkerboard_order(interior)
+    plan, waves, table = sampler._sweep_plan(sos_trunc1, HeightConfig(dict.fromkeys(interior, 1), reference=(0, 0)), boundary, order)
+    start = [[level if v in interior else 0 for v in plan.sites] for level in (1, -1)]
+    chains = np.array([start, start], dtype=np.int64)
+    chains[1, :, plan.index[(1, -1)]] = 9
+    uniforms = np.random.default_rng(3).random((2, len(order)))
+    schedule = partial(sampler._copied_waves, waves, len(plan.sites), len(order))
+    alone = chains[:1].copy()
+    assert sampler._coupled_waves(sos_trunc1, plan, table, schedule, alone, uniforms[:1]) is None
+    assert not (alone == chains[:1]).all()
+    k, exc = sampler._coupled_waves(sos_trunc1, plan, table, schedule, chains, uniforms)
+    assert (k, f"{exc.kind}: {exc}") == (1, "EmptySupport: no height has finite energy")
+    assert (chains[0] == alone[0]).all()
+
+
+def test_cftp_samples_chunks(monkeypatch, sos_trunc1, nonconvex):
+    # chunks of at most _CFTP_HEIGHTS chain heights, in stream order, give
+    # the per-stream samples and errors; a bound below one sample's chains
+    # runs one sample per chunk
+    sizes = []
+    sweep_waves = sampler._sweep_waves
+    monkeypatch.setattr(sampler, "_sweep_waves", lambda table, waves, heights, us: sizes.append(heights.size) or sweep_waves(table, waves, heights, us))
+    interior = sorted(box_region(3, 3))
+    ring = {v: 0 for v in outer_boundary(interior)}
+    heights = 2 * (len(interior) + len(ring))
+    streams = [RngStream(5, k) for k in range(7)]
+    for bound in (2 * heights, heights + 1, 1):
+        monkeypatch.setattr(sampler, "_CFTP_HEIGHTS", bound)
+        sizes.clear()
+        assert isinstance(_batch_equals_loop(sos_trunc1, interior, ring, streams), list)
+        assert max(sizes) == max(heights, bound - bound % heights)
+        # sample 2 shares a chunk with sample 3, or follows chunks of successes
+        assert _batch_equals_loop(nonconvex, interior, ring, _LATE, 4) == _LATE_ERROR
 
 
 def test_torus_start_built_once_per_potential(monkeypatch):

@@ -32,6 +32,7 @@ from gradsurf.tilings import (
     reverse_cycle,
     symmetric_difference_cycles,
     uniform_tiling_sample,
+    uniform_tiling_samples,
 )
 
 from oracles import (
@@ -328,8 +329,7 @@ def test_uniform_sample_2x4_five_tilings():
     assert count_tilings_bruteforce(region) == 5
     counts: dict = {}
     trials = 20_000
-    for k in range(trials):
-        t = uniform_tiling_sample(region, RngStream(909, k))
+    for t in uniform_tiling_samples(region, [RngStream(909, k) for k in range(trials)]):
         counts[t.dominoes] = counts.get(t.dominoes, 0) + 1
     assert len(counts) == 5
     assert stats.chisquare(sorted(counts.values())).pvalue > 0.01
@@ -354,6 +354,18 @@ def test_uniform_samples_of_one_region_share_a_potential(monkeypatch):
     for k, t in enumerate(samples):
         assert uniform_tiling_sample(region, RngStream(5, k)).dominoes == t.dominoes
     assert len(built) == 2
+
+
+def test_uniform_tiling_samples_equal_per_stream_samples():
+    # one batch per region gives each stream's tiling, and the errors of
+    # a single sample
+    for region in (rect(4, 4), rect(6, 3), rect(6, 6) - {(5, 5), (5, 4)}):
+        streams = [RngStream(13, k) for k in range(12)]
+        batch = uniform_tiling_samples(region, streams)
+        assert [t.dominoes for t in batch] == [uniform_tiling_sample(region, s).dominoes for s in streams]
+    for region, error in (({(0, 0), (1, 0), (0, 1)}, Untileable), (rect(3, 3) - {(1, 1)}, NotSimplyConnected)):
+        with pytest.raises(error):
+            uniform_tiling_samples(region, [RngStream(1, k) for k in range(3)])
 
 
 def test_uniform_sample_untileable():
