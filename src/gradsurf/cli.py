@@ -106,11 +106,18 @@ def _torus_side(pot: PeriodicPotential, cfg: dict, default=None) -> int:
 
 
 def _region_from_spec(spec) -> frozenset:
+    """The squares of a region spec: "WxH" for a box or a list of [x, y]
+    integer pairs; ConfigParse for anything else or an empty region."""
     cells = spec
-    if isinstance(spec, str) and "x" in spec:
-        w, h = (int(t) for t in spec.split("x"))
-        cells = [(i, j) for i in range(w) for j in range(h)]
-    region = frozenset(tuple(v) for v in cells)
+    try:
+        if isinstance(spec, str):
+            w, h = (int(t) for t in spec.split("x"))
+            cells = [(i, j) for i in range(w) for j in range(h)]
+        region = frozenset(tuple(v) for v in cells)
+    except (TypeError, ValueError):
+        region = None
+    if region is None or not all(len(v) == 2 and all(type(c) is int for c in v) for v in region):
+        raise ConfigParse(f"a region must be 'WxH' or a list of [x, y] integer pairs, not {spec!r}")
     if not region:
         raise ConfigParse(f"region {spec!r} is empty")
     return region

@@ -5,7 +5,8 @@ increment phi(head) - phi(base) to that interval.  Shortest-path distances
 in the induced arc-weighted digraph decide which partial height functions
 extend to finite-energy configurations and which slopes are achievable on
 tori; one relaxation kernel over in-arc arrays (``_InArcs``) computes them
-all, for ``FeasibilityGraph`` and for the plans of regions and tori.  The
+all.  A ``FeasibilityGraph`` is a pair of such arrays, its arcs and their
+reversal, and the plans of regions and tori are feasibility graphs.  The
 same kernel, relaxing the fundamental torus at one slope at a time, is the
 separation oracle of the cutting planes that give the allowed-slope
 polytope.
@@ -31,7 +32,6 @@ from .lattice import (
     add,
     checkerboard_order,
     dot,
-    edges_within,
     neighbors,
     round_slope,
     sub,
@@ -165,80 +165,73 @@ class _InArcs:
         return dist[:-1]
 
 
-@dataclass
 class FeasibilityGraph:
-    """Directed increment-bound graph.  Its in-arc arrays are derived from
-    ``vertices`` and ``adjacency`` whenever a query runs."""
+    """Directed increment-bound graph as a pair of in-arc tables
+    (``_InArcs``), built once: ``forward`` holds the arcs and ``reverse``
+    the arcs flipped, so each query relaxes a table it already has."""
 
-    vertices: list[Vertex]
-    adjacency: dict[Vertex, list[tuple[Vertex, float]]]
+    def __init__(self, vertices: list[Vertex], forward: _InArcs, reverse: _InArcs):
+        self.vertices, self.forward, self.reverse = vertices, forward, reverse
 
     @staticmethod
     def from_arcs(
         arcs: Mapping[Arc, float], vertices: Iterable[Vertex] | None = None
     ) -> "FeasibilityGraph":
-        """Graph on the given vertices (default: the arc endpoints)."""
+        """Graph on the given vertices (default: the arc endpoints); each
+        row lists its tails in sorted order."""
         if vertices is None:
             vertices = {v for arc in arcs for v in arc}
         vertices = sorted(vertices)
-        adjacency: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in vertices}
+        index = {v: k for k, v in enumerate(vertices)}
+        into: list[list[tuple[int, float]]] = [[] for _ in vertices]
+        outof: list[list[tuple[int, float]]] = [[] for _ in vertices]
         for (x, y), w in sorted(arcs.items()):
-            adjacency[x].append((y, w))
-        return FeasibilityGraph(vertices, adjacency)
+            into[index[y]].append((index[x], w))
+            outof[index[x]].append((index[y], w))
+        tables = []
+        for rows in (into, outof):
+            size, width = len(rows), max(1, max(map(len, rows), default=0))
+            src, weights = np.full((size, width), size), np.zeros((size, width))
+            for v, row in enumerate(rows):
+                for k, (x, w) in enumerate(row):
+                    src[v, k], weights[v, k] = x, w
+            tables.append(_InArcs(vertices, index, src, weights))
+        return FeasibilityGraph(vertices, *tables)
 
     @staticmethod
     def from_potential(pot: PeriodicPotential, region: Iterable[Vertex]) -> "FeasibilityGraph":
-        """Arcs for every edge with both endpoints in the region."""
-        return FeasibilityGraph.from_arcs(_edge_arcs(pot, edges_within(region)))
+        """The potential's plan of the region (``_region_plan``): arcs for
+        every edge with both endpoints in the region, every region vertex
+        kept."""
+        return _region_plan(pot, sorted(region), {})
 
     def reversed(self) -> "FeasibilityGraph":
         """Every arc flipped, so distances_from(x) gives D(., x)."""
-        radj: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in self.vertices}
-        for x, outs in self.adjacency.items():
-            for y, w in outs:
-                radj[y].append((x, w))
-        return FeasibilityGraph(self.vertices, radj)
-
-    def _in_arcs(self) -> _InArcs:
-        index = {v: k for k, v in enumerate(self.vertices)}
-        into: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
-        for x in self.vertices:
-            for y, w in self.adjacency[x]:
-                into[index[y]].append((index[x], w))
-        size, width = len(into), max(1, max(map(len, into), default=0))
-        src, weights = np.full((size, width), size), np.zeros((size, width))
-        for v, arcs in enumerate(into):
-            for k, (x, w) in enumerate(arcs):
-                src[v, k], weights[v, k] = x, w
-        return _InArcs(self.vertices, index, src, weights)
+        return FeasibilityGraph(self.vertices, self.reverse, self.forward)
 
     def distances_from(self, source: Vertex) -> dict[Vertex, float]:
-        return self._in_arcs().distances(source)
+        return self.forward.distances(source)
 
     def negative_cycle(self):
         """A witness negative cycle (vertex list, weight) or None."""
-        return self._in_arcs().negative_cycle()
+        return self.forward.negative_cycle()
 
-
-def _edge_arcs(pot: PeriodicPotential, edges: Iterable[Edge]) -> dict[Arc, float]:
-    """Up and down increment bounds of each edge as a pair of arcs."""
-    arcs: dict[Arc, float] = {}
-    for edge in edges:
-        base, axis = edge
-        head = add(base, AXIS_VECTORS[axis])
-        b = increment_bounds(pot, edge)
-        arcs[(base, head)] = b.up
-        arcs[(head, base)] = b.down
-    return arcs
+    def extensions(self, partial: Mapping[Vertex, float]):
+        """Maximal and minimal extension heights of the partial heights:
+        the extension step on the forward arcs, then on the reversed ones
+        with the heights negated, so it raises what ``extend_boundary`` and
+        then ``extend_boundary_min`` raise."""
+        top = self.forward.extend(partial)
+        bot = self.reverse.extend({v: 0.0 - h for v, h in partial.items()})
+        return dict(zip(self.vertices, top.tolist())), dict(zip(self.vertices, np.subtract(0.0, bot).tolist()))
 
 
 def shortest_distances(graph: FeasibilityGraph, sources: Iterable[Vertex]) -> dict[Vertex, dict[Vertex, float]]:
     """D(source, .) for each source; raises NegativeCycle with a witness."""
-    arcs = graph._in_arcs()
-    cycle = arcs.negative_cycle()
+    cycle = graph.negative_cycle()
     if cycle is not None:
         raise NegativeCycle(*cycle)
-    return {s: arcs.distances(s) for s in sources}
+    return {s: graph.distances_from(s) for s in sources}
 
 
 def distances_csv(distances: dict) -> list[str]:
@@ -264,7 +257,7 @@ def extend_boundary(graph: FeasibilityGraph, partial: Mapping[Vertex, float]) ->
     that is not a vertex."""
     if not partial:
         raise ValueError("partial assignment must be nonempty")
-    dist = graph._in_arcs().extend(partial)
+    dist = graph.forward.extend(partial)
     return HeightConfig(dict(zip(graph.vertices, dist.tolist())), reference=min(partial))
 
 
@@ -303,8 +296,8 @@ def torus_info(pot: PeriodicPotential, n: int, slope) -> TorusInfo:
 
 def torus_slope_feasible(pot: PeriodicPotential, n: int, slope) -> bool:
     """True iff slope-class configurations of finite energy exist on T_n:
-    the plan's forward arcs have no negative cycle."""
-    return _torus_plan(pot, torus_info(pot, n, slope)).forward.negative_cycle() is None
+    the plan has no negative cycle."""
+    return _torus_plan(pot, torus_info(pot, n, slope)).negative_cycle() is None
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +539,10 @@ def _energy_table(pot):
 
 def _value_windows(pot, plan, pins, keys):
     """Per-key height ranges [ceil(min ext), floor(max ext)] of the pinned
-    heights on the plan (``Plan.extensions``); every finite-energy config
-    lies within them.  Memoized in ``plan.windows`` under the sorted pins,
-    so the keys must be the same on every call for a plan."""
+    heights on the plan (``FeasibilityGraph.extensions``); every
+    finite-energy config lies within them.  Memoized in ``plan.windows``
+    under the sorted pins, so the keys must be the same on every call for a
+    plan."""
     key = tuple(sorted(pins.items()))
     if key not in plan.windows:
         if not (pot.discrete and pot.is_lipschitz()):
@@ -648,22 +642,24 @@ def _wave_schedule(plan, order):
     )
 
 
-class Plan:
+class Plan(FeasibilityGraph):
     """A torus slope class, or a region with its boundary vertices, as
     arrays: built once per potential by ``_torus_plan`` or ``_region_plan``
     and shared by height windows, torus feasibility, chain starts, heat-bath
-    sweeps, CFTP and region enumeration.
+    sweeps, CFTP, region enumeration and the distance tables of
+    ``FeasibilityGraph.from_potential``.
 
-    The builders give ``sites`` (the vertex of each index), the free
-    sites (those a sweep updates) and, per site in the slot order of
-    ``_neighbor_slots`` (+e1, -e1, +e2, -e2), ``nbr``, the neighbor index or
-    -1 for none, and ``shift``, the holonomy shift added to the neighbor's
-    height.  The rest is derived the same way for both: ``sig``, the index
-    of each site modulo the period lattice in its fundamental domain, which
-    fixes the edge class of every slot; ``forward`` and ``reverse``, the
-    in-arc tables (``_InArcs``) of the increment-bound arcs and of the
-    reversed arcs, whose row v lists the neighbors of v as tails, a missing
-    neighbor as the padding tail N; parallel arcs of the 2-torus and the
+    The builders give ``sites`` (the vertex of each index, also the graph's
+    ``vertices``), the free sites (those a sweep updates) and, per site in
+    the slot order of ``_neighbor_slots`` (+e1, -e1, +e2, -e2), ``nbr``, the
+    neighbor index or -1 for none, and ``shift``, the holonomy shift added
+    to the neighbor's height.  The rest is derived the same way for both:
+    ``sig``, the index of each site modulo the period lattice in its
+    fundamental domain, which fixes the edge class of every slot;
+    ``forward`` and ``reverse``, the in-arc tables (``_InArcs``) of the
+    increment-bound arcs and of the reversed arcs, whose row v lists the
+    neighbors of v as tails in slot order, a missing neighbor as the
+    padding tail N; parallel arcs of the 2-torus and the
     self-loops of the 1-torus stay separate, which changes no distance.
     ``order`` is the checkerboard order of the free sites and ``waves`` its
     wave schedule (``_wave_schedule``), None when a free site lacks a
@@ -692,8 +688,8 @@ class Plan:
         high = np.where(plus, ends[..., 1], -ends[..., 0])
         size = len(sites)
         src = np.where(nbr < 0, size, nbr)
-        self.forward = _InArcs(sites, self.index, src, shift - low)
-        self.reverse = _InArcs(sites, self.index, src, high - shift)
+        forward, reverse = (_InArcs(sites, self.index, src, w) for w in (shift - low, high - shift))
+        super().__init__(sites, forward, reverse)
         self.order = tuple(checkerboard_order(free))
         try:
             self.waves = _wave_schedule(self, self.order)
@@ -701,15 +697,6 @@ class Plan:
             self.waves = None
         self.windows = {}
         self.start = None
-
-    def extensions(self, partial: Mapping[Vertex, float]):
-        """Maximal and minimal extension heights of the partial heights:
-        the extension step on the forward arcs, then on the reversed ones
-        with the heights negated, so it raises what ``extend_boundary`` and
-        then ``extend_boundary_min`` raise."""
-        top = self.forward.extend(partial)
-        bot = self.reverse.extend({v: 0.0 - h for v, h in partial.items()})
-        return dict(zip(self.sites, top.tolist())), dict(zip(self.sites, np.subtract(0.0, bot).tolist()))
 
 
 def _torus_plan(pot: PeriodicPotential, info: TorusInfo) -> Plan:

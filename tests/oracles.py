@@ -388,15 +388,15 @@ def transfer_matrix_log_z_loops(pot, n, slope):
     return math.log(z) if z > 0 else -INF
 
 
-def torus_graph(pot, n, slope):
-    """The slope class on the n-torus as a dict-of-tuples FeasibilityGraph:
+def torus_arcs(pot, n, slope):
+    """The slope class on the n-torus as (vertices, arcs) of a dict graph:
     the reference for the torus plan's arcs.
 
     Wrap edges absorb the holonomy shift n*u'_i, so distances refer to
     the quasi-periodic lift phi(v + n e_i) = phi(v) + n u'_i.  Parallel
     arcs of small tori keep the tighter bound.
     """
-    from gradsurf.feasibility import FeasibilityGraph, torus_info
+    from gradsurf.feasibility import torus_info
     from gradsurf.lattice import AXIS_VECTORS, add
 
     info = torus_info(pot, n, slope)
@@ -412,17 +412,21 @@ def torus_graph(pot, n, slope):
             a1, a2 = (x, head), (head, x)
             arcs[a1] = min(arcs.get(a1, INF), hi - delta)
             arcs[a2] = min(arcs.get(a2, INF), delta - lo)
-    return FeasibilityGraph.from_arcs(arcs, vertices)
+    return vertices, arcs
 
 
-def bellman_ford(vertices, adjacency, init):
-    """Gauss-Seidel Bellman-Ford over dict adjacency lists, relaxing the
-    vertices in list order, from the initialized vertices.
+def bellman_ford(vertices, arcs, init):
+    """Gauss-Seidel Bellman-Ford over dict adjacency lists built from the
+    arcs, each list sorted by head, relaxing the vertices in list order,
+    from the initialized vertices.
 
     Returns (dist, pred, cycle) where cycle is (vertex list closing on its
     least vertex, total weight) when a negative cycle is reachable, else
     None.
     """
+    adjacency = {v: [] for v in vertices}
+    for (x, y), w in sorted(arcs.items()):
+        adjacency[x].append((y, w))
     dist = {v: INF for v in vertices}
     pred = {v: None for v in vertices}
     for v, d in init.items():
@@ -475,29 +479,26 @@ def _trace_cycle(pred, start, adjacency, n):
     return cycle, weight
 
 
-def graph_negative_cycle(graph):
-    """A witness negative cycle (vertex list, weight) of a FeasibilityGraph
-    or None, from Bellman-Ford with every vertex seeded at 0."""
-    return bellman_ford(graph.vertices, graph.adjacency, dict.fromkeys(graph.vertices, 0))[2]
+def graph_negative_cycle(vertices, arcs):
+    """A witness negative cycle (vertex list, weight) of the dict graph or
+    None, from Bellman-Ford with every vertex seeded at 0."""
+    return bellman_ford(vertices, arcs, dict.fromkeys(vertices, 0))[2]
 
 
 def bellman_ford_distances(vertices, arcs, sources):
     """D(x, y) for each source x, keyed (x, y) as all_simple_path_distances
     gives them, from dict Bellman-Ford per source; None when a source
     reaches a negative cycle."""
-    adjacency = {v: [] for v in vertices}
-    for (x, y), w in arcs.items():
-        adjacency[x].append((y, w))
     out = {}
     for x in sources:
-        dist, _, cycle = bellman_ford(vertices, adjacency, {x: 0.0})
+        dist, _, cycle = bellman_ford(vertices, arcs, {x: 0.0})
         if cycle is not None:
             return None
         out.update(((x, y), d) for y, d in dist.items())
     return out
 
 
-def graph_extend_boundary(graph, partial):
+def graph_extend_boundary(vertices, arcs, partial):
     """Maximal extension values of the pins from one seeded Bellman-Ford
     pass; raises NegativeCycle, then Infeasible((x, y)) for the first
     lowered pin y and the root x of its pred chain, then Infeasible(v) for
@@ -505,7 +506,7 @@ def graph_extend_boundary(graph, partial):
     from gradsurf.errors import Infeasible, NegativeCycle
 
     seed = {x: float(h) for x, h in partial.items()}
-    dist, pred, cycle = bellman_ford(graph.vertices, graph.adjacency, seed)
+    dist, pred, cycle = bellman_ford(vertices, arcs, seed)
     if cycle is not None:
         raise NegativeCycle(*cycle)
     for y in sorted(partial):
@@ -514,36 +515,50 @@ def graph_extend_boundary(graph, partial):
             while pred[x] is not None:
                 x = pred[x]
             raise Infeasible((x, y))
-    for v in graph.vertices:
+    for v in vertices:
         if dist[v] == INF:
             raise Infeasible(v)
     return dist
 
 
-def graph_extend_boundary_min(graph, partial):
+def graph_extend_boundary_min(vertices, arcs, partial):
     """Minimal extension values: the negated maximal extension of the
-    reversed graph with negated pins."""
-    top = graph_extend_boundary(graph.reversed(), {x: 0.0 - h for x, h in partial.items()})
+    reversed arcs with negated pins."""
+    reversed_arcs = {(y, x): w for (x, y), w in arcs.items()}
+    top = graph_extend_boundary(vertices, reversed_arcs, {x: 0.0 - h for x, h in partial.items()})
     return {v: 0.0 - h for v, h in top.items()}
 
 
-def region_graph(pot, region, boundary):
-    """FeasibilityGraph of a region with fixed boundary heights: vertices
-    region | boundary, arcs from the edges meeting the region.  An edge
-    joining two boundary vertices has a fixed energy and is left out."""
-    from gradsurf.feasibility import FeasibilityGraph, _edge_arcs
+def edge_arcs(pot, edges):
+    """Up and down increment bounds of each edge as a pair of arcs: base to
+    head at the top of its support, head to base at minus the bottom."""
+    from gradsurf.feasibility import increment_bounds
+    from gradsurf.lattice import edge_head
+
+    arcs = {}
+    for edge in edges:
+        b = increment_bounds(pot, edge)
+        arcs[(edge[0], edge_head(edge))] = b.up
+        arcs[(edge_head(edge), edge[0])] = b.down
+    return arcs
+
+
+def region_arcs(pot, region, boundary):
+    """(sorted vertices, arcs) of a region with fixed boundary heights:
+    vertices region | boundary, arcs from the edges meeting the region.  An
+    edge joining two boundary vertices has a fixed energy and is left out."""
     from gradsurf.lattice import edge_head, edges_meeting
 
     universe = set(region) | set(boundary)
     edges = [e for e in edges_meeting(region) if e[0] in universe and edge_head(e) in universe]
-    return FeasibilityGraph.from_arcs(_edge_arcs(pot, edges), universe)
+    return sorted(universe), edge_arcs(pot, edges)
 
 
-def graph_windows(graph, pins, keys):
+def graph_windows(vertices, arcs, pins, keys):
     """Height windows [ceil(min ext), floor(max ext)] per key from the dict
     Bellman-Ford extensions of the graph, which raise their typed errors."""
-    top = graph_extend_boundary(graph, pins)
-    bot = graph_extend_boundary_min(graph, pins)
+    top = graph_extend_boundary(vertices, arcs, pins)
+    bot = graph_extend_boundary_min(vertices, arcs, pins)
     return {v: range(math.ceil(bot[v]), math.floor(top[v]) + 1) for v in keys}
 
 

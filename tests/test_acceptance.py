@@ -383,10 +383,7 @@ def test_criterion_10_feasibility_oracle_equivalence():
         if not arcs:
             continue
         oracle = all_simple_path_distances(verts, arcs)
-        g = FeasibilityGraph.from_arcs(arcs)
-        for v in verts:
-            g.adjacency.setdefault(v, [])
-        g.vertices = verts
+        g = FeasibilityGraph.from_arcs(arcs, verts)
         if oracle is None:
             with pytest.raises(NegativeCycle) as exc:
                 shortest_distances(g, verts)

@@ -112,6 +112,16 @@ def test_feasibility_polytope_csv(tmp_path):
     assert not checks[1]["feasible"] and not checks[1]["in_polytope"]
 
 
+def test_feasibility_distances_keep_isolated_vertices(tmp_path):
+    # two region vertices joined by no edge inside the region: both stay,
+    # at distance 0 from themselves and +inf from each other
+    cfg = _write_config(tmp_path, "c.json", {"potential": {"preset": "domino"}, "distance_region": [[0, 0], [3, 3]]})
+    rc = main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = (tmp_path / "out" / "distances.csv").read_text().strip().splitlines()
+    assert rows[1:] == ["0,0,0,0,0.0", "0,0,3,3,inf", "3,3,0,0,inf", "3,3,3,3,0.0"]
+
+
 def test_sample_torus_manifest(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -301,16 +311,19 @@ _DOMINO = {"preset": "domino"}
         ("sigma", {"potential": _DOMINO, "n": 4, "slopes": [["1/0", 0]]}),
         ("feasibility", {"potential": _DOMINO, "slopes": [{"slope": [0], "n": 4}]}),
         ("cftp", {"potential": _DOMINO, "region": "2x2", "seed": "x"}),
-    ],
+    ]
+    + [(command, {"potential": _DOMINO, "region": region}) for region in ("3xq", [5], [[0, 0, 0]]) for command in ("tile", "cftp")],
     ids=[
         "swap-no-trials", "sigma-no-slopes", "sigma-no-n", "cftp-no-region", "tile-no-region", "sample-no-region", "feasibility-item-no-n",
         "cftp-samples-not-int", "sample-bogus-mode", "sample-bad-slope", "sigma-zero-denominator", "feasibility-short-slope", "cftp-seed-not-int",
-    ],
+    ]
+    + [f"{command}-region-{name}" for name in ("bad-side", "not-pairs", "triple") for command in ("tile", "cftp")],
 )
 def test_malformed_config_writes_config_error(tmp_path, command, cfg):
-    # a missing key, a non-integer field, zero trials, an unknown mode or a
-    # slope that is not two rationals exits 2 with a ConfigParse error, not
-    # a traceback or a wrong mode
+    # a missing key, a non-integer field, zero trials, an unknown mode, a
+    # slope that is not two rationals or a region that is not a box or a
+    # list of integer pairs exits 2 with a ConfigParse error, not a
+    # traceback, a wrong mode or a count of a region that is not one
     rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())

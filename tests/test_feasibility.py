@@ -40,9 +40,9 @@ from oracles import (
     enumerate_feasible_configs,
     graph_negative_cycle,
     graph_windows,
-    region_graph,
+    region_arcs,
+    torus_arcs,
     torus_class_enumerate,
-    torus_graph,
 )
 
 F = Fraction
@@ -112,6 +112,15 @@ def test_pin_or_source_outside_the_graph_raises_value_error(sos_trunc1):
             run()
 
 
+def test_from_potential_keeps_isolated_vertices(domino):
+    # a region vertex joined to no other inside the region is still a
+    # vertex, and the graph is the potential's one plan of the region
+    region = [(0, 0), (3, 3)]
+    g = FeasibilityGraph.from_potential(domino, region)
+    assert shortest_distances(g, region) == {x: {y: 0.0 if x == y else INF for y in region} for x in region}
+    assert FeasibilityGraph.from_potential(domino, region[::-1]) is g
+
+
 def test_distances_match_path_enumeration_random_graphs():
     rng = random.Random(123)
     verts = [(i, 0) for i in range(3)] + [(i, 1) for i in range(3)]
@@ -121,12 +130,7 @@ def test_distances_match_path_enumeration_random_graphs():
             if abs(x[0] - y[0]) + abs(x[1] - y[1]) == 1 and rng.random() < 0.8:
                 arcs[(x, y)] = rng.randint(-2, 6)
         oracle = all_simple_path_distances(verts, arcs)
-        g = FeasibilityGraph.from_arcs(arcs) if arcs else None
-        if g is None:
-            continue
-        for v in verts:
-            g.adjacency.setdefault(v, [])
-        g.vertices = sorted(set(g.vertices) | set(verts))
+        g = FeasibilityGraph.from_arcs(arcs, verts)
         if oracle is None:
             with pytest.raises(NegativeCycle):
                 shortest_distances(g, verts)
@@ -588,9 +592,9 @@ def _random_skewed_potential(rng):
 
 
 def test_region_windows_equal_dict_extensions():
-    # the plan windows and the public extensions on region_graph against
-    # the dict Bellman-Ford reference: the same windows, or an error of the
-    # reference's kind whose witness keeps the contract of
+    # the plan windows and the public extensions on the region_arcs graph
+    # against the dict Bellman-Ford reference: the same windows, or an error
+    # of the reference's kind whose witness keeps the contract of
     # _check_max_extension in the direction that fails first
     rng = random.Random(909)
     cases = []
@@ -613,9 +617,8 @@ def test_region_windows_equal_dict_extensions():
         cases.append((domino_potential(), sorted(region_vertices(squares) - set(fixed)), fixed))
     kinds = set()
     for pot, region, boundary in cases:
-        graph = region_graph(pot, region, boundary)
-        verts = graph.vertices
-        arcs = {(x, y): w for x in verts for y, w in graph.adjacency[x]}
+        verts, arcs = region_arcs(pot, region, boundary)
+        graph = FeasibilityGraph.from_arcs(arcs, verts)
         rarcs = {(y, x): w for (x, y), w in arcs.items()}
         rpins = {x: -h for x, h in boundary.items()}
 
@@ -634,8 +637,8 @@ def test_region_windows_equal_dict_extensions():
         elif bot != "values":
             _check_max_extension(windows, verts, rarcs, rpins, distances)
         else:
-            assert windows() == graph_windows(graph, boundary, region)
-        expected = _error(lambda: graph_windows(graph, boundary, region))
+            assert windows() == graph_windows(verts, arcs, boundary, region)
+        expected = _error(lambda: graph_windows(verts, arcs, boundary, region))
         for run in (windows, lambda: (extend_boundary(graph, boundary), extend_boundary_min(graph, boundary))):
             got = _error(run)
             assert type(got) is type(expected)
@@ -660,5 +663,5 @@ def test_torus_slope_feasible_equals_graph_negative_cycle():
     for pot in (PeriodicPotential.isotropic("real", QuadraticPotential(1.0)), PeriodicPotential.isotropic("int", sos_abs_potential())):
         cases += [(pot, n, (F(1, 2), F(-1, 4))) for n in (2, 4)]
     feasible = [torus_slope_feasible(pot, n, slope) for pot, n, slope in cases]
-    assert feasible == [graph_negative_cycle(torus_graph(pot, n, slope)) is None for pot, n, slope in cases]
+    assert feasible == [graph_negative_cycle(*torus_arcs(pot, n, slope)) is None for pot, n, slope in cases]
     assert 10 <= sum(feasible) <= len(cases) - 10

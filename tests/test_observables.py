@@ -39,6 +39,17 @@ from oracles import torus_class_enumerate, transfer_matrix_log_z_loops
 F = Fraction
 
 
+def test_unbounded_support_scan_between_unequal_pins(sos):
+    # sos-abs has unbounded support, so the sums scan each free site over
+    # [min pin - 45, max pin + 45]; one site between pins 0 and 2 has
+    # Z = e^-2 (3 + 2 e^-2 / (1 - e^-2)), and three free sites are refused
+    boundary = {(0, 0): 0, (2, 0): 2}
+    assert log_partition_exact(sos, region=[(1, 0)], boundary=boundary) == pytest.approx(-0.8021352261203858, abs=1e-12)
+    assert log_concavity_check(sos, [(1, 0)], boundary, (1, 0)).verdict == "PASS"
+    with pytest.raises(StateSpaceTooLarge, match="at most 2 free sites"):
+        log_partition_exact(sos, region=[(1, 0), (2, 0), (3, 0)], boundary={(0, 0): 0, (4, 0): 0})
+
+
 def test_log_partition_single_free_edge(sos):
     # oracle: Z = 1 + 2/(e - 1) by direct series summation
     val = log_partition_exact(sos, region=[(1, 0)], boundary={(0, 0): 0})

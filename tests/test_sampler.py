@@ -37,7 +37,7 @@ from gradsurf.sampler import (
     torus_sample,
 )
 
-from oracles import exact_gibbs_distribution, graph_windows, region_graph, torus_graph
+from oracles import exact_gibbs_distribution, graph_windows, region_arcs, torus_arcs
 
 F = Fraction
 
@@ -361,7 +361,7 @@ def test_region_plan_shared_across_boundary_levels():
     (plan,) = plans.values()
     assert len(plan.windows) == 5
     for boundary in boundaries:
-        expected = graph_windows(region_graph(abs1, region, boundary), boundary, region)
+        expected = graph_windows(*region_arcs(abs1, region, boundary), boundary, region)
         assert plan.windows[tuple(sorted(boundary.items()))] == expected
 
 
@@ -502,9 +502,9 @@ def test_memoized_torus_sweeps_equal_site_conditional_loop(name, pot, n, slope):
 def test_plan_windows_equal_graph_windows(name, pot, n, slope):
     # the numpy relaxation against Bellman-Ford on the dict torus graph,
     # including the empty classes (a negative cycle there, Infeasible here)
-    graph = torus_graph(pot, n, slope)
+    verts, arcs = torus_arcs(pot, n, slope)
     try:
-        expected = graph_windows(graph, {(0, 0): 0}, graph.vertices)
+        expected = graph_windows(verts, arcs, {(0, 0): 0}, verts)
     except NegativeCycle:
         with pytest.raises(Infeasible):
             feasibility._torus_frame(pot, n, slope)
