@@ -86,14 +86,18 @@ def _required(cfg: dict, key: str):
     return cfg[key]
 
 
-def _integer(cfg: dict, key: str, default=None) -> int:
+def _integer(cfg: dict, key: str, default=None, least=None) -> int:
     """cfg[key] as an integer, or the default when given and the key is
-    missing; ConfigParse naming the key otherwise."""
+    missing; ConfigParse naming the key otherwise, or when the integer is
+    below ``least``."""
     value = _required(cfg, key) if default is None else cfg.get(key, default)
     try:
-        return int(value)
+        value = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigParse(f"{key!r} must be an integer, not {value!r}") from None
+    if least is not None and value < least:
+        raise ConfigParse(f"{key!r} must be at least {least}, not {value}")
+    return value
 
 
 def _torus_side(pot: PeriodicPotential, cfg: dict, default=None) -> int:
@@ -166,8 +170,8 @@ def cmd_sample(cfg, seed, out: Path):
     mode = cfg.get("mode", "torus")
     if mode not in ("torus", "region"):
         raise ConfigParse(f"unknown sample mode {mode!r}")
-    samples = _integer(cfg, "samples", 1)
-    sweeps = _integer(cfg, "sweeps", 64)
+    samples = _integer(cfg, "samples", 1, least=0)
+    sweeps = _integer(cfg, "sweeps", 64, least=0)
     rows = ["sample,x,y,height"]
     if mode == "torus":
         n = _torus_side(pot, cfg)
@@ -210,7 +214,7 @@ def _restrict(config, region):
 def cmd_cftp(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
     region, boundary = _region_with_boundary(cfg)
-    samples = _integer(cfg, "samples", 1)
+    samples = _integer(cfg, "samples", 1, least=0)
     rows = ["sample,x,y,height"]
     for s, config in enumerate(cftp_samples(pot, region, boundary, [RngStream(seed, s) for s in range(samples)])):
         rows.extend(_config_csv(config, s))
@@ -228,7 +232,7 @@ def cmd_tile(cfg, seed, out: Path):
         result["count_kasteleyn"] = kast
         result["count_bruteforce"] = brute
         print(kast)
-    samples = _integer(cfg, "samples", 0)
+    samples = _integer(cfg, "samples", 0, least=0)
     if samples:
         rows = ["sample,square1_x,square1_y,square2_x,square2_y"]
         height_rows = ["sample,x,y,height"]
@@ -279,7 +283,7 @@ def cmd_sigma(cfg, seed, out: Path):
     method = cfg.get("method", EXACT_SUM)
     if method not in (EXACT_SUM, TRANSFER_MATRIX, THERMODYNAMIC_INTEGRATION):
         raise ConfigParse(f"unknown sigma method {method!r}")
-    budget = _integer(cfg, "budget", 2048)
+    budget = _integer(cfg, "budget", 2048, least=0)
     estimates = []
     records = []
     for k, spec in enumerate(_required(cfg, "slopes")):
@@ -303,10 +307,8 @@ def cmd_swap(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
     n = _torus_side(pot, cfg, 8)
     slope = _slope(cfg.get("slope", [0, 0]))
-    sweeps = _integer(cfg, "sweeps", 64)
-    trials = _integer(cfg, "trials", 16)
-    if trials < 1:
-        raise ConfigParse(f"'trials' must be at least 1, not {trials}")
+    sweeps = _integer(cfg, "sweeps", 64, least=0)
+    trials = _integer(cfg, "trials", 16, least=1)
     window = sorted((i, j) for i in range(n) for j in range(n))
     scans = []
     cluster_rows = ["trial,x,y,zeta,cluster,boundary_touch"]

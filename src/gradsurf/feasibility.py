@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -562,7 +561,7 @@ def enumerate_region_configs(pot, region, boundary, node_budget: int = 10_000_00
     boundary = dict(boundary)
     windows = _region_windows(pot, region, boundary)
     order = _propagation_order(region, set(boundary))
-    yield from _search(pot, None, order, order, dict(boundary), 0.0, windows, node_budget)
+    yield from _search(pot, None, order, boundary, 0.0, windows, node_budget)
 
 
 def _propagation_order(region, anchors):
@@ -583,37 +582,60 @@ def _propagation_order(region, anchors):
     return order
 
 
-def _search(pot, torus, order, keys, known, energy, windows, node_budget):
-    """_dfs from the first site of the order.  The search recurses once per
-    site; an order too deep for the interpreter's recursion limit raises
-    StateSpaceTooLarge naming the depth needed."""
-    try:
-        yield from _dfs(pot, torus, order, keys, 0, known, energy, windows, [node_budget])
-    except RecursionError:
-        raise StateSpaceTooLarge(
-            f"enumeration needs recursion depth {len(order)}, "
-            f"beyond the interpreter limit {sys.getrecursionlimit()}"
-        ) from None
+def _search(pot, torus, order, known, energy, windows, node_budget, best=None):
+    """Yield ({v: height for v in order}, energy) over every assignment of
+    the order's sites with finite energy, given the heights in ``known``
+    and the base energy; the energy adds the edges from each site to the
+    known and earlier sites.
 
-
-def _dfs(pot, torus, order, keys, idx, known, energy, windows, budget):
-    """Yield ({k: height for k in keys}, energy) over every assignment of
-    order[idx:] with finite energy, given the heights in ``known``."""
-    if idx == len(order):
-        yield {k: known[k] for k in keys}, energy
-        return
-    v = order[idx]
-    terms = _neighbor_terms(pot, known, v, torus)
-    for a in windows[v]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise StateSpaceTooLarge("enumeration node budget exhausted")
-        de = _local_energy(terms, a)
-        if de == INF:
+    An iterative depth-first search, so the order may be of any length.
+    Each node tries every height of its site's window, one node of the
+    budget each, and raises StateSpaceTooLarge once the budget is spent.
+    Heights are tried in window order, so leaves come in ascending
+    lexicographic order of their heights along the order.  With ``best``,
+    a one-element list holding a cutoff, heights are tried cheapest first
+    and a branch whose energy reaches the cutoff is cut: branch-and-bound,
+    with the caller lowering the cutoff at each leaf.  Partial energies
+    never decrease, as normalized edge potentials are nonnegative.
+    """
+    depth = len(order)
+    seen = set(known)
+    slots = []  # per depth: (edge potential, neighbor, shift, orientation)
+    for v in order:
+        slots.append([(pot.edge_potential(edge), key, delta, orient) for key, delta, edge, orient in _neighbor_slots(v, seen, torus)])
+        seen.add(v)
+    values = dict(known)
+    energies = [energy] * (depth + 1)
+    pending = [None] * depth  # per depth: the untried (site energy, height) pairs, last first
+    cutoff = [INF] if best is None else best
+    budget = node_budget
+    d = 0
+    while d >= 0:
+        if d == depth:
+            yield {v: values[v] for v in order}, energies[d]
+            d -= 1
             continue
-        known[v] = a
-        yield from _dfs(pot, torus, order, keys, idx + 1, known, energy + de, windows, budget)
-        del known[v]
+        todo = pending[d]
+        if todo is None:
+            window = windows[order[d]]
+            budget -= len(window)
+            if budget < 0:
+                raise StateSpaceTooLarge(f"exact search exhausted its node budget {node_budget}")
+            terms = [(p, values[key] + delta if orient > 0 else values[key] - delta, orient) for p, key, delta, orient in slots[d]]
+            e = energies[d]
+            todo = pending[d] = [(de, a) for a in window if e + (de := _local_energy(terms, a)) < cutoff[0]]
+            if best is None:
+                todo.reverse()
+            else:
+                todo.sort(reverse=True)
+        if todo and energies[d] + todo[-1][0] < cutoff[0]:
+            de, a = todo.pop()
+            values[order[d]] = a
+            energies[d + 1] = energies[d] + de
+            d += 1
+        else:
+            pending[d] = None
+            d -= 1
 
 
 def _wave_schedule(plan, order):
@@ -775,57 +797,19 @@ def enumerate_torus_configs(pot, n: int, slope, node_budget: int = 10_000_000):
     info, windows, order, base_energy = _torus_frame(pot, n, slope)
     if base_energy == INF:
         return
-    keys = [(0, 0)] + order
-    known = {(0, 0): 0}
-    yield from _search(pot, info, order, keys, known, base_energy, windows, node_budget)
+    for values, energy in _search(pot, info, order, {(0, 0): 0}, base_energy, windows, node_budget):
+        yield {(0, 0): 0, **values}, energy
 
 
 def ground_state_energy(pot: PeriodicPotential, n: int, slope, node_budget: int = 10_000_000):
-    """Exact chi(u) = min energy over the slope class, with one minimizer.
-
-    Branch-and-bound: partial energies are monotone because normalized edge
-    potentials are nonnegative, so any partial sum at or above the best
-    known total can be cut; candidate heights are tried greedily.  The
-    search recurses once per site; a torus too deep for the interpreter's
-    recursion limit raises StateSpaceTooLarge naming the depth needed.
-    """
+    """Exact chi(u) = min energy over the slope class, with one minimizer:
+    ``_search`` with a cutoff lowered to the energy of each leaf, so the
+    last leaf is a minimizer."""
     info, windows, order, base_energy = _torus_frame(pot, n, slope)
-    x0 = (0, 0)
-    known = {x0: 0}
-    best = [INF, None]
-    budget = [node_budget]
-
-    def search(idx, energy):
-        if idx == len(order):
-            if energy < best[0]:
-                best[0] = energy
-                best[1] = dict(known)
-            return
-        v = order[idx]
-        terms = _neighbor_terms(pot, known, v, info)
-        candidates = []
-        for a in windows[v]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise StateSpaceTooLarge("ground-state node budget exhausted")
-            de = _local_energy(terms, a)
-            if de < INF and energy + de < best[0]:
-                candidates.append((de, a))
-        candidates.sort()
-        for de, a in candidates:
-            if energy + de >= best[0]:
-                break
-            known[v] = a
-            search(idx + 1, energy + de)
-            del known[v]
-
-    try:
-        search(0, base_energy)
-    except RecursionError:
-        raise StateSpaceTooLarge(
-            f"ground-state search needs recursion depth {len(order)}, "
-            f"beyond the interpreter limit {sys.getrecursionlimit()}"
-        ) from None
-    if best[1] is None:
+    best, witness = [INF], None
+    if base_energy < INF:
+        for witness, energy in _search(pot, info, order, {(0, 0): 0}, base_energy, windows, node_budget, best):
+            best[0] = energy
+    if witness is None:
         raise Infeasible(f"slope {slope} on the {n}-torus")
-    return best[0], HeightConfig(best[1], reference=x0, torus=info)
+    return best[0], HeightConfig({(0, 0): 0, **witness}, reference=(0, 0), torus=info)

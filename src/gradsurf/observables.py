@@ -26,6 +26,7 @@ from .errors import (
 )
 from .feasibility import (
     _energy_table,
+    _search,
     _torus_frame,
     enumerate_region_configs,
     enumerate_torus_configs,
@@ -33,7 +34,7 @@ from .feasibility import (
     torus_slope_feasible,
 )
 from .heights import HeightConfig
-from .lattice import AXIS_VECTORS, Sublattice, Vertex, add, edges_meeting
+from .lattice import Sublattice, Vertex, add, edges_meeting
 from .potential import INF, PeriodicPotential, TablePotential
 from .rng import RngStream
 from .sampler import _TorusChain
@@ -93,26 +94,11 @@ def log_partition_exact(
     return log_z - offset
 
 
-def _region_energy(pot, region, boundary, assignment):
-    values = dict(boundary)
-    values.update(assignment)
-    total = 0.0
-    for e in edges_meeting(set(region)):
-        base, axis = e
-        head = add(base, AXIS_VECTORS[axis])
-        if base in values and head in values:
-            en = pot.edge_energy(e, values[head] - values[base])
-            if en == INF:
-                return INF
-            total += en
-    return total
-
-
 def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radius: int = 45):
     """(values, energy) pairs; unbounded supports on integer heights fall
-    back to a direct tail-truncated window scan on very small regions, and
-    other domains raise StateSpaceTooLarge (a sum over integer heights is
-    not their measure).
+    back to the exact search over tail-truncated windows on very small
+    regions, and other domains raise StateSpaceTooLarge (a sum over integer
+    heights is not their measure).
 
     The window keeps terms down to relative weight exp(-radius), far below
     double precision at the default.
@@ -125,13 +111,11 @@ def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radi
     region = sorted(region)
     if len(region) > 2:
         raise StateSpaceTooLarge("unbounded supports allow at most 2 free sites")
-    lo = int(min(boundary.values())) - radius
-    hi = int(max(boundary.values())) + radius
-    for combo in itertools.product(range(lo, hi + 1), repeat=len(region)):
-        assignment = dict(zip(region, combo))
-        e = _region_energy(pot, region, boundary, assignment)
-        if e < INF:
-            yield assignment, e
+    if region and not boundary:
+        raise Infeasible(region[0])
+    lo, hi = min(boundary.values(), default=0), max(boundary.values(), default=0)
+    window = range(int(lo) - radius, int(hi) + radius + 1)
+    yield from _search(pot, None, region, boundary, 0.0, dict.fromkeys(region, window), node_budget)
 
 
 # ---------------------------------------------------------------------------

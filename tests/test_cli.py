@@ -311,19 +311,24 @@ _DOMINO = {"preset": "domino"}
         ("sigma", {"potential": _DOMINO, "n": 4, "slopes": [["1/0", 0]]}),
         ("feasibility", {"potential": _DOMINO, "slopes": [{"slope": [0], "n": 4}]}),
         ("cftp", {"potential": _DOMINO, "region": "2x2", "seed": "x"}),
+        ("cftp", {"potential": _DOMINO, "region": "2x2", "samples": -3}),
+        ("sample", {"potential": _DOMINO, "n": 4, "sweeps": -5}),
+        ("sigma", {"potential": _DOMINO, "n": 4, "slopes": [[0, 0]], "budget": -1}),
     ]
     + [(command, {"potential": _DOMINO, "region": region}) for region in ("3xq", [5], [[0, 0, 0]]) for command in ("tile", "cftp")],
     ids=[
         "swap-no-trials", "sigma-no-slopes", "sigma-no-n", "cftp-no-region", "tile-no-region", "sample-no-region", "feasibility-item-no-n",
         "cftp-samples-not-int", "sample-bogus-mode", "sample-bad-slope", "sigma-zero-denominator", "feasibility-short-slope", "cftp-seed-not-int",
+        "cftp-negative-samples", "sample-negative-sweeps", "sigma-negative-budget",
     ]
     + [f"{command}-region-{name}" for name in ("bad-side", "not-pairs", "triple") for command in ("tile", "cftp")],
 )
 def test_malformed_config_writes_config_error(tmp_path, command, cfg):
-    # a missing key, a non-integer field, zero trials, an unknown mode, a
-    # slope that is not two rationals or a region that is not a box or a
-    # list of integer pairs exits 2 with a ConfigParse error, not a
-    # traceback, a wrong mode or a count of a region that is not one
+    # a missing key, a non-integer field, zero trials, a negative count of
+    # samples, sweeps or budget, an unknown mode, a slope that is not two
+    # rationals or a region that is not a box or a list of integer pairs
+    # exits 2 with a ConfigParse error, not a traceback, a wrong mode or a
+    # count of a region that is not one
     rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())

@@ -399,23 +399,52 @@ def test_ground_state_tilted_sos(sos_trunc2):
     assert chi == 2
 
 
-def test_ground_state_infeasible(domino):
+def test_ground_state_infeasible(domino, sos_trunc1):
     with pytest.raises(Infeasible):
         ground_state_energy(domino, 4, (F(3, 4), F(0)))
+    # on the 1-torus the holonomy 2 exceeds the increment bound
+    with pytest.raises(Infeasible):
+        ground_state_energy(sos_trunc1, 1, (2, 0))
+    with pytest.raises(Infeasible):
+        list(enumerate_torus_configs(sos_trunc1, 1, (2, 0)))
 
 
-def test_ground_state_deep_torus_raises_typed_error(domino):
-    # the search recurses once per site: 1023 levels on the side-32 torus
-    with pytest.raises(StateSpaceTooLarge, match="recursion depth 1023"):
-        ground_state_energy(domino, 32, (F(0), F(0)))
+def test_exact_search_runs_deep_torus_orders(domino):
+    # the search keeps its own stack: the 1023 sites of the side-32 torus
+    # need no recursion, and the node budget still bounds the enumeration
+    chi, witness = ground_state_energy(domino, 32, (F(0), F(0)))
+    assert chi == 0
+    assert feasibility._torus_energy(domino, witness) == 0
+    assert witness.torus.holonomy() == (0, 0)
+    assert next(enumerate_torus_configs(domino, 32, (F(0), F(0))))[1] == 0
+    with pytest.raises(StateSpaceTooLarge, match="node budget 10000"):
+        log_partition_exact(domino, torus=32, slope=(0, 0), node_budget=10_000)
 
 
-def test_enumeration_deep_torus_raises_typed_error(domino):
-    # the enumeration recurses once per site as well
-    with pytest.raises(StateSpaceTooLarge, match="recursion depth 1023"):
-        log_partition_exact(domino, torus=32, slope=(0, 0))
-    with pytest.raises(StateSpaceTooLarge, match="recursion depth 1023"):
-        next(enumerate_torus_configs(domino, 32, (F(0), F(0))))
+@pytest.mark.parametrize("slope, chi", [((0, 0), 0), ((1, 0), 1), ((1, 1), 2)])
+def test_exact_search_on_the_one_torus(sos_trunc1, slope, chi):
+    # the 1-torus has an empty search order: its one config is the pinned
+    # origin, whose two self-loops climb by the holonomy
+    energy, witness = ground_state_energy(sos_trunc1, 1, slope)
+    assert (energy, witness.values) == (chi, {(0, 0): 0})
+    assert list(enumerate_torus_configs(sos_trunc1, 1, slope)) == [({(0, 0): 0}, chi)]
+    assert log_partition_exact(sos_trunc1, torus=1, slope=slope) == -chi
+
+
+def test_node_budget_counts_the_heights_tried(domino, sos_trunc1, sos_trunc2):
+    # one node per height tried: each search succeeds on a budget of
+    # exactly the heights it tries and raises one node below
+    box = box_region(3, 3)
+    boundary = {v: v[0] // 2 for v in outer_boundary(box)}
+    runs = [
+        (lambda budget: list(enumerate_torus_configs(domino, 4, (F(0), F(0)), budget)), 1470),
+        (lambda budget: ground_state_energy(sos_trunc2, 4, (F(1, 2), F(0)), budget), 75536),
+        (lambda budget: list(enumerate_region_configs(sos_trunc1, box, boundary, budget)), 1848),
+    ]
+    for run, nodes in runs:
+        run(nodes)
+        with pytest.raises(StateSpaceTooLarge, match=f"node budget {nodes - 1}$"):
+            run(nodes - 1)
 
 
 def test_chi_convex_along_segment(sos_trunc2):
@@ -469,7 +498,11 @@ def test_torus_enumeration_and_ground_state_vs_oracle_random_potentials():
                     _torus_start(pot, 2, slope)
                 continue
             nonempty += 1
-            assert _configs(enumerate_torus_configs(pot, 2, slope)) == oracle
+            pairs = list(enumerate_torus_configs(pot, 2, slope))
+            assert _configs(pairs) == oracle
+            # leaves come in lexicographic order along the search order
+            heights = [tuple(values.values()) for values, _ in pairs]
+            assert heights == sorted(heights)
             chi, witness = ground_state_energy(pot, 2, slope)
             assert chi == min(e for _, e in oracle)
             assert (tuple(witness.sorted_items()), chi) in oracle
@@ -493,10 +526,13 @@ def test_region_enumeration_vs_oracle_random_potentials():
         for boundary in (levels, dict.fromkeys(ring, 0)):
             oracle = _configs(enumerate_feasible_configs(pot, interior, boundary))
             try:
-                got = _configs(enumerate_region_configs(pot, interior, boundary))
+                pairs = list(enumerate_region_configs(pot, interior, boundary))
             except (Infeasible, NegativeCycle):
-                got = []
-            assert got == oracle
+                pairs = []
+            assert _configs(pairs) == oracle
+            # leaves come in lexicographic order along the search order
+            heights = [tuple(values.values()) for values, _ in pairs]
+            assert heights == sorted(heights)
             nonempty += bool(oracle)
     assert nonempty >= 96 + 16
 

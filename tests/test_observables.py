@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradsurf.errors import NotIncreasing, SlopeMismatch, StateSpaceTooLarge
+from gradsurf.errors import Infeasible, NotIncreasing, SlopeMismatch, StateSpaceTooLarge
 from gradsurf.feasibility import torus_slope_feasible
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import Sublattice, box_region, outer_boundary
@@ -48,6 +48,20 @@ def test_unbounded_support_scan_between_unequal_pins(sos):
     assert log_concavity_check(sos, [(1, 0)], boundary, (1, 0)).verdict == "PASS"
     with pytest.raises(StateSpaceTooLarge, match="at most 2 free sites"):
         log_partition_exact(sos, region=[(1, 0), (2, 0), (3, 0)], boundary={(0, 0): 0, (4, 0): 0})
+
+
+def test_unbounded_support_scan_without_pins_is_infeasible(sos):
+    # no pin leaves the heights free, as on the Lipschitz path
+    with pytest.raises(Infeasible, match=r"\(0, 0\)"):
+        log_partition_exact(sos, region=[(0, 0)], boundary={})
+
+
+def test_unbounded_support_scan_spends_the_node_budget(sos):
+    # the first free site alone tries the 91 heights of its window
+    boundary = {(-1, 0): 0, (2, 0): 0}
+    assert log_partition_exact(sos, region=[(0, 0), (1, 0)], boundary=boundary) == pytest.approx(0.7352926947372781, abs=1e-12)
+    with pytest.raises(StateSpaceTooLarge, match="node budget 10$"):
+        log_partition_exact(sos, region=[(0, 0), (1, 0)], boundary=boundary, node_budget=10)
 
 
 def test_log_partition_single_free_edge(sos):
