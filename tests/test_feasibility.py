@@ -409,16 +409,25 @@ def test_ground_state_infeasible(domino, sos_trunc1):
         list(enumerate_torus_configs(sos_trunc1, 1, (2, 0)))
 
 
-def test_exact_search_runs_deep_torus_orders(domino):
+def test_ground_state_deep_torus_raises_typed_error(domino):
     # the search keeps its own stack: the 1023 sites of the side-32 torus
-    # need no recursion, and the node budget still bounds the enumeration
+    # need no recursion, and only the node budget stops the search
     chi, witness = ground_state_energy(domino, 32, (F(0), F(0)))
     assert chi == 0
     assert feasibility._torus_energy(domino, witness) == 0
     assert witness.torus.holonomy() == (0, 0)
+    with pytest.raises(StateSpaceTooLarge, match="node budget 1000$"):
+        ground_state_energy(domino, 32, (F(0), F(0)), node_budget=1000)
+
+
+def test_enumeration_deep_torus_raises_typed_error(domino):
+    # the enumeration runs on the same stack: it reaches its first leaf on
+    # the side-32 torus, and the node budget bounds the full sum
     assert next(enumerate_torus_configs(domino, 32, (F(0), F(0))))[1] == 0
     with pytest.raises(StateSpaceTooLarge, match="node budget 10000"):
         log_partition_exact(domino, torus=32, slope=(0, 0), node_budget=10_000)
+    with pytest.raises(StateSpaceTooLarge, match="node budget 1000$"):
+        next(enumerate_torus_configs(domino, 32, (F(0), F(0)), node_budget=1000))
 
 
 @pytest.mark.parametrize("slope, chi", [((0, 0), 0), ((1, 0), 1), ((1, 1), 2)])
