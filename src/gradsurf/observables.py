@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BoxExceedsSupport,
+    DivergentNormalizer,
     Infeasible,
     InsufficientBudget,
     NotIncreasing,
@@ -37,7 +38,7 @@ from .heights import HeightConfig
 from .lattice import Sublattice, Vertex, add, edges_meeting
 from .potential import INF, PeriodicPotential, TablePotential
 from .rng import RngStream
-from .sampler import _TorusChain
+from .sampler import _torus_start, _TorusChain, _uniform_rows
 
 EXACT_SUM = "ExactSum"
 TRANSFER_MATRIX = "TransferMatrix"
@@ -269,10 +270,16 @@ def sigma_estimate(
 
 
 def _scale_potential(pot, beta: float) -> PeriodicPotential:
-    """beta * V on the same Lipschitz supports."""
+    """beta * V on the same Lipschitz supports.  Raises DivergentNormalizer
+    for an unbounded support, whose beta = 0 measure has no finite
+    normalizer."""
     classes = {}
     for cls, p in pot.class_potentials.items():
         lo, hi = p.support()
+        if math.isinf(lo) or math.isinf(hi):
+            raise DivergentNormalizer(
+                f"thermodynamic integration starts at beta = 0, where support [{lo}, {hi}] has no finite normalizer"
+            )
         classes[cls] = TablePotential.from_dict(
             {k: beta * p(k) for k in range(int(lo), int(hi) + 1) if p(k) < INF}
         )
@@ -291,19 +298,19 @@ def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):
     burn = max(8, budget // 4)
     per_batch = max(1, budget // batches)
     means, errs = [], []
-    counter = 0
-    for bi, beta in enumerate(grid):
-        scaled = _scale_potential(pot, beta)
+    potentials = [_scale_potential(pot, beta) for beta in grid]
+    # one stream, counters 0, 1, ... over every sweep at every beta
+    sites = len(_torus_start(pot, n, slope)[1])
+    draws = _uniform_rows([rng], range(len(grid) * (burn + batches * per_batch)), sites)
+    for scaled in potentials:
         chain = _TorusChain(pot, n, slope)
         for t in range(burn):
-            chain.sweep(rng.at(counter).random(len(chain.order)), scaled)
-            counter += 1
+            chain.sweep(next(draws)[0], scaled)
         batch_means = []
         for b in range(batches):
             acc = 0.0
             for t in range(per_batch):
-                chain.sweep(rng.at(counter).random(len(chain.order)), scaled)
-                counter += 1
+                chain.sweep(next(draws)[0], scaled)
                 acc += chain.energy()
             batch_means.append(acc / per_batch)
         m = float(np.mean(batch_means))

@@ -28,7 +28,8 @@ Which code runs:
   CFTP (``cftp_samples``) sweeps the top and bottom chains of many samples
   as one flat array, on the plan's schedule repeated for each chain
   (``_copied_waves``), with each sample's own uniforms; ``cftp_sample`` is
-  its one-stream case.
+  its one-stream case.  An epoch's uniforms come from one ``rng.block``
+  call per slice (``_uniform_rows``), equal to the per-row ``at`` draws.
 - Non-integer heights, continuous domains, unbounded increments (whose
   scan starts from a rounded mean, which a shift can move), tables over
   ``_TABLE_LIMIT`` keys and region sites with a neighbor outside region |
@@ -45,6 +46,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import rng as _rng
 from .errors import EmptySupport, GradsurfError, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
 from .feasibility import (
     _energy_table,
@@ -536,9 +538,12 @@ def cftp_samples(pot, region, boundary, streams, max_epochs: int = 22) -> list[H
     The samples run in chunks of at most _CFTP_HEIGHTS chain heights, taken
     in stream order (``_cftp_chunk``): every epoch sweeps the chains of a
     chunk's samples that have not coalesced as one array, and each sample
-    draws ``stream.at(t).random(len(region))`` at time t as it would alone.
-    So sample a equals ``cftp_sample`` with streams[a], and the batch
-    raises what the first of those calls to fail raises.
+    uses ``stream.at(t).random(len(region))`` at time t as it would alone.
+    An epoch's draws, every active sample at every time, come from
+    ``rng.block`` in slices of at most max(_CFTP_HEIGHTS, len(region))
+    doubles (``_uniform_rows``), and each row equals that ``at`` call bit
+    for bit.  So sample a equals ``cftp_sample`` with streams[a], and the
+    batch raises what the first of those calls to fail raises.
     """
     streams = list(streams)
     region = sorted(region)
@@ -583,14 +588,11 @@ def _cftp_chunk(streams, start, size, sweep, max_epochs):
     span, sweeps = 1, 0
     while active and max_epochs >= 0 and span <= (1 << max_epochs):
         chains = np.repeat(start[None], len(active), axis=0)
-        uniforms = np.empty((len(active), size))
-        for t in range(-span, 0):
-            for k, a in enumerate(active):
-                streams[a].at(t).random(out=uniforms[k])
-            failed = sweep(chains, uniforms)
+        for uniforms in _uniform_rows([streams[a] for a in active], range(-span, 0), size):
+            failed = sweep(chains, uniforms[: len(chains)])
             if failed is not None:
                 k, failure = failed
-                active, chains, uniforms = active[:k], chains[:k], uniforms[:k]
+                active, chains = active[:k], chains[:k]
                 if not active:
                     break
         sweeps += span
@@ -604,6 +606,19 @@ def _cftp_chunk(streams, start, size, sweep, max_epochs):
     if failure is not None:
         raise failure
     return ends
+
+
+def _uniform_rows(streams, times, size):
+    """For each t of ``times``, the (len(streams), size) uniforms whose row
+    k is ``streams[k].at(t).random(size)``, drawn by ``rng.block`` in slices
+    of as many times as fit in _CFTP_HEIGHTS doubles (one at least).  A
+    slice holds at most max(_CFTP_HEIGHTS, len(streams) * size) doubles, so
+    at most max(_CFTP_HEIGHTS, size) for a CFTP chunk."""
+    step = max(1, _CFTP_HEIGHTS // max(1, len(streams) * size))
+    for lo in range(0, len(times), step):
+        ts = times[lo : lo + step]
+        rows = _rng.block([s for _ in ts for s in streams], [t for t in ts for _ in streams], size)
+        yield from rows.reshape(len(ts), len(streams), size)
 
 
 def _coupled_sweep(pot, order, top, bot, uniforms):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 INF = math.inf
 
 
@@ -608,3 +610,10 @@ def cycle_polytope(pot, cycle_length_bound=None):
         dfs(start, start, (0, 0), Fraction(0) if pot.discrete else 0.0, (start,))
     halfspaces = [Halfspace(normal, off, cycle) for normal, (off, cycle) in sorted(best.items())]
     return SlopePolytope(halfspaces=tuple(_prune_redundant(halfspaces)), feasible=feasible)
+
+
+def at_rows(streams, counters, size):
+    """The reference of ``rng.block``: row k is
+    ``streams[k].at(counters[k]).random(size)``, one numpy generator per row."""
+    rows = [stream.at(counter).random(size) for stream, counter in zip(streams, counters)]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), size)

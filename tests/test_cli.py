@@ -181,6 +181,19 @@ def test_cftp_unbounded_potential_writes_typed_error(tmp_path, preset):
     assert err["error"] == "StateSpaceTooLarge"
 
 
+@pytest.mark.parametrize("domain", ["int", "real"])
+@pytest.mark.parametrize("preset", ["sos-abs", "gaussian:1.0"])
+def test_sigma_ti_unbounded_potential_writes_typed_error(tmp_path, preset, domain):
+    # thermodynamic integration starts at beta = 0, where an unbounded
+    # support has no finite normalizer
+    pot = {"domain": domain, "period": [[1, 0], [0, 1]], "classes": preset}
+    cfg = {"potential": pot, "n": 4, "method": "ThermodynamicIntegration", "budget": 16, "slopes": [[0, 0]]}
+    rc = main(["sigma", "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "DivergentNormalizer"
+
+
 @pytest.mark.parametrize("mode", ["torus", "region"])
 @pytest.mark.parametrize("preset", ["sos-abs", "gaussian:1.0"])
 def test_sample_unbounded_potential(tmp_path, preset, mode):
@@ -271,6 +284,19 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
             },
         ),
         (
+            "tile",
+            {"region": "6x6", "samples": 4},
+            {
+                "tilings.csv": "d04a4728824c4219652b2d81b6fbc985234904c87b57b734e627da7c0bb402ae",
+                "heights.csv": "b45263c8b7aba238ee133538f565583928f684594ff981a8167c8ec7cf2783c3",
+            },
+        ),
+        (
+            "sigma",
+            {"potential": _ABS1, "n": 4, "method": "ThermodynamicIntegration", "budget": 16, "slopes": [[0, 0], ["1/4", 0]]},
+            {"sigma.json": "ed2bcf913613a9105f5c3d80d3898b5d008c41131c392acd7f26b58d5634bb9c"},
+        ),
+        (
             "feasibility",
             {"potential": _ABS1, "distance_region": _box_10x10(1, 2)},
             {"distances.csv": "acd20c9d21209e4eb82b7d272c435bffff8789ab74f106fda1b732f2375d1eb8"},
@@ -281,11 +307,14 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
             {"distances.csv": "c5510bfb08b6c06373691bca4732f593937dc5f2080c5dc0c7c4759cab86a248"},
         ),
     ],
-    ids=["cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "tile-notched-6x6", "distances-abs1-10x10", "distances-domino-10x10"],
+    ids=[
+        "cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
+        "distances-abs1-10x10", "distances-domino-10x10",
+    ],
 )
 def test_region_outputs_match_golden_digests(tmp_path, command, cfg, digests):
-    # region sampling outputs and distance tables for a fixed config and
-    # seed stay byte-identical
+    # region sampling outputs, TI estimates and distance tables for a fixed
+    # config and seed stay byte-identical
     rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 0
     for name, digest in digests.items():

@@ -34,7 +34,7 @@ from gradsurf.potential import (
 )
 from gradsurf.rng import RngStream
 
-from oracles import torus_class_enumerate, transfer_matrix_log_z_loops
+from oracles import at_rows, torus_class_enumerate, transfer_matrix_log_z_loops
 
 F = Fraction
 
@@ -257,6 +257,29 @@ def test_sigma_ti_matches_exact(sos_trunc1):
     )
     assert ti.stderr > 0
     assert abs(ti.value - exact.value) <= 3 * ti.stderr
+
+
+@pytest.mark.parametrize("budget", [16, 256])
+def test_sigma_ti_block_draws_equal_the_at_path(monkeypatch, sos_trunc1, budget):
+    # TI draws every sweep of every beta node from one stream by rng.block,
+    # in slices of at most _CFTP_HEIGHTS doubles (several at budget 256);
+    # one numpy generator per row (oracles.at_rows) gives the same value
+    # and stderr
+    from gradsurf import rng, sampler
+
+    drawn = []
+    block = rng.block
+    monkeypatch.setattr(rng, "block", lambda streams, counters, size: drawn.append(len(counters) * size) or block(streams, counters, size))
+    slope = (F(1, 4), F(0))
+    ti = sigma_estimate(sos_trunc1, slope, 4, method=THERMODYNAMIC_INTEGRATION, budget=budget, rng=RngStream(77, 3))
+    sweeps = 21 * (max(8, budget // 4) + 32 * max(1, budget // 32))
+    assert sum(drawn) == sweeps * 15
+    assert max(drawn) <= sampler._CFTP_HEIGHTS
+    assert len(drawn) == -(-sweeps // (sampler._CFTP_HEIGHTS // 15))
+    monkeypatch.setattr(rng, "block", at_rows)
+    at = sigma_estimate(sos_trunc1, slope, 4, method=THERMODYNAMIC_INTEGRATION, budget=budget, rng=RngStream(77, 3))
+    assert (ti.value, ti.stderr) == (at.value, at.stderr)
+    assert ti.stderr > 0
 
 
 def test_sigma_monotone_under_truncation(sos_trunc1, sos_trunc2):

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gradsurf import feasibility, sampler
+from gradsurf import feasibility, rng, sampler
 from gradsurf.cli import main
 from gradsurf.errors import EmptySupport, GradsurfError, Infeasible, NegativeCycle, NonMonotoneCoupling, StateSpaceTooLarge
 from gradsurf.feasibility import enumerate_torus_configs
@@ -37,7 +37,7 @@ from gradsurf.sampler import (
     torus_sample,
 )
 
-from oracles import exact_gibbs_distribution, graph_windows, region_arcs, torus_arcs
+from oracles import at_rows, exact_gibbs_distribution, graph_windows, region_arcs, torus_arcs
 
 F = Fraction
 
@@ -698,6 +698,28 @@ def test_cftp_samples_equal_per_stream_samples(monkeypatch, sos_trunc1, nonconve
     assert _batch_equals_loop(*gapped, pair, 6) == "EmptySupport: no height has finite energy"
 
 
+def test_cftp_block_draws_equal_the_at_path(monkeypatch, sos_trunc1, nonconvex):
+    # CFTP draws each epoch by rng.block; with one numpy generator per row
+    # instead (oracles.at_rows) every sample and every error message, spans
+    # and sweep counts included, is the same
+    interior = sorted(box_region(3, 3))
+    ring = {v: 0 for v in outer_boundary(interior)}
+    batches = [
+        (pot, interior, boundary, [stream] + [RngStream(stream.seed, stream.stream_id + k) for k in range(1, 4)], 22)
+        for pot, interior, boundary, stream in _cftp_cases(sos_trunc1, nonconvex).values()
+    ]
+    batches.append((nonconvex, interior, ring, _LATE, 4))
+
+    def outcomes():
+        return [_cftp_outcome(lambda: sampler.cftp_samples(*batch)) for batch in batches]
+
+    by_block = outcomes()
+    monkeypatch.setattr(rng, "block", at_rows)
+    assert outcomes() == by_block
+    assert by_block[-1] == _LATE_ERROR
+    assert sum(isinstance(out, list) for out in by_block) >= 20
+
+
 def test_coupled_waves_replays_empty_supports_sample_by_sample(sos_trunc1):
     # a boundary height of sample 1 leaves site (1, 0) without a
     # finite-energy height, so the batched sweep raises EmptySupport; the
@@ -722,21 +744,32 @@ def test_coupled_waves_replays_empty_supports_sample_by_sample(sos_trunc1):
 def test_cftp_samples_chunks(monkeypatch, sos_trunc1, nonconvex):
     # chunks of at most _CFTP_HEIGHTS chain heights, in stream order, give
     # the per-stream samples and errors; a bound below one sample's chains
-    # runs one sample per chunk
-    sizes = []
+    # runs one sample per chunk.  The draws come in rng.block slices of at
+    # most max(_CFTP_HEIGHTS, len(region)) doubles, and no bound changes
+    # an outcome.
+    sizes, drawn = [], []
     sweep_waves = sampler._sweep_waves
     monkeypatch.setattr(sampler, "_sweep_waves", lambda table, waves, heights, us: sizes.append(heights.size) or sweep_waves(table, waves, heights, us))
+    block = rng.block
+    monkeypatch.setattr(rng, "block", lambda streams, counters, size: drawn.append(len(counters) * size) or block(streams, counters, size))
     interior = sorted(box_region(3, 3))
     ring = {v: 0 for v in outer_boundary(interior)}
     heights = 2 * (len(interior) + len(ring))
     streams = [RngStream(5, k) for k in range(7)]
-    for bound in (2 * heights, heights + 1, 1):
+    expected = _cftp_outcome(lambda: sampler.cftp_samples(sos_trunc1, interior, ring, streams))
+    assert isinstance(expected, list)
+    for bound in (1 << 14, 2 * heights, heights + 1, len(interior) + 1, len(interior), 1):
         monkeypatch.setattr(sampler, "_CFTP_HEIGHTS", bound)
         sizes.clear()
-        assert isinstance(_batch_equals_loop(sos_trunc1, interior, ring, streams), list)
-        assert max(sizes) == max(heights, bound - bound % heights)
+        drawn.clear()
+        assert _batch_equals_loop(sos_trunc1, interior, ring, streams) == expected
+        assert max(sizes) == heights * min(len(streams), max(1, bound // heights))
+        assert max(drawn) <= max(bound, len(interior))
+        # one row per slice exactly when two rows exceed the bound
+        assert (max(drawn) == len(interior)) == (bound < 2 * len(interior))
         # sample 2 shares a chunk with sample 3, or follows chunks of successes
         assert _batch_equals_loop(nonconvex, interior, ring, _LATE, 4) == _LATE_ERROR
+        assert max(drawn) <= max(bound, len(interior))
 
 
 def test_torus_start_built_once_per_potential(monkeypatch):

@@ -36,6 +36,7 @@ from gradsurf.tilings import (
 )
 
 from oracles import (
+    at_rows,
     bareiss_determinant,
     count_tilings_backtracking,
     count_tilings_bareiss,
@@ -366,6 +367,18 @@ def test_uniform_tiling_samples_equal_per_stream_samples():
     for region, error in (({(0, 0), (1, 0), (0, 1)}, Untileable), (rect(3, 3) - {(1, 1)}, NotSimplyConnected)):
         with pytest.raises(error):
             uniform_tiling_samples(region, [RngStream(1, k) for k in range(3)])
+
+
+def test_uniform_tiling_samples_block_draws_equal_the_at_path(monkeypatch):
+    # the tilings of a notched box are the same with one numpy generator
+    # per row (oracles.at_rows) in place of rng.block
+    from gradsurf import rng
+
+    region = rect(6, 6) - {(5, 5), (5, 4)}
+    streams = [RngStream(21, k) for k in range(6)]
+    by_block = [t.dominoes for t in uniform_tiling_samples(region, streams)]
+    monkeypatch.setattr(rng, "block", at_rows)
+    assert [t.dominoes for t in uniform_tiling_samples(region, streams)] == by_block
 
 
 def test_uniform_sample_untileable():
