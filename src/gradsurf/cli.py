@@ -35,7 +35,7 @@ from .lattice import outer_boundary
 from .observables import EXACT_SUM, THERMODYNAMIC_INTEGRATION, TRANSFER_MATRIX, convexity_margin, sigma_estimate
 from .potential import PeriodicPotential, validate_sap
 from .rng import RngStream
-from .sampler import cftp_samples, heat_bath_sweep, torus_sample
+from .sampler import _Chain, cftp_samples, torus_sample
 from .tilings import (
     BRUTE_FORCE_LIMIT,
     count_tilings_bruteforce,
@@ -189,11 +189,11 @@ def cmd_sample(cfg, seed, out: Path):
         else:  # flat at boundary_level, the plane through the pins
             start = HeightConfig(dict.fromkeys(region, boundary[min(boundary)]), reference=region[0])
         for s in range(samples):
-            config = start
+            chain = _Chain(pot, start, boundary)
             stream = RngStream(seed, s)
             for t in range(sweeps):
-                config = heat_bath_sweep(pot, config, boundary=boundary, rng=stream.at(t))
-            rows.extend(_config_csv(config, s))
+                chain.sweep(stream.at(t).random(len(chain.order)))
+            rows.extend(_config_csv(chain.config(), s))
     _write(out / "samples.csv", "\n".join(rows) + "\n")
     _write_json(out / "manifest.json", _manifest("sample", cfg, seed, pot))
     return 0

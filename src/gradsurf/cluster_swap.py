@@ -299,7 +299,9 @@ class _SwapArrays:
             h1 = np.array([p1[v] for v in self.verts], dtype=np.int64)
             h2 = np.array([p2[v] for v in self.verts], dtype=np.int64)
             self.diff = h1 - h2
-            self.cls = np.array([t.class_id[pot.edge_class(e)] for e in self.edges], dtype=np.int64)
+            x, y = np.array(self.verts, dtype=np.int64).reshape(-1, 2).T
+            axis = y[self.head] - y[self.base]  # the head is the base + e_axis
+            self.cls = axis * pot.lattice.index + pot.lattice.cell(x[self.base], y[self.base])
             self.i1 = h1[self.head] - h1[self.base] - t.lo
             self.i2 = h2[self.head] - h2[self.base] - t.lo
             self.offset = h2[self.base] - h1[self.base]  # delta at shift 0
@@ -439,15 +441,14 @@ class _DeficitTable:
     width - 1, the least float at or above the exact deficit (NaN until
     computed), and ``exact`` the exact deficit; ``finite[c, 1 + i - lo]``
     says whether class c has finite energy at increment i, from the
-    potential's ``_energy_table`` (classes in sorted order, as there).
+    potential's ``_energy_table``.  Edge (v, axis) has class c = axis *
+    index + ``lattice.cell`` of v, its row in that table.
     """
 
-    def __init__(self, pot, lo: int, energies):
-        classes = sorted(pot.class_potentials)
-        self.class_id = {c: k for k, c in enumerate(classes)}
+    def __init__(self, lo: int, energies):
         self.lo, self.width = lo, energies.shape[2] - 2
-        self.finite = energies.reshape(len(classes), -1) < INF
-        self.ceiling = np.full(len(classes) * self.width**2 * (2 * self.width - 1), math.nan)
+        self.finite = energies.reshape(-1, self.width + 2) < INF
+        self.ceiling = np.full(len(self.finite) * self.width**2 * (2 * self.width - 1), math.nan)
         self.exact = {}
 
 
@@ -464,7 +465,7 @@ def _deficit_table(pot) -> _DeficitTable | None:
             lo, energies = _energy_table(pot)
             width = energies.shape[2] - 2
             if len(pot.class_potentials) * width**2 * (2 * width - 1) <= _TABLE_LIMIT:
-                memo["table"] = _DeficitTable(pot, lo, energies)
+                memo["table"] = _DeficitTable(lo, energies)
     return memo["table"]
 
 

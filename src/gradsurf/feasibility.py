@@ -351,7 +351,7 @@ def _fundamental_torus_steps(pot: PeriodicPotential):
     for v in sites:
         for axis in (0, 1):
             e = AXIS_VECTORS[axis]
-            head = index[lat.reduce(add(v, e))]
+            head = lat.cell(v[0] + e[0], v[1] + e[1])
             lo, hi = pot.edge_potential((v, axis)).support()
             for tail, row, disp, w in ((index[v], head, e, hi), (head, index[v], (-e[0], -e[1]), -lo)):
                 if w < INF:
@@ -694,15 +694,10 @@ class Plan(FeasibilityGraph):
         self.sites, self.nbr, self.shift = sites, nbr, shift
         self.index = {v: k for k, v in enumerate(sites)}
         lat = pot.lattice
-
-        def sig(i, j):
-            row = i // lat.a
-            return (i - row * lat.a) * lat.b + (j - row * lat.c) % lat.b
-
         i, j = np.array(sites, dtype=np.int64).reshape(-1, 2).T
-        self.sig = sig(i, j)
+        self.sig = lat.cell(i, j)
         bounds = np.array([[pot.class_potentials[(axis, d)].support() for d in lat.fundamental_domain()] for axis in (0, 1)], dtype=float)
-        ends = bounds[[0, 0, 1, 1], np.stack([self.sig, sig(i - 1, j), self.sig, sig(i, j - 1)], axis=1)]
+        ends = bounds[[0, 0, 1, 1], np.stack([self.sig, lat.cell(i - 1, j), self.sig, lat.cell(i, j - 1)], axis=1)]
         # phi(neighbor) + shift - phi(v) lies in [low, high]: the class's
         # support on the +e slots, its negation on the -e slots
         plus = np.array([True, False, True, False])

@@ -104,6 +104,12 @@ class Sublattice:
     def fundamental_domain(self) -> list[Vertex]:
         return [(i, j) for i in range(self.a) for j in range(self.b)]
 
+    def cell(self, i, j):
+        """Position of the class of (i, j) in ``fundamental_domain()``, x * b
+        + y for ``reduce((i, j))`` = (x, y); i and j may be integer arrays."""
+        row = i // self.a
+        return (i - row * self.a) * self.b + (j - row * self.c) % self.b
+
     def contains(self, v: Vertex) -> bool:
         return self.reduce(v) == (0, 0)
 

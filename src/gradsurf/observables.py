@@ -38,7 +38,7 @@ from .heights import HeightConfig
 from .lattice import Sublattice, Vertex, add, edges_meeting
 from .potential import INF, PeriodicPotential, TablePotential
 from .rng import RngStream
-from .sampler import _torus_start, _TorusChain, _uniform_rows
+from .sampler import _Chain, _torus_start, _uniform_rows
 
 EXACT_SUM = "ExactSum"
 TRANSFER_MATRIX = "TransferMatrix"
@@ -147,8 +147,8 @@ def _transfer_matrix_log_z(pot, n, slope):
     lo, table = _energy_table(pot)
 
     def row(edge):
-        axis, r = pot.edge_class(edge)
-        return table[axis, r[0] * pot.lattice.b + r[1]]
+        (i, j), axis = edge
+        return table[axis, pot.lattice.cell(i, j)]
 
     def energies(edge, increments):
         return np.take(row(edge), 1 + increments - lo, mode="clip")
@@ -299,11 +299,13 @@ def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):
     per_batch = max(1, budget // batches)
     means, errs = [], []
     potentials = [_scale_potential(pot, beta) for beta in grid]
+    if not pot.discrete:
+        raise StateSpaceTooLarge("thermodynamic integration needs integer heights: its beta = 0 reference is the transfer matrix")
+    start, order = _torus_start(pot, n, slope)
     # one stream, counters 0, 1, ... over every sweep at every beta
-    sites = len(_torus_start(pot, n, slope)[1])
-    draws = _uniform_rows([rng], range(len(grid) * (burn + batches * per_batch)), sites)
+    draws = _uniform_rows([rng], range(len(grid) * (burn + batches * per_batch)), len(order))
     for scaled in potentials:
-        chain = _TorusChain(pot, n, slope)
+        chain = _Chain(pot, start, order=order)
         for t in range(burn):
             chain.sweep(next(draws)[0], scaled)
         batch_means = []
@@ -449,16 +451,17 @@ def variance_profile(
     distances = tuple(sorted(distances))
     if max(distances) >= n:
         raise ValueError("distances must fit inside the torus")
-    chain = _TorusChain(pot, n, slope)
+    start, order = _torus_start(pot, n, slope)
+    chain = _Chain(pot, start, order=order)
     counter = 0
     for _ in range(burn_in):
-        chain.sweep(rng.at(counter).random(len(chain.order)))
+        chain.sweep(rng.at(counter).random(len(order)))
         counter += 1
     samples_d: dict[int, list] = {j: [] for j in distances}
     samples_unit: dict[int, list] = {0: [], 1: []}
     for s in range(trials):
         for _ in range(thin):
-            chain.sweep(rng.at(counter).random(len(chain.order)))
+            chain.sweep(rng.at(counter).random(len(order)))
             counter += 1
         config = chain.config()
         for j in distances:

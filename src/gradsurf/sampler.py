@@ -15,25 +15,28 @@ table on the potential under that key and a site draws m + quantile(u).
 Shifting all heights by the integer m changes no argument passed to an edge
 potential, so energies, their summation order and the probabilities are
 bit-for-bit those of ``site_conditional``, and outputs do not change.
-Which code runs:
+Which code runs: every heat-bath chain is a ``_Chain``, which asks
+``_sweep_plan`` once (``torus_sample``, thermodynamic integration, variance
+profiles and region ``sample`` keep one chain for all their sweeps, and
+``heat_bath_sweep`` is one sweep of a new chain).
 
-- Chains with integer heights (``torus_sample``, CFTP, and
-  ``heat_bath_sweep`` on a torus or region config) sweep on the
-  potential's ``Plan`` of the torus or region.  Its wave schedule puts each
-  site in a later wave than every neighbor that precedes it in the order,
-  so the sites of a wave share no edge and updating wave by wave equals
-  updating in order.  A wave is one numpy step (``_sweep_waves``): each
-  site draws the first support value whose running sum, from a table
-  filled by ``_discrete_conditional``, exceeds u, as ``quantile`` does.
-  CFTP (``cftp_samples``) sweeps the top and bottom chains of many samples
+- Chains with integer heights sweep them as int64 on the potential's
+  ``Plan`` of the torus or region.  Its wave schedule puts each site in a
+  later wave than every neighbor that precedes it in the order, so the
+  sites of a wave share no edge and updating wave by wave equals updating
+  in order.  A wave is one numpy step (``_sweep_waves``): each site draws
+  the first support value whose running sum, from a table filled by
+  ``_discrete_conditional``, exceeds u, as ``quantile`` does.
+- Other chains sweep a dict in place with ``site_conditional``'s code:
+  non-integer heights, continuous domains, unbounded increments (whose scan
+  starts from a rounded mean, which a shift can move), tables over
+  ``_TABLE_LIMIT`` keys and region sites with a neighbor outside region |
+  boundary.
+- CFTP (``cftp_samples``) sweeps the top and bottom chains of many samples
   as one flat array, on the plan's schedule repeated for each chain
   (``_copied_waves``), with each sample's own uniforms; ``cftp_sample`` is
   its one-stream case.  An epoch's uniforms come from one ``rng.block``
   call per slice (``_uniform_rows``), equal to the per-row ``at`` draws.
-- Non-integer heights, continuous domains, unbounded increments (whose
-  scan starts from a rounded mean, which a shift can move), tables over
-  ``_TABLE_LIMIT`` keys and region sites with a neighbor outside region |
-  boundary use ``site_conditional``'s code.
 """
 
 from __future__ import annotations
@@ -138,15 +141,10 @@ def site_conditional(pot: PeriodicPotential, config, x: Vertex, boundary=None):
 
 
 def _lookup(config, boundary):
+    """A new dict of the config's heights and the boundary's, and the torus."""
     if isinstance(config, HeightConfig):
-        values = dict(config.values)
-        torus = config.torus
-    else:
-        values = dict(config)
-        torus = None
-    if boundary:
-        values.update(boundary)
-    return values, torus
+        return {**config.values, **(boundary or {})}, config.torus
+    return {**config, **(boundary or {})}, None
 
 
 def _feasible_window(terms):
@@ -258,33 +256,12 @@ def random_scan_order(sites, rng) -> list[Vertex]:
 
 
 def heat_bath_sweep(pot, config: HeightConfig, boundary=None, order=None, uniforms=None, rng=None) -> HeightConfig:
-    """Resample every site in order from its exact conditional.
-
-    ``uniforms`` (one per site, in order) may be passed directly for
-    coupled chains; otherwise they are drawn from ``rng``.  Configs that
-    ``_sweep_plan`` accepts sweep wave by wave on their plan.
-    """
-    out = config.copy()
-    if order is None:
-        order = checkerboard_order(out.values.keys() - (set(boundary) if boundary else set()))
-        if out.torus is not None:
-            order = [v for v in order if v != out.reference]
-    if uniforms is None:
-        uniforms = rng.random(len(order))
-    found = _sweep_plan(pot, out, boundary, order)
-    if found is not None:
-        plan, waves, table = found
-        values = {**out.values, **boundary} if boundary else out.values
-        heights = np.array([values[v] for v in plan.sites], dtype=np.int64)
-        _sweep_waves(table, waves, heights, uniforms)
-        out.values.update(zip(plan.sites, heights[: len(out.values)].tolist()))
-        return out
-    values, torus = _lookup(out, boundary)
-    for u, x in zip(uniforms, order):
-        values[x] = _site_dist(pot, values, x, torus).quantile(u)
-    for x in order:
-        out.values[x] = values[x]
-    return out
+    """Resample every site in order from its exact conditional, with the
+    ``uniforms`` (one per site, in order) or with draws from ``rng``: one
+    sweep of a new ``_Chain``."""
+    chain = _Chain(pot, config, boundary, order)
+    chain.sweep(rng.random(len(chain.order)) if uniforms is None else uniforms)
+    return chain.config()
 
 
 def _site_dist(pot, values, x, torus):
@@ -321,10 +298,12 @@ class _ConditionalTable:
 
     def __init__(self, pot, base):
         lat = pot.lattice
-        self.slots = []
-        for r in lat.fundamental_domain():
-            classes = ((0, r), (0, lat.reduce((r[0] - 1, r[1]))), (1, r), (1, lat.reduce((r[0], r[1] - 1))))
-            self.slots.append([(pot.class_potentials[c], orient) for c, orient in zip(classes, (1, -1, 1, -1))])
+        domain = lat.fundamental_domain()
+        pots = [[pot.class_potentials[(axis, r)] for r in domain] for axis in (0, 1)]
+        self.slots = [
+            [(pots[0][k], 1), (pots[0][lat.cell(i - 1, j)], -1), (pots[1][k], 1), (pots[1][lat.cell(i, j - 1)], -1)]
+            for k, (i, j) in enumerate(domain)
+        ]
         self.base = base
         self.powers = self.base ** np.arange(4, dtype=np.int64)
         self.row_of = np.full(lat.index * base**4, -1, dtype=np.int64)
@@ -431,52 +410,64 @@ def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfi
     pinned periodic part; wrap increments carry the class's holonomy, so
     single-site updates never leave the class.
     """
-    chain = _TorusChain(pot, n, slope)
+    start, order = _torus_start(pot, n, slope)
+    chain = _Chain(pot, start, order=order)
     for t in range(sweeps):
-        chain.sweep(rng.at(t).random(len(chain.order)))
+        chain.sweep(rng.at(t).random(len(order)))
     return chain.config().pin()
 
 
-class _TorusChain:
-    """A torus chain from the start of ``_torus_start``, as torus sampling,
-    thermodynamic integration and variance profiles run it.  When
-    ``_sweep_plan`` accepts the start, the heights stay in one int64 array
-    swept on the plan; otherwise a config is swept by ``heat_bath_sweep``.
+class _Chain:
+    """A heat-bath chain of ``order`` on ``config``, with the ``boundary``
+    heights held fixed.  The order defaults to the checkerboard order of the
+    config's sites outside the boundary, less a torus config's reference.
+    ``_sweep_plan`` is asked once: the heights then stay in one int64 array
+    over the plan's sites, swept by ``_sweep_waves``, or in one dict swept
+    in place with ``site_conditional``'s code.  ``config`` is read, never
+    changed.
     """
 
-    def __init__(self, pot, n: int, slope):
-        self.pot = pot
-        self.start, self.order = _torus_start(pot, n, slope)
-        found = _sweep_plan(pot, self.start, None, self.order)
-        self.plan = self.current = None
+    def __init__(self, pot, config: HeightConfig, boundary=None, order=None):
+        if order is None:
+            order = checkerboard_order(config.values.keys() - (set(boundary) if boundary else set()))
+            if config.torus is not None:
+                order = [v for v in order if v != config.reference]
+        self.pot, self.start, self.order = pot, config, order
+        found = _sweep_plan(pot, config, boundary, order)
+        self.plan = None
         if found is None:
-            self.current = self.start
+            self.values, self.torus = _lookup(config, boundary)
         else:
             self.plan, self.waves, _ = found
-            self.heights = np.array([self.start.values[v] for v in self.plan.sites], dtype=np.int64)
+            values = {**config.values, **boundary} if boundary else config.values
+            self.heights = np.array([values[v] for v in self.plan.sites], dtype=np.int64)
 
     def sweep(self, uniforms, pot=None) -> None:
-        """One sweep of the order with the given uniforms, under ``pot``
-        (default the chain's potential; another must have the same period
-        lattice and increment bounds, as a rescaled potential has)."""
+        """One sweep of the order, one uniform per site, under ``pot`` (by
+        default the chain's; another must have the same period lattice and
+        increment bounds, as a rescaled potential has)."""
         pot = self.pot if pot is None else pot
         if self.plan is None:
-            self.current = heat_bath_sweep(pot, self.current, order=self.order, uniforms=uniforms)
+            for u, x in zip(uniforms, self.order):
+                self.values[x] = _site_dist(pot, self.values, x, self.torus).quantile(u)
         else:
             _sweep_waves(_conditional_table(pot), self.waves, self.heights, uniforms)
 
     def config(self) -> HeightConfig:
+        """The start config with the current heights."""
+        values = dict(self.start.values)
         if self.plan is None:
-            return self.current.copy()
-        values = dict(zip(self.plan.sites, self.heights.tolist()))
-        return HeightConfig(values, reference=self.start.reference, torus=self.start.torus)
+            values.update((x, self.values[x]) for x in self.order)
+        else:
+            values.update(zip(self.plan.sites, self.heights[: len(values)].tolist()))
+        return HeightConfig(values, self.start.reference, self.start.torus)
 
     def energy(self) -> float:
-        """``_torus_energy`` of the current heights under the chain's
-        potential: the same edge energies added in the same order (sites in
-        sorted order, axis 0 before axis 1)."""
+        """``_torus_energy`` of the current heights of a torus chain under
+        its potential; on the plan, the same edge energies added in the same
+        order (sites in sorted order, axis 0 before axis 1)."""
         if self.plan is None:
-            return _torus_energy(self.pot, self.current)
+            return _torus_energy(self.pot, self.config())
         lo, table = _energy_table(self.pot)
         plan = self.plan
         inc = self.heights[plan.nbr[:, 0::2]] + plan.shift[:, 0::2] - self.heights[:, None]

@@ -194,6 +194,19 @@ def test_sigma_ti_unbounded_potential_writes_typed_error(tmp_path, preset, domai
     assert err["error"] == "DivergentNormalizer"
 
 
+def test_sigma_ti_real_heights_writes_typed_error(tmp_path):
+    # a bounded support on real heights has no integer-height beta = 0
+    # reference: StateSpaceTooLarge, as for ExactSum and TransferMatrix
+    classes = {"kind": "pwl", "breakpoints": [-1, 0, 1], "values": [1, 0, 1]}
+    pot = {"domain": "real", "period": [[1, 0], [0, 1]], "classes": classes}
+    cfg = {"potential": pot, "n": 3, "method": "ThermodynamicIntegration", "budget": 16, "slopes": [[0, 0]]}
+    rc = main(["sigma", "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "StateSpaceTooLarge"
+    assert "integer heights" in err["message"]
+
+
 @pytest.mark.parametrize("mode", ["torus", "region"])
 @pytest.mark.parametrize("preset", ["sos-abs", "gaussian:1.0"])
 def test_sample_unbounded_potential(tmp_path, preset, mode):
@@ -240,6 +253,12 @@ def test_bad_torus_side_or_sigma_method_writes_config_error(tmp_path, command, c
 
 
 _ABS1 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-1": 1.0, "0": 0.0, "1": 1.0}}}
+_ABS2 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-2": 2.2, "-1": 1.1, "0": 0.0, "1": 1.1, "2": 2.2}}}
+
+
+def _preset(name, domain):
+    return {"domain": domain, "period": [[1, 0], [0, 1]], "classes": name}
+
 _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
 
 
@@ -276,6 +295,44 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
             {"samples.csv": "9e31bf7e2084e140840e5af9a7b4345d411c71dc45dbe6b6777098510840f05c"},
         ),
         (
+            "sample",
+            {"potential": {"preset": "domino"}, "mode": "region", "region": "4x4", "sweeps": 8, "samples": 2},
+            {"samples.csv": "7410f5c3873b16a5cb514a820f4ec5252a5da1df9d356a907fe079c5ff9d6c14"},
+        ),
+        (
+            "sample",
+            {"potential": _preset("sos-abs", "int"), "mode": "region", "region": "4x4", "sweeps": 8, "samples": 2},
+            {"samples.csv": "68b51722b83214f8eb5f67b61b43bd357c1fa6f3aab425f2d97f85a418cc0c56"},
+        ),
+        (
+            "sample",
+            {"potential": _preset("gaussian:1.0", "real"), "mode": "region", "region": "4x4", "sweeps": 8, "samples": 2},
+            {"samples.csv": "02063e5c6d595108c7ed81d1a4268bfce769b9691aa16c2a599699342d1a560b"},
+        ),
+        (
+            "sample",
+            {"potential": _ABS2, "n": 4, "slope": ["1/2", 0], "sweeps": 8, "samples": 2},
+            {"samples.csv": "8a9952e3796ba28a25b8f251bc84dbbe96715c07920d5575363ad78b40f02fab"},
+        ),
+        (
+            "sample",
+            {"potential": _preset("gaussian:1.0", "real"), "n": 4, "sweeps": 4, "samples": 2},
+            {"samples.csv": "65ef1b6afea7bcb04d6f9771a6f2300118bca081feedfd878071c3954c60b8e9"},
+        ),
+        (
+            "sample",
+            {"potential": _preset("sos-abs", "int"), "n": 4, "sweeps": 4, "samples": 2},
+            {"samples.csv": "6d775d72a212118513e64b84e9333eee52cca2dfaf2449ab2b59d76ee623b271"},
+        ),
+        (
+            "swap",
+            {"potential": _ABS1, "n": 6, "sweeps": 8, "trials": 2},
+            {
+                "swap.json": "b6aee69cac83362af25b8a3faafeb185ac1f43716c0e9415d5669eccebb88176",
+                "clusters.csv": "6d37531a15cc150de6f41f632e5663d197f5bcfa3ca38e1217848cd5c31ec82f",
+            },
+        ),
+        (
             "tile",
             {"region": _NOTCHED_6X6, "count": True, "samples": 2},
             {
@@ -308,13 +365,15 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
         ),
     ],
     ids=[
-        "cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
+        "cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "sample-domino-4x4", "sample-sos-abs-4x4", "sample-gaussian-4x4",
+        "sample-torus-abs2-sloped", "sample-torus-gaussian", "sample-torus-sos-abs", "swap-abs1-n6", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
         "distances-abs1-10x10", "distances-domino-10x10",
     ],
 )
 def test_region_outputs_match_golden_digests(tmp_path, command, cfg, digests):
-    # region sampling outputs, TI estimates and distance tables for a fixed
-    # config and seed stay byte-identical
+    # region and torus sampling outputs (on plans and on site_conditional's
+    # code), a swap, TI estimates and distance tables for a fixed config and
+    # seed stay byte-identical
     rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 0
     for name, digest in digests.items():

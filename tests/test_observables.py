@@ -26,6 +26,7 @@ from gradsurf.observables import (
 from gradsurf.potential import (
     INF,
     PeriodicPotential,
+    PiecewiseLinearPotential,
     QuadraticPotential,
     TablePotential,
     domino_potential,
@@ -280,6 +281,26 @@ def test_sigma_ti_block_draws_equal_the_at_path(monkeypatch, sos_trunc1, budget)
     at = sigma_estimate(sos_trunc1, slope, 4, method=THERMODYNAMIC_INTEGRATION, budget=budget, rng=RngStream(77, 3))
     assert (ti.value, ti.stderr) == (at.value, at.stderr)
     assert ti.stderr > 0
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [PiecewiseLinearPotential((-1, 0, 1), (1, 0, 1)), TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0})],
+    ids=["pwl", "abs1"],
+)
+def test_sigma_ti_on_real_heights_raises_state_space_too_large(monkeypatch, edge):
+    # TI's beta = 0 reference is the transfer matrix, a sum over integer
+    # heights, so a real domain fails before any sweep with the error the
+    # exact methods raise
+    from gradsurf import observables
+
+    monkeypatch.setattr(observables, "_Chain", None)  # no chain may be built
+    pot = PeriodicPotential.isotropic("real", edge)
+    with pytest.raises(StateSpaceTooLarge, match="integer heights"):
+        sigma_estimate(pot, (F(0), F(0)), 3, method=THERMODYNAMIC_INTEGRATION, budget=16, rng=RngStream(0, 0))
+    for method in (EXACT_SUM, TRANSFER_MATRIX):
+        with pytest.raises(StateSpaceTooLarge):
+            sigma_estimate(pot, (F(0), F(0)), 3, method=method)
 
 
 def test_sigma_monotone_under_truncation(sos_trunc1, sos_trunc2):

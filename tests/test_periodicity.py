@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gradsurf.cli import main
@@ -41,6 +42,19 @@ def test_sublattice_reduce_sheared():
         v = (rng.randint(-9, 9), rng.randint(-9, 9))
         assert lat.reduce(v) == lat.reduce((v[0] + 2, v[1] + 1))
         assert lat.reduce(v) == lat.reduce((v[0], v[1] + 2))
+
+
+@pytest.mark.parametrize("period", [[[1, 0], [0, 1]], [[2, 0], [1, 2]], [[3, 1], [-2, 1]], [[2, 0], [0, 3]]])
+def test_sublattice_cell_indexes_the_fundamental_domain(period):
+    # cell(i, j) is the position of reduce((i, j)) in fundamental_domain(),
+    # on Python ints and elementwise on int64 arrays
+    lat = Sublattice.from_matrix(period)
+    domain = lat.fundamental_domain()
+    points = [(i, j) for i in range(-7, 8) for j in range(-7, 8)]
+    expected = [domain.index(lat.reduce(v)) for v in points]
+    assert [lat.cell(i, j) for i, j in points] == expected
+    i, j = np.array(points, dtype=np.int64).T
+    assert lat.cell(i, j).tolist() == expected
 
 
 def _column_striped_potential():

@@ -22,6 +22,7 @@ from gradsurf.potential import (
     QuadraticPotential,
     TablePotential,
     domino_potential,
+    sos_abs_potential,
 )
 from gradsurf.rng import RngStream
 from gradsurf.sampler import (
@@ -582,6 +583,51 @@ def test_wide_supports_sweep_with_site_conditional_code():
     expected = _exact(_reference_sweeps(wide, start, list(order), stream, 3))
     assert _exact(_library_sweeps(wide, start, order, stream, 3)) == expected
     assert _exact(torus_sample(wide, 4, (F(1, 2), 0), 3, stream).values) == expected
+
+
+@pytest.mark.parametrize("slope", [(0, 0), (F(1, 2), F(1, 4))], ids=["flat", "sloped"])
+@pytest.mark.parametrize("domain, edge", [("real", QuadraticPotential(1.0)), ("int", sos_abs_potential())], ids=["gaussian", "sos-abs"])
+def test_unbounded_torus_chains_equal_site_conditional_loop(domain, edge, slope):
+    # chains without a plan (a Gaussian on real heights, |eta| with
+    # unbounded increments) sweep one dict in place with site_conditional's
+    # code, from the plane start
+    pot = PeriodicPotential.isotropic(domain, edge)
+    start, order = _torus_start(pot, 4, slope)
+    stream = RngStream(6, 1)
+    expected = _exact(_reference_sweeps(pot, start, list(order), stream, 3))
+    assert _exact(_library_sweeps(pot, start, order, stream, 3)) == expected
+    assert _exact(torus_sample(pot, 4, slope, 3, stream).values) == expected
+
+
+def test_sweep_plan_asked_once_per_chain(monkeypatch, tmp_path, sos_trunc1):
+    # a chain asks _sweep_plan once for all its sweeps: torus_sample once,
+    # region sample once per sample
+    calls = []
+    sweep_plan = sampler._sweep_plan
+    monkeypatch.setattr(sampler, "_sweep_plan", lambda *args: calls.append(args) or sweep_plan(*args))
+    torus_sample(sos_trunc1, 4, (0, 0), 8, RngStream(0, 0))
+    assert len(calls) == 1
+    calls.clear()
+    abs1 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-1": 1.0, "0": 0.0, "1": 1.0}}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"potential": abs1, "mode": "region", "region": "4x4", "sweeps": 8, "samples": 2}))
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2
+
+
+def test_chain_branches_agree_on_ti_and_variance_profiles(monkeypatch, sos_trunc1):
+    # TI sweeps rescaled potentials and reads chain energies, variance
+    # profiles read chain configs: the dict branch, forced by a selector
+    # that accepts no plan, gives the plan branch's numbers bit for bit
+    slope = (F(1, 4), F(0))
+    results = []
+    for path in ("plan", "dict"):
+        if path == "dict":
+            monkeypatch.setattr(sampler, "_sweep_plan", lambda *args: None)
+        ti = sigma_estimate(sos_trunc1, slope, 4, method=THERMODYNAMIC_INTEGRATION, budget=16, rng=RngStream(3, 0))
+        profile = variance_profile(sos_trunc1, 4, slope, (1, 2), trials=8, rng=RngStream(3, 1), burn_in=4, batches=4)
+        results.append((ti.value, ti.stderr, profile.variances, profile.stderrs))
+    assert results[0] == results[1]
 
 
 def _cftp_cases(sos_trunc1, nonconvex):
