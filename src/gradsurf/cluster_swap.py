@@ -11,20 +11,17 @@ the residual adjusted so t is untouched.
 Residuals are kept as exact rationals (floats convert losslessly), which
 makes swap involutions and energy conservation bitwise identities.
 
-``swappable_set`` and ``shifted_analysis`` classify edges in one array
-pass per shift level (``_SwapArrays``) and label the open clusters by
-union-find, each numbered by its least vertex.  On discrete Lipschitz
-potentials with integer heights each swap deficit is computed once: it
-reads only the edge class, the two surfaces' increments and their offset
-at the base, so it is memoized on the potential under that key
-(``_DeficitTable``) together with the least float at or above it.  A residual that is an exact float (every Exp(1) draw) is
-swappable exactly when it reaches that float; other residuals, such as
-those a swap leaves, are compared with the exact rational.  So the
-classification is the exact one.  ``shifted_analysis`` builds clusters
-only at the shift c; at the other levels the proxies are empty exactly
-when no window-boundary site has the matching sign, since the sign is
-constant on open clusters, and only edges joining opposite signs need
-classifying to check that.
+``swappable_set`` and ``shifted_analysis`` build one ``_SwapArrays``,
+classify the edges of one shift in one array pass and label the open
+clusters by union-find, each numbered by its least vertex.  On discrete
+Lipschitz potentials with integer heights each swap deficit is computed
+once: it reads only the edge class, the two surfaces' increments and
+their offset at the base, so it is memoized on the potential under that
+key (``_DeficitTable``) together with the least float at or above it.  A
+residual that is an exact float (every Exp(1) draw) is swappable exactly
+when it reaches that float; other residuals, such as those a swap
+leaves, are compared with the exact rational.  So the classification is
+the exact one.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from .errors import InfiniteEnergy, MixedClusterSign, NegativeResidual
 from .feasibility import _energy_table
 from .heights import HeightConfig
 from .lattice import AXIS_VECTORS, Edge, Vertex, add, edges_within, neighbors
-from .potential import INF, PeriodicPotential
+from .potential import INF, PeriodicPotential, validate_sap
 
 
 def _to_fraction(x) -> Fraction:
@@ -82,25 +79,15 @@ class Triplet:
         return Triplet(self.phi1.copy(), self.phi2.copy(), dict(self.residual))
 
 
-def _pair_energy(pot, phi1, phi2, edge) -> Fraction | float:
-    """V-energy of both surfaces on the edge; +inf absorbs."""
+def _pair_energy(pot, phi1, phi2, edge, swapped=False) -> Fraction | float:
+    """V-energy of both surfaces on the edge, after exchanging them at the
+    edge's base only when ``swapped``, as an exact rational; +inf absorbs."""
     base, axis = edge
     head = add(base, AXIS_VECTORS[axis])
+    b1, b2 = (phi2[base], phi1[base]) if swapped else (phi1[base], phi2[base])
     v = pot.edge_potential(edge)
-    e1 = v(phi1[head] - phi1[base])
-    e2 = v(phi2[head] - phi2[base])
-    if e1 == INF or e2 == INF:
-        return INF
-    return _to_fraction(e1) + _to_fraction(e2)
-
-
-def _swapped_energy(pot, phi1, phi2, edge) -> Fraction | float:
-    """V-energy after exchanging the surfaces at the edge's base only."""
-    base, axis = edge
-    head = add(base, AXIS_VECTORS[axis])
-    v = pot.edge_potential(edge)
-    e1 = v(phi1[head] - phi2[base])
-    e2 = v(phi2[head] - phi1[base])
+    e1 = v(phi1[head] - b1)
+    e2 = v(phi2[head] - b2)
     if e1 == INF or e2 == INF:
         return INF
     return _to_fraction(e1) + _to_fraction(e2)
@@ -214,7 +201,7 @@ def _deficit(pot, p1, p2, edge):
     cur = _pair_energy(pot, p1, p2, edge)
     if cur == INF:
         raise InfiniteEnergy(f"inadmissible pair on edge {edge}")
-    other = _swapped_energy(pot, p1, p2, edge)
+    other = _pair_energy(pot, p1, p2, edge, swapped=True)
     if other == INF:
         return INF
     return other - cur
@@ -260,11 +247,12 @@ def swappable_set(
 
 
 class _SwapArrays:
-    """A triplet as arrays, built once and classified at any shift c of
-    phi1.  Vertices are indexed in sorted order and edges whose head lies
-    in the support keep residual order; dangling edges are always closed.
-    Integer heights and shifts on a potential with a ``_DeficitTable`` read
-    their deficits from it; other triplets call ``_deficit`` per edge.
+    """A triplet as arrays, built once per ``swappable_set`` or
+    ``shifted_analysis`` call to classify one shift c of phi1.  Vertices
+    are indexed in sorted order and edges whose head lies in the support
+    keep residual order; dangling edges are always closed.  Integer
+    heights and shifts on a potential with a ``_DeficitTable`` read their
+    deficits from it; other triplets call ``_deficit`` per edge.
     """
 
     def __init__(self, pot, triplet: Triplet, window):
@@ -308,11 +296,14 @@ class _SwapArrays:
             self.pair_ok = t.finite[self.cls, np.clip(1 + self.i1, 0, t.width + 1)] & t.finite[self.cls, np.clip(1 + self.i2, 0, t.width + 1)]
 
     def _check_pairs(self, idx) -> None:
-        """Raise InfiniteEnergy for the first edge of idx (integer heights)
-        on which either surface has infinite energy; shifts change neither."""
-        bad = ~self.pair_ok[idx]
-        if bad.any():
-            raise InfiniteEnergy(f"inadmissible pair on edge {self.edges[idx[np.argmax(bad)]]}")
+        """Raise InfiniteEnergy for the first edge of idx on which either
+        surface has infinite energy; shifts change neither."""
+        if self.table is None:
+            ok = np.array([_pair_energy(self.pot, self.p1, self.p2, self.edges[j]) != INF for j in idx.tolist()], dtype=bool)
+        else:
+            ok = self.pair_ok[idx]
+        if not ok.all():
+            raise InfiniteEnergy(f"inadmissible pair on edge {self.edges[idx[np.argmin(ok)]]}")
 
     def _shift(self, c):
         """c as an int when the array path applies at that shift, else None."""
@@ -364,13 +355,10 @@ class _SwapArrays:
             closed[j] = d != INF and self.residual[idx[j]] >= d
         return closed
 
-    def _candidates(self, zeta) -> np.ndarray:
-        return np.flatnonzero((zeta[self.base] != 0) & (zeta[self.head] != 0))
-
     def swappable(self, c) -> SwappableSet:
         """The swappable set of (phi1 + c, phi2, r)."""
         zeta = self._zeta(c)
-        idx = self._candidates(zeta)
+        idx = np.flatnonzero((zeta[self.base] != 0) & (zeta[self.head] != 0))
         is_open = np.zeros(len(self.edges), dtype=bool)
         is_open[idx[~self._closed(c, idx)]] = True
         a, b = self.base[is_open], self.head[is_open]
@@ -395,23 +383,6 @@ class _SwapArrays:
         ]
         closed = frozenset(self.dangling) | frozenset(compress(self.edges, (~is_open).tolist()))
         return SwappableSet(closed, clusters, dict(zip(self.verts, labels)))
-
-    def proxies_empty(self, c) -> tuple[bool, bool]:
-        """Whether the T+ and T- proxies of shift c are empty.  Open
-        clusters have one sign, so a proxy is empty exactly when no window
-        boundary site has its sign; only edges joining opposite signs can
-        break that, and those are classified (the whole swappable set is
-        built, to raise MixedClusterSign, when one is open)."""
-        zeta = self._zeta(c)
-        idx = self._candidates(zeta)
-        if self._shift(c) is not None:  # check every candidate pair, classify fewer
-            self._check_pairs(idx)
-            idx = idx[zeta[self.base[idx]] != zeta[self.head[idx]]]
-        closed = self._closed(c, idx)
-        if not closed[zeta[self.base[idx]] != zeta[self.head[idx]]].all():
-            self.swappable(c)
-        boundary = zeta[self.inner]
-        return not (boundary < 0).any(), not (boundary > 0).any()
 
 
 def _exact_float(r):
@@ -592,14 +563,24 @@ def shifted_analysis(
 ) -> ShiftedAnalysis:
     """Swappability of (phi1 + c, phi2, r) and finite-window T+/T- proxies.
 
-    Boundary-touching open clusters stand in for infinite ones.  The
-    crossing-bound estimates scan every level between the observed height
-    differences: b_plus is the least shift emptying the plus proxy, b_minus
-    the greatest emptying the minus proxy.
+    Boundary-touching open clusters stand in for infinite ones.  Every
+    window-boundary site lies in such a cluster, and on a convex potential
+    open clusters have one sign, so the plus proxy of level s is empty
+    exactly when no boundary site has phi1 + s < phi2.  Over the levels
+    between the observed height differences, b_plus is the least level
+    emptying the plus proxy and b_minus the greatest emptying the minus
+    proxy: the extremes of phi2 - phi1 on the window boundary, with no
+    edge classified.  Raises InfiniteEnergy for the first edge on which
+    either surface has infinite energy, and MixedClusterSign on a
+    nonconvex potential, whose open clusters may mix signs.
     """
     window = set(triplet.phi1.values) if window is None else set(window)
     arrays = _SwapArrays(pot, triplet, window)
     ss = arrays.swappable(c)
+    arrays._check_pairs(np.arange(len(arrays.edges)))
+    nonconvex = sorted(cls for cls, r in validate_sap(pot).per_class.items() if not r.convex)
+    if nonconvex:
+        raise MixedClusterSign(f"classes {nonconvex} are nonconvex, so open clusters may mix signs")
     t_plus, t_minus = set(), set()
     for cl in ss.clusters:
         if not cl.touches_boundary or cl.zeta == 0:
@@ -609,35 +590,19 @@ def shifted_analysis(
             t_plus |= cl.vertices
         else:
             t_minus |= cl.vertices
-    t_plus, t_minus = frozenset(t_plus), frozenset(t_minus)
-    empty = {c: (not t_plus, not t_minus)}  # per shift level, one array pass
-
-    def proxies_empty(level):
-        if level not in empty:
-            empty[level] = arrays.proxies_empty(level)
-        return empty[level]
-
-    diffs = [
-        triplet.phi2.values[v] - triplet.phi1.values[v] for v in sorted(window)
-    ]
-    candidates = _scan_levels(diffs, pot.discrete)
-    b_plus = None
-    for cand in candidates:  # t_plus proxy is decreasing in the shift
-        if proxies_empty(cand)[0]:
-            b_plus = cand
-            break
-    b_minus = None
-    for cand in reversed(candidates):
-        if proxies_empty(cand)[1]:
-            b_minus = cand
-            break
+    p1, p2 = triplet.phi1.values, triplet.phi2.values
+    boundary = list(compress(arrays.verts, arrays.inner.tolist()))
+    levels = _scan_levels([p2[v] - p1[v] for v in sorted(window)], pot.discrete)
+    # the comparisons of _SwapArrays._zeta, so real heights round alike
+    b_plus = next((lv for lv in levels if not any(p1[v] + lv < p2[v] for v in boundary)), INF)
+    b_minus = next((lv for lv in reversed(levels) if not any(p1[v] + lv > p2[v] for v in boundary)), -INF)
     return ShiftedAnalysis(
         shift=c,
         swappable=ss,
-        t_plus=t_plus,
-        t_minus=t_minus,
-        b_plus=b_plus if b_plus is not None else INF,
-        b_minus=b_minus if b_minus is not None else -INF,
+        t_plus=frozenset(t_plus),
+        t_minus=frozenset(t_minus),
+        b_plus=b_plus,
+        b_minus=b_minus,
         window_size=len(window),
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from .feasibility import (
     torus_slope_feasible,
 )
 from .heights import HeightConfig
-from .lattice import Sublattice, Vertex, add, edges_meeting
+from .lattice import Sublattice, Vertex, add, edges_meeting, neighbors
 from .potential import INF, PeriodicPotential, TablePotential
 from .rng import RngStream
 from .sampler import _Chain, _torus_start, _uniform_rows
@@ -97,12 +98,16 @@ def log_partition_exact(
 
 def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radius: int = 45):
     """(values, energy) pairs; unbounded supports on integer heights fall
-    back to the exact search over tail-truncated windows on very small
-    regions, and other domains raise StateSpaceTooLarge (a sum over integer
-    heights is not their measure).
+    back to the exact search over tail-truncated windows on at most two
+    free sites, and other domains raise StateSpaceTooLarge (a sum over
+    integer heights is not their measure).
 
-    The window keeps terms down to relative weight exp(-radius), far below
-    double precision at the default.
+    The windows leave out only configurations that cost at least radius
+    more than the cheapest flat one at a pin height.  Past the least width
+    w at which every (convex) class potential has reached that cost and
+    still grows, a site next to a pin spans the pins' range widened by w,
+    and a site whose only neighbour is the other free site by 2w.  Windows
+    the node budget cannot search raise StateSpaceTooLarge.
     """
     if pot.is_lipschitz():
         yield from enumerate_region_configs(pot, region, boundary, node_budget)
@@ -114,9 +119,28 @@ def _enumerate_states(pot, region, boundary, node_budget: int = 10_000_000, radi
         raise StateSpaceTooLarge("unbounded supports allow at most 2 free sites")
     if region and not boundary:
         raise Infeasible(region[0])
-    lo, hi = min(boundary.values(), default=0), max(boundary.values(), default=0)
-    window = range(int(lo) - radius, int(hi) + radius + 1)
-    yield from _search(pot, None, region, boundary, 0.0, dict.fromkeys(region, window), node_budget)
+    pins = set(boundary.values())
+    lo, hi = int(min(pins, default=0)), int(max(pins, default=0))
+    flat = min((e for p in pins or {0} for _, e in _search(pot, None, region, boundary, 0.0, dict.fromkeys(region, (p,)), node_budget)), default=INF)
+    cost, classes = radius + flat, pot.class_potentials.values()
+    width = bisect_left(
+        range(node_budget + 1), True, key=lambda w: all(v(s * (w + 1)) >= max(cost, v(s * w)) for v in classes for s in (1, -1))
+    )
+    if width > node_budget:
+        raise StateSpaceTooLarge(f"windows wider than {2 * node_budget + 1} heights exceed the node budget {node_budget}")
+    pinned = {v for v in region if any(w in boundary for w in neighbors(v))}
+    windows, nodes, paths = {}, 0, 1
+    for v in region:
+        if not pinned & {v, *neighbors(v)}:
+            raise DivergentNormalizer(f"free site {v} has no pinned neighbour, so its heights are unbounded")
+        k = 1 if v in pinned else 2
+        windows[v] = range(lo - k * width, hi + k * width + 1)
+        paths *= len(windows[v])
+        nodes += paths
+    if nodes > node_budget:
+        sizes = [len(windows[v]) for v in region]
+        raise StateSpaceTooLarge(f"windows of {sizes} heights exceed the node budget {node_budget}")
+    yield from _search(pot, None, region, boundary, 0.0, windows, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -548,7 +548,7 @@ def cftp_samples(pot, region, boundary, streams, max_epochs: int = 22) -> list[H
     if found is None:
         # site_conditional's code on the region's and boundary's heights
         sites = list({**top, **boundary})
-        start = np.array([[{**chain, **boundary}[v] for v in sites] for chain in (top, bot)], dtype=object)
+        start = np.array([[heights[v] for v in sites] for heights in ({**top, **boundary}, {**bot, **boundary})], dtype=object)
         sweep = partial(_replay, pot, order, sites)
     else:
         plan, waves, table = found

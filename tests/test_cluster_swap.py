@@ -492,29 +492,61 @@ def _level_scan(pot, trip, c, window):
     return ss, t_plus, t_minus, b_plus, b_minus
 
 
-def test_shifted_analysis_equals_level_scan_one_swappable_set_per_level(monkeypatch):
-    # each distinct shift level gets one array pass: the swappable set at
-    # the shift c, a proxy check at every other level either scan visits
+def _gaussian_triplets():
+    """Couplings of real-valued heights on the Gaussian potential: every
+    deficit is computed per edge, and the levels are the observed height
+    differences."""
+    gaussian = PeriodicPotential.isotropic("real", QuadraticPotential(1.0))
+    rng = random.Random(17)
+    region = sorted(box_region(5, 5))
+    out = []
+    for seed in range(3):
+        p1, p2 = (HeightConfig({v: rng.gauss(0.0, 1.0) for v in region}, reference=(0, 0)) for _ in range(2))
+        out.append((gaussian, Triplet.build(p1, p2, rng=RngStream(seed, 200).at(0))))
+    return out
+
+
+def test_shifted_analysis_equals_level_scan_one_classification_at_the_shift(monkeypatch):
+    # the crossing bounds need no classification: one swappable set, at
+    # the shift c, is the only array pass an analysis makes
     arrays = cluster_swap._SwapArrays
-    calls, levels = [], []
-    swappable, proxies_empty = arrays.swappable, arrays.proxies_empty
-    for pot, trip in _torus_triplets():
-        window = set(trip.phi1.values)
-        for c in (0, 1, -2):
-            ss, t_plus, t_minus, b_plus, b_minus = _level_scan(pot, trip, c, window)
-            monkeypatch.setattr(arrays, "swappable", lambda self, lv: calls.append(lv) or swappable(self, lv))
-            monkeypatch.setattr(arrays, "proxies_empty", lambda self, lv: levels.append(lv) or proxies_empty(self, lv))
-            calls.clear(), levels.clear()
-            a = shifted_analysis(pot, trip, c, window)
-            monkeypatch.undo()
-            assert (a.t_plus, a.t_minus, a.b_plus, a.b_minus) == (t_plus, t_minus, b_plus, b_minus)
-            assert a.swappable.closed_edges == ss.closed_edges
-            assert [c.vertices for c in a.swappable.clusters] == [c.vertices for c in ss.clusters]
-            assert a.swappable.labels == ss.labels
-            scan = _scan_levels([trip.phi2.values[v] - trip.phi1.values[v] for v in window], True)
-            visited = {c} | {lv for lv in scan if lv <= b_plus} | {lv for lv in scan if lv >= b_minus}
-            assert calls == [c]
-            assert len(calls + levels) == len(set(calls + levels)) == len(visited)
+    calls, classified = [], []
+    swappable, closed = arrays.swappable, arrays._closed
+    for pot, trip in _torus_triplets() + _gaussian_triplets():
+        for window in (set(trip.phi1.values), set(box_region(3, 4))):
+            for c in (0, 1, -2):
+                ss, t_plus, t_minus, b_plus, b_minus = _level_scan(pot, trip, c, window)
+                monkeypatch.setattr(arrays, "swappable", lambda self, lv: calls.append(lv) or swappable(self, lv))
+                monkeypatch.setattr(arrays, "_closed", lambda self, lv, idx: classified.append(lv) or closed(self, lv, idx))
+                calls.clear(), classified.clear()
+                a = shifted_analysis(pot, trip, c, window)
+                monkeypatch.undo()
+                assert (a.t_plus, a.t_minus, a.b_plus, a.b_minus) == (t_plus, t_minus, b_plus, b_minus)
+                assert a.swappable.closed_edges == ss.closed_edges
+                assert [c.vertices for c in a.swappable.clusters] == [c.vertices for c in ss.clusters]
+                assert a.swappable.labels == ss.labels
+                assert calls == classified == [c]
+
+
+def test_shifted_analysis_refuses_nonconvex_potentials(nonconvex):
+    # no open edge at any level, but a nonconvex potential may give open
+    # clusters of mixed sign, so the sign rule behind b+- does not hold
+    window = box_region(3, 3)
+    phi = HeightConfig({(i, j): (i + j) % 2 for i, j in window}, reference=(0, 0))
+    trip = Triplet.build(phi, phi.copy(), residual={})
+    assert swappable_set(nonconvex, trip).clusters
+    with pytest.raises(MixedClusterSign, match="nonconvex"):
+        shifted_analysis(nonconvex, trip, 0, window)
+
+
+def test_shifted_analysis_checks_every_pair_energy(sos_trunc1):
+    # phi1 = phi2 leaves no candidate edge at the shift 0, so only the
+    # pair check over every edge finds the increment 2 outside the support
+    phi = HeightConfig({(0, 0): 0, (1, 0): 2, (2, 0): 2}, reference=(0, 0))
+    trip = Triplet.build(phi, phi.copy(), residual={})
+    swappable_set(sos_trunc1, trip)
+    with pytest.raises(InfiniteEnergy, match=r"edge \(\(0, 0\), 0\)"):
+        shifted_analysis(sos_trunc1, trip, 0)
 
 
 def _inexact_deficit_potential():

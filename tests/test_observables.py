@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gradsurf.errors import Infeasible, NotIncreasing, SlopeMismatch, StateSpaceTooLarge
@@ -42,7 +43,7 @@ F = Fraction
 
 def test_unbounded_support_scan_between_unequal_pins(sos):
     # sos-abs has unbounded support, so the sums scan each free site over
-    # [min pin - 45, max pin + 45]; one site between pins 0 and 2 has
+    # a window sized from V's growth; one site between pins 0 and 2 has
     # Z = e^-2 (3 + 2 e^-2 / (1 - e^-2)), and three free sites are refused
     boundary = {(0, 0): 0, (2, 0): 2}
     assert log_partition_exact(sos, region=[(1, 0)], boundary=boundary) == pytest.approx(-0.8021352261203858, abs=1e-12)
@@ -58,11 +59,37 @@ def test_unbounded_support_scan_without_pins_is_infeasible(sos):
 
 
 def test_unbounded_support_scan_spends_the_node_budget(sos):
-    # the first free site alone tries the 91 heights of its window
+    # both free sites have a pin, so each window is [-44, 44], past which
+    # |eta| costs 45; 89 + 89^2 nodes exceed a budget of 10 before the search
     boundary = {(-1, 0): 0, (2, 0): 0}
     assert log_partition_exact(sos, region=[(0, 0), (1, 0)], boundary=boundary) == pytest.approx(0.7352926947372781, abs=1e-12)
     with pytest.raises(StateSpaceTooLarge, match="node budget 10$"):
         log_partition_exact(sos, region=[(0, 0), (1, 0)], boundary=boundary, node_budget=10)
+
+
+def _linear(s):
+    return PeriodicPotential.isotropic("int", PiecewiseLinearPotential(xs=(0.0,), ys=(0.0,), left_slope=-s, right_slope=s))
+
+
+@pytest.mark.parametrize("s", [1.0, 0.1, 0.02])
+def test_unbounded_support_window_grows_as_the_slope_falls(s):
+    # V = s|eta|, one site between pins 0 and 0: Z = sum_h e^(-2 s |h|);
+    # a window of fixed width cuts off a relative mass of order e^(-90 s)
+    exact = math.log((1 + math.exp(-2 * s)) / (1 - math.exp(-2 * s)))
+    boundary = {(0, 0): 0, (2, 0): 0}
+    assert log_partition_exact(_linear(s), region=[(1, 0)], boundary=boundary) == pytest.approx(exact, abs=1e-12)
+
+
+def test_unbounded_support_window_of_a_site_pinned_through_the_other():
+    # (1, 0)'s only neighbour is the free site (0, 0), so its window is
+    # twice as wide; a brute-force double sum over [-600, 600]^2 agrees
+    s = 0.5
+    h = np.arange(-600, 601)
+    x, y = h[:, None], h[None, :]
+    energy = s * (np.abs(x) + np.abs(1 - x) + np.abs(y - x))
+    exact = float(np.log(np.exp(-energy).sum()))
+    boundary = {(-1, 0): 0, (0, 1): 1}
+    assert log_partition_exact(_linear(s), region=[(0, 0), (1, 0)], boundary=boundary) == pytest.approx(exact, abs=1e-12)
 
 
 def test_log_partition_single_free_edge(sos):
