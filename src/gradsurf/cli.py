@@ -192,7 +192,7 @@ def cmd_sample(cfg, seed, out: Path):
             chain = _Chain(pot, start, boundary)
             stream = RngStream(seed, s)
             for t in range(sweeps):
-                chain.sweep(stream.at(t).random(len(chain.order)))
+                chain.sweep([stream.at(t).random(len(chain.order))])
             rows.extend(_config_csv(chain.config(), s))
     _write(out / "samples.csv", "\n".join(rows) + "\n")
     _write_json(out / "manifest.json", _manifest("sample", cfg, seed, pot))

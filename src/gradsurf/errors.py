@@ -121,7 +121,15 @@ class NotIncreasing(GradsurfError):
 
 
 class InsufficientBudget(GradsurfError):
-    """Estimator stderr exceeds the requested tolerance at the given budget."""
+    """Estimator stderr exceeds the requested tolerance at the given budget;
+    ``stderr`` is the error reached, ``tolerance`` the one asked for and
+    ``budget`` the sweep budget spent."""
+
+    def __init__(self, stderr, tolerance, budget):
+        super().__init__(f"stderr {stderr} exceeds tolerance {tolerance}")
+        self.stderr = stderr
+        self.tolerance = tolerance
+        self.budget = budget
 
 
 class ConfigParse(GradsurfError):

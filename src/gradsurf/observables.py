@@ -289,7 +289,7 @@ def sigma_estimate(
     value = -log_z / volume
     stderr = int_err / volume
     if tolerance is not None and stderr > tolerance:
-        raise InsufficientBudget(f"stderr {stderr} exceeds tolerance {tolerance}")
+        raise InsufficientBudget(stderr, tolerance, budget)
     return SigmaEstimate(info.slope, n, value, THERMODYNAMIC_INTEGRATION, stderr)
 
 
@@ -315,34 +315,40 @@ def _chebyshev_grid(points: int = 21):
 
 
 def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):
-    """Integral of the mean energy over beta in [0, 1], with stderr."""
+    """Integral of the mean energy over beta in [0, 1], with stderr.
+
+    One chain per node of the beta grid, each a copy of one ``_Chain``
+    under its rescaled potential, so a sweep of all of them is one step.
+    The chains share one stream: chain k's sweep t draws counter
+    k * T + t, with T the sweeps of a chain.  After the burn-in, each
+    sweep's energies fill one column of the (chains, sweeps) series; each
+    batch sum adds its sweeps left to right from 0.0, and a chain's batch
+    means give its mean and stderr.
+    """
     if rng is None:
         rng = RngStream(0, 0)
     grid = _chebyshev_grid()
     burn = max(8, budget // 4)
     per_batch = max(1, budget // batches)
-    means, errs = [], []
     potentials = [_scale_potential(pot, beta) for beta in grid]
     if not pot.discrete:
         raise StateSpaceTooLarge("thermodynamic integration needs integer heights: its beta = 0 reference is the transfer matrix")
     start, order = _torus_start(pot, n, slope)
-    # one stream, counters 0, 1, ... over every sweep at every beta
-    draws = _uniform_rows([rng], range(len(grid) * (burn + batches * per_batch)), len(order))
-    for scaled in potentials:
-        chain = _Chain(pot, start, order=order)
-        for t in range(burn):
-            chain.sweep(next(draws)[0], scaled)
-        batch_means = []
-        for b in range(batches):
-            acc = 0.0
-            for t in range(per_batch):
-                chain.sweep(next(draws)[0], scaled)
-                acc += chain.energy()
-            batch_means.append(acc / per_batch)
-        m = float(np.mean(batch_means))
-        s = float(np.std(batch_means, ddof=1) / math.sqrt(batches))
-        means.append(m)
-        errs.append(s)
+    chain = _Chain(pot, start, order=order, copies=potentials)
+    sweeps = burn + batches * per_batch
+    draws = _uniform_rows([rng] * len(grid), range(sweeps), len(order), [k * sweeps for k in range(len(grid))])
+    for _ in range(burn):
+        chain.sweep(next(draws))
+    series = np.empty((len(grid), batches * per_batch))
+    for t in range(series.shape[1]):
+        chain.sweep(next(draws))
+        series[:, t] = chain.energy()
+    batch_sums = np.zeros((len(grid), batches))
+    for t in range(per_batch):
+        batch_sums += series[:, t::per_batch]
+    batch_means = batch_sums / per_batch
+    means = [float(np.mean(row)) for row in batch_means]
+    errs = [float(np.std(row, ddof=1) / math.sqrt(batches)) for row in batch_means]
     integral = 0.0
     var = 0.0
     for i in range(len(grid) - 1):
@@ -479,13 +485,13 @@ def variance_profile(
     chain = _Chain(pot, start, order=order)
     counter = 0
     for _ in range(burn_in):
-        chain.sweep(rng.at(counter).random(len(order)))
+        chain.sweep([rng.at(counter).random(len(order))])
         counter += 1
     samples_d: dict[int, list] = {j: [] for j in distances}
     samples_unit: dict[int, list] = {0: [], 1: []}
     for s in range(trials):
         for _ in range(thin):
-            chain.sweep(rng.at(counter).random(len(order)))
+            chain.sweep([rng.at(counter).random(len(order))])
             counter += 1
         config = chain.config()
         for j in distances:

@@ -18,7 +18,16 @@ bit-for-bit those of ``site_conditional``, and outputs do not change.
 Which code runs: every heat-bath chain is a ``_Chain``, which asks
 ``_sweep_plan`` once (``torus_sample``, thermodynamic integration, variance
 profiles and region ``sample`` keep one chain for all their sweeps, and
-``heat_bath_sweep`` is one sweep of a new chain).
+``heat_bath_sweep`` is one sweep of a new chain).  A ``_Chain`` holds K
+copies of the chain, each under its own potential: thermodynamic
+integration runs its 21 beta chains as the copies of one chain, and every
+other route is the K = 1 case.  Copies never interact: a site of copy k
+reads only copy k's heights, its own uniform (the one its beta chain would
+draw alone) and the conditional rows of copy k's potential, which one
+table over the K potentials fills with ``_discrete_conditional`` as each
+potential's own table would, and each copy's energy adds the same edge
+energies in the same order.  So every output equals that of the per-beta
+loop, one chain after the other.
 
 - Chains with integer heights sweep them as int64 on the potential's
   ``Plan`` of the torus or region.  Its wave schedule puts each site in a
@@ -260,7 +269,7 @@ def heat_bath_sweep(pot, config: HeightConfig, boundary=None, order=None, unifor
     ``uniforms`` (one per site, in order) or with draws from ``rng``: one
     sweep of a new ``_Chain``."""
     chain = _Chain(pot, config, boundary, order)
-    chain.sweep(rng.random(len(chain.order)) if uniforms is None else uniforms)
+    chain.sweep([rng.random(len(chain.order)) if uniforms is None else uniforms])
     return chain.config()
 
 
@@ -282,11 +291,13 @@ def _site_dist(pot, values, x, torus):
 
 
 class _ConditionalTable:
-    """CDF rows of a potential's discrete site conditionals, each filled by
+    """CDF rows of the discrete site conditionals of one or more potentials
+    that share a period lattice and increment bounds, each row filled by
     ``_discrete_conditional`` the first time its key occurs.
 
-    A key packs a site's index modulo the period lattice (which fixes its
-    slot edge classes) and its neighbors' effective heights minus their
+    A key packs a site's cell (its index modulo the period lattice, which
+    fixes its slot edge classes, plus k times the lattice index for the
+    k-th potential) and its neighbors' effective heights minus their
     minimum m, in base B = floor(2R) + 1 with R the largest increment
     bound: a larger spread leaves no height with finite energy.  ``row_of``
     maps every key to its row, or -1 before the first fill.  Row r holds
@@ -296,17 +307,19 @@ class _ConditionalTable:
     the index ``quantile`` returns.
     """
 
-    def __init__(self, pot, base):
-        lat = pot.lattice
+    def __init__(self, pots, base):
+        lat = pots[0].lattice
         domain = lat.fundamental_domain()
-        pots = [[pot.class_potentials[(axis, r)] for r in domain] for axis in (0, 1)]
-        self.slots = [
-            [(pots[0][k], 1), (pots[0][lat.cell(i - 1, j)], -1), (pots[1][k], 1), (pots[1][lat.cell(i, j - 1)], -1)]
-            for k, (i, j) in enumerate(domain)
-        ]
+        self.slots = []
+        for pot in pots:
+            classes = [[pot.class_potentials[(axis, r)] for r in domain] for axis in (0, 1)]
+            self.slots += [
+                [(classes[0][k], 1), (classes[0][lat.cell(i - 1, j)], -1), (classes[1][k], 1), (classes[1][lat.cell(i, j - 1)], -1)]
+                for k, (i, j) in enumerate(domain)
+            ]
         self.base = base
         self.powers = self.base ** np.arange(4, dtype=np.int64)
-        self.row_of = np.full(lat.index * base**4, -1, dtype=np.int64)
+        self.row_of = np.full(len(self.slots) * base**4, -1, dtype=np.int64)
         self.count = 0
         self.vals = np.zeros((16, self.base), dtype=np.int64)
         self.cdf = np.full((16, self.base), INF)
@@ -354,7 +367,7 @@ def _conditional_table(pot) -> _ConditionalTable | None:
         base = INF
         if pot.discrete and pot.is_lipschitz():
             base = math.floor(2 * max(max(abs(b) for b in p.support()) for p in pot.class_potentials.values())) + 1
-        memo["table"] = _ConditionalTable(pot, base) if pot.lattice.index * base**4 <= _TABLE_LIMIT else None
+        memo["table"] = _ConditionalTable([pot], base) if pot.lattice.index * base**4 <= _TABLE_LIMIT else None
     return memo["table"]
 
 
@@ -413,69 +426,79 @@ def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfi
     start, order = _torus_start(pot, n, slope)
     chain = _Chain(pot, start, order=order)
     for t in range(sweeps):
-        chain.sweep(rng.at(t).random(len(order)))
+        chain.sweep([rng.at(t).random(len(order))])
     return chain.config().pin()
 
 
 class _Chain:
-    """A heat-bath chain of ``order`` on ``config``, with the ``boundary``
-    heights held fixed.  The order defaults to the checkerboard order of the
-    config's sites outside the boundary, less a torus config's reference.
-    ``_sweep_plan`` is asked once: the heights then stay in one int64 array
-    over the plan's sites, swept by ``_sweep_waves``, or in one dict swept
-    in place with ``site_conditional``'s code.  ``config`` is read, never
-    changed.
+    """K heat-bath copies of ``order`` on ``config``, with the ``boundary``
+    heights held fixed; copy k sweeps under ``copies[k]``, by default one
+    copy under ``pot``.  Those potentials must share ``pot``'s period
+    lattice and increment bounds, as its rescalings do.  The order
+    defaults to the checkerboard order of the config's sites outside the
+    boundary, less a torus config's reference.  ``_sweep_plan`` is asked
+    once, for ``pot``: the heights then stay in one (K, N) int64 array over
+    the plan's sites, swept by one ``_sweep_waves`` call on the plan's
+    waves copied K times (copy k reads the rows of its potential in one
+    ``_ConditionalTable`` over all K), or in K dicts swept in place with
+    ``site_conditional``'s code.  ``config`` is read, never changed.
     """
 
-    def __init__(self, pot, config: HeightConfig, boundary=None, order=None):
+    def __init__(self, pot, config: HeightConfig, boundary=None, order=None, copies=None):
         if order is None:
             order = checkerboard_order(config.values.keys() - (set(boundary) if boundary else set()))
             if config.torus is not None:
                 order = [v for v in order if v != config.reference]
         self.pot, self.start, self.order = pot, config, order
+        self.copies = [pot] if copies is None else list(copies)
         found = _sweep_plan(pot, config, boundary, order)
         self.plan = None
         if found is None:
-            self.values, self.torus = _lookup(config, boundary)
+            values, self.torus = _lookup(config, boundary)
+            self.values = [dict(values) for _ in self.copies]
         else:
-            self.plan, self.waves, _ = found
+            self.plan, waves, table = found
+            k = len(self.copies)
+            if k == 1:  # the potential's own table, shared by its chains
+                self.waves, self.table = waves, _conditional_table(self.copies[0])
+            else:
+                self.waves = _copied_waves(waves, len(self.plan.sites), len(order), k, chains=1, cell=pot.lattice.index)
+                self.table = _ConditionalTable(self.copies, table.base)
             values = {**config.values, **boundary} if boundary else config.values
-            self.heights = np.array([values[v] for v in self.plan.sites], dtype=np.int64)
+            self.heights = np.tile(np.array([values[v] for v in self.plan.sites], dtype=np.int64), (k, 1))
 
-    def sweep(self, uniforms, pot=None) -> None:
-        """One sweep of the order, one uniform per site, under ``pot`` (by
-        default the chain's; another must have the same period lattice and
-        increment bounds, as a rescaled potential has)."""
-        pot = self.pot if pot is None else pot
+    def sweep(self, uniforms) -> None:
+        """One sweep of the order in every copy: copy k takes row k of the
+        (K, len(order)) ``uniforms``, one per site."""
         if self.plan is None:
-            for u, x in zip(uniforms, self.order):
-                self.values[x] = _site_dist(pot, self.values, x, self.torus).quantile(u)
+            for values, us, pot in zip(self.values, uniforms, self.copies):
+                for u, x in zip(us, self.order):
+                    values[x] = _site_dist(pot, values, x, self.torus).quantile(u)
         else:
-            _sweep_waves(_conditional_table(pot), self.waves, self.heights, uniforms)
+            _sweep_waves(self.table, self.waves, self.heights.reshape(-1), np.asarray(uniforms, dtype=np.float64).reshape(-1))
 
-    def config(self) -> HeightConfig:
-        """The start config with the current heights."""
+    def config(self, k: int = 0) -> HeightConfig:
+        """The start config with copy k's current heights."""
         values = dict(self.start.values)
         if self.plan is None:
-            values.update((x, self.values[x]) for x in self.order)
+            values.update((x, self.values[k][x]) for x in self.order)
         else:
-            values.update(zip(self.plan.sites, self.heights[: len(values)].tolist()))
+            values.update(zip(self.plan.sites, self.heights[k, : len(values)].tolist()))
         return HeightConfig(values, self.start.reference, self.start.torus)
 
-    def energy(self) -> float:
-        """``_torus_energy`` of the current heights of a torus chain under
-        its potential; on the plan, the same edge energies added in the same
-        order (sites in sorted order, axis 0 before axis 1)."""
+    def energy(self) -> np.ndarray:
+        """``_torus_energy`` under ``pot`` of each copy's current heights on a
+        torus, as K values; on the plan, each copy's edge energies added in
+        the same order (sites in sorted order, axis 0 before axis 1, left to
+        right from 0.0, as ``np.add.accumulate`` adds a row)."""
         if self.plan is None:
-            return _torus_energy(self.pot, self.config())
+            return np.array([_torus_energy(self.pot, self.config(k)) for k in range(len(self.copies))])
         lo, table = _energy_table(self.pot)
-        plan = self.plan
-        inc = self.heights[plan.nbr[:, 0::2]] + plan.shift[:, 0::2] - self.heights[:, None]
-        energies = table[[0, 1], plan.sig[:, None], np.clip(1 + inc - lo, 0, table.shape[2] - 1)]
-        total = 0.0
-        for e in energies.ravel().tolist():
-            total += e
-        return total
+        plan, heights = self.plan, self.heights
+        inc = heights[:, plan.nbr[:, 0::2]] + plan.shift[:, 0::2] - heights[:, :, None]
+        terms = np.zeros((len(heights), 1 + inc[0].size))
+        terms[:, 1:] = table[[0, 1], plan.sig[:, None], np.clip(1 + inc - lo, 0, table.shape[2] - 1)].reshape(len(heights), -1)
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, tuple]:
@@ -599,17 +622,24 @@ def _cftp_chunk(streams, start, size, sweep, max_epochs):
     return ends
 
 
-def _uniform_rows(streams, times, size):
+def _uniform_rows(streams, times, size, offsets=None):
     """For each t of ``times``, the (len(streams), size) uniforms whose row
-    k is ``streams[k].at(t).random(size)``, drawn by ``rng.block`` in slices
-    of as many times as fit in _CFTP_HEIGHTS doubles (one at least).  A
-    slice holds at most max(_CFTP_HEIGHTS, len(streams) * size) doubles, so
-    at most max(_CFTP_HEIGHTS, size) for a CFTP chunk."""
-    step = max(1, _CFTP_HEIGHTS // max(1, len(streams) * size))
+    k is ``streams[k].at(offsets[k] + t).random(size)`` (offsets 0 by
+    default), drawn by ``rng.block`` in slices of as many rows as fit in
+    _CFTP_HEIGHTS doubles (one at least), a slice holding the rows of whole
+    times while they fit.  So a slice holds at most max(_CFTP_HEIGHTS,
+    size) doubles."""
+    offsets = [0] * len(streams) if offsets is None else offsets
+    rows = max(1, _CFTP_HEIGHTS // max(1, size))
+    step = max(1, rows // len(streams))
     for lo in range(0, len(times), step):
         ts = times[lo : lo + step]
-        rows = _rng.block([s for _ in ts for s in streams], [t for t in ts for _ in streams], size)
-        yield from rows.reshape(len(ts), len(streams), size)
+        pairs = [(s, o + t) for t in ts for s, o in zip(streams, offsets)]
+        drawn = [
+            _rng.block([s for s, _ in pairs[i : i + rows]], [c for _, c in pairs[i : i + rows]], size)
+            for i in range(0, len(pairs), rows)
+        ]
+        yield from np.concatenate(drawn).reshape(len(ts), len(streams), size)
 
 
 def _coupled_sweep(pot, order, top, bot, uniforms):
@@ -638,20 +668,22 @@ def _replay(pot, order, sites, chains, uniforms):
     return None
 
 
-def _copied_waves(waves, size, draws, copies):
-    """The plan's wave schedule for the chains of ``copies`` samples in one
-    flat array: sample a's top and bottom chains hold their N = ``size``
-    heights at offsets 2aN and (2a + 1)N, and both draw the uniform at
-    position p + a * ``draws`` for position p."""
-    chain = np.arange(2 * copies, dtype=np.int64)[:, None]
-    offset, drawn = chain * size, chain // 2 * draws
+def _copied_waves(waves, size, draws, copies, chains=2, cell=0):
+    """The plan's wave schedule for ``chains`` chains of each of ``copies``
+    copies in one flat array: chain b of copy a holds its N = ``size``
+    heights at offset (a * chains + b)N, draws the uniform at position
+    p + a * ``draws`` for position p and reads the conditional rows of cell
+    sig + a * ``cell``.  CFTP runs a top and a bottom chain per sample
+    under one potential (the defaults)."""
+    chain = np.arange(chains * copies, dtype=np.int64)[:, None]
+    offset, copy = chain * size, chain // chains
     return [
         (
-            (pos + drawn).ravel(),
+            (pos + copy * draws).ravel(),
             (sites + offset).ravel(),
             (nbr + offset[..., None]).reshape(-1, 4),
             np.concatenate([shift] * len(chain)),
-            np.concatenate([sig] * len(chain)),
+            (sig + copy * cell).ravel(),
         )
         for pos, sites, nbr, shift, sig in waves
     ]

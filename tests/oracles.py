@@ -617,3 +617,40 @@ def at_rows(streams, counters, size):
     ``streams[k].at(counters[k]).random(size)``, one numpy generator per row."""
     rows = [stream.at(counter).random(size) for stream, counter in zip(streams, counters)]
     return np.array(rows, dtype=np.float64).reshape(len(rows), size)
+
+
+def ti_energy_integral_loop(pot, n, slope, budget, rng, batches=32):
+    """The reference of ``observables._ti_energy_integral``: the chains of
+    the beta nodes one after the other, each a one-copy chain under its
+    rescaled potential, with one ``at`` generator per sweep, counters
+    0, 1, ... across all chains, and each energy from ``_torus_energy``."""
+    from gradsurf.feasibility import _torus_energy
+    from gradsurf.observables import _chebyshev_grid, _scale_potential
+    from gradsurf.sampler import _Chain, _torus_start
+
+    grid = _chebyshev_grid()
+    burn = max(8, budget // 4)
+    per_batch = max(1, budget // batches)
+    start, order = _torus_start(pot, n, slope)
+    counters = itertools.count()
+    means, errs = [], []
+    for beta in grid:
+        chain = _Chain(pot, start, order=order, copies=[_scale_potential(pot, beta)])
+        for _ in range(burn):
+            chain.sweep([rng.at(next(counters)).random(len(order))])
+        batch_means = []
+        for _ in range(batches):
+            acc = 0.0
+            for _ in range(per_batch):
+                chain.sweep([rng.at(next(counters)).random(len(order))])
+                acc += _torus_energy(pot, chain.config())
+            batch_means.append(acc / per_batch)
+        means.append(float(np.mean(batch_means)))
+        errs.append(float(np.std(batch_means, ddof=1) / math.sqrt(batches)))
+    integral = 0.0
+    var = 0.0
+    for i in range(len(grid) - 1):
+        w = 0.5 * (grid[i + 1] - grid[i])
+        integral += w * (means[i] + means[i + 1])
+        var += (w * errs[i]) ** 2 + (w * errs[i + 1]) ** 2
+    return integral, math.sqrt(var)

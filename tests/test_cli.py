@@ -256,6 +256,27 @@ _ABS1 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table
 _ABS2 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-2": 2.2, "-1": 1.1, "0": 0.0, "1": 1.1, "2": 2.2}}}
 
 
+# 2Z^2-periodic convex tables: each of the eight edge classes has its own
+# energies, two with a support of four increments
+_PERIODIC2 = {
+    "domain": "int",
+    "period": [[2, 0], [0, 2]],
+    "classes": [
+        {"axis": axis, "base": base, "potential": {"kind": "table", "values": values}}
+        for axis, base, values in (
+            (0, [0, 0], {"-1": 1.0, "0": 0.0, "1": 0.5}),
+            (0, [0, 1], {"-1": 0.5, "0": 0.0, "1": 1.0}),
+            (0, [1, 0], {"-1": 1.5, "0": 0.5, "1": 0.0, "2": 0.5}),
+            (0, [1, 1], {"-1": 1.0, "0": 0.5, "1": 0.0}),
+            (1, [0, 0], {"-1": 0.0, "0": 0.5, "1": 1.5}),
+            (1, [0, 1], {"-1": 1.0, "0": 0.0, "1": 1.0}),
+            (1, [1, 0], {"-1": 0.5, "0": 0.0, "1": 0.5}),
+            (1, [1, 1], {"-1": 2.0, "0": 1.0, "1": 0.0, "2": 1.0}),
+        )
+    ],
+}
+
+
 def _preset(name, domain):
     return {"domain": domain, "period": [[1, 0], [0, 1]], "classes": name}
 
@@ -354,6 +375,16 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
             {"sigma.json": "ed2bcf913613a9105f5c3d80d3898b5d008c41131c392acd7f26b58d5634bb9c"},
         ),
         (
+            "sigma",
+            {"potential": _PERIODIC2, "n": 4, "method": "ThermodynamicIntegration", "budget": 64, "slopes": [[0, 0], ["1/4", "1/4"]]},
+            {"sigma.json": "c2d9d6570d53fc4c952a17c2f003f0cb3b2419953a06b77e4a0e049ab7a9ec07"},
+        ),
+        (
+            "sigma",
+            {"potential": {"preset": "domino"}, "n": 4, "method": "ThermodynamicIntegration", "budget": 64, "slopes": [["1/4", 0], ["1/4", "1/4"]]},
+            {"sigma.json": "cb2ec290ee6e329786b3e718c828884470962c7420d9bd19cb1c4dec16331d65"},
+        ),
+        (
             "feasibility",
             {"potential": _ABS1, "distance_region": _box_10x10(1, 2)},
             {"distances.csv": "acd20c9d21209e4eb82b7d272c435bffff8789ab74f106fda1b732f2375d1eb8"},
@@ -367,6 +398,7 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
     ids=[
         "cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "sample-domino-4x4", "sample-sos-abs-4x4", "sample-gaussian-4x4",
         "sample-torus-abs2-sloped", "sample-torus-gaussian", "sample-torus-sos-abs", "swap-abs1-n6", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
+        "sigma-ti-periodic2-n4-budget64", "sigma-ti-domino-sloped-n4-budget64",
         "distances-abs1-10x10", "distances-domino-10x10",
     ],
 )

@@ -310,6 +310,71 @@ def test_sigma_ti_block_draws_equal_the_at_path(monkeypatch, sos_trunc1, budget)
     assert ti.stderr > 0
 
 
+def _ti_cases():
+    """(potential, n, slope) per case: abs1 and abs2 on sides 3 to 6,
+    sloped domino and random 2Z^2-periodic tables on sides 4 and 6."""
+    from test_feasibility import _random_periodic_potential
+
+    abs1 = lipschitz_truncate(PeriodicPotential.isotropic("int", sos_abs_potential()), 1)
+    abs2 = PeriodicPotential.isotropic("int", TablePotential.from_dict({k: 1.1 * abs(k) for k in range(-2, 3)}))
+    cases = {
+        "abs1-n3-flat": (abs1, 3, (F(0), F(0))),
+        "abs1-n4-quarter": (abs1, 4, (F(1, 4), F(0))),
+        "abs1-n5-diagonal": (abs1, 5, (F(1, 5), F(2, 5))),
+        "abs2-n3-third": (abs2, 3, (F(0), F(1, 3))),
+        "abs2-n6-sloped": (abs2, 6, (F(1, 2), F(1, 6))),
+        "domino-n4-quarter": (domino_potential(), 4, (F(1, 4), F(0))),
+    }
+    rng = random.Random(1919)
+    for k, (n, slope) in enumerate([(4, (F(0), F(0))), (4, (F(1, 2), F(0))), (6, (F(1, 3), F(1, 3))), (6, (F(0), F(1, 2)))]):
+        cases[f"periodic{k}-n{n}"] = (_random_periodic_potential(rng), n, slope)
+    return cases
+
+
+_TI_CASES = _ti_cases()
+
+
+@pytest.mark.parametrize("budget", [16, 64, 100], ids=["per-batch-1", "per-batch-2", "per-batch-3"])
+@pytest.mark.parametrize("case", sorted(_TI_CASES))
+def test_ti_batch_equals_per_beta_loop(case, budget):
+    # the 21 beta chains swept as one batch give the per-beta loop's
+    # integral and stderr bit for bit
+    from gradsurf.observables import _ti_energy_integral
+
+    from oracles import ti_energy_integral_loop
+
+    pot, n, slope = _TI_CASES[case]
+    expected = ti_energy_integral_loop(pot, n, slope, budget, RngStream(budget, n))
+    assert _ti_energy_integral(pot, n, slope, budget, RngStream(budget, n)) == expected
+
+
+def test_ti_batch_equals_per_beta_loop_on_the_dict_branch(monkeypatch, sos_trunc1):
+    # a selector that accepts no plan sends every copy through
+    # site_conditional's code, one dict per beta node
+    from gradsurf import sampler
+    from gradsurf.observables import _ti_energy_integral
+
+    from oracles import ti_energy_integral_loop
+
+    slope = (F(1, 4), F(0))
+    expected = ti_energy_integral_loop(sos_trunc1, 4, slope, 16, RngStream(4, 4))
+    monkeypatch.setattr(sampler, "_sweep_plan", lambda *args: None)
+    assert _ti_energy_integral(sos_trunc1, 4, slope, 16, RngStream(4, 4)) == expected
+
+
+def test_ti_sweeps_all_beta_chains_in_one_wave_pass_per_sweep(monkeypatch, sos_trunc1):
+    # one _sweep_waves call per sweep time for all 21 chains: 8 burn-in
+    # and 32 batch sweeps at budget 16
+    from gradsurf import sampler
+    from gradsurf.observables import _ti_energy_integral
+
+    calls = []
+    sweep_waves = sampler._sweep_waves
+    monkeypatch.setattr(sampler, "_sweep_waves", lambda *args: calls.append(len(args[2])) or sweep_waves(*args))
+    _ti_energy_integral(sos_trunc1, 4, (F(1, 4), F(0)), 16, RngStream(0, 0))
+    assert calls == [21 * 16] * 40
+
+
 @pytest.mark.parametrize(
     "edge",
     [PiecewiseLinearPotential((-1, 0, 1), (1, 0, 1)), TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0})],

@@ -128,7 +128,7 @@ def test_domino_sigma_sequence_internal_consistency():
 
 
 def test_ti_insufficient_budget(sos_trunc1):
-    with pytest.raises(InsufficientBudget):
+    with pytest.raises(InsufficientBudget) as caught:
         sigma_estimate(
             sos_trunc1,
             (F(0), F(0)),
@@ -138,6 +138,13 @@ def test_ti_insufficient_budget(sos_trunc1):
             rng=RngStream(5, 0),
             tolerance=1e-12,
         )
+    # the error carries what the estimate reached, and its message is the
+    # one error.json has always held
+    reached = sigma_estimate(sos_trunc1, (F(0), F(0)), 2, method="ThermodynamicIntegration", budget=64, rng=RngStream(5, 0))
+    error = caught.value
+    assert (error.stderr, error.tolerance, error.budget) == (reached.stderr, 1e-12, 64)
+    assert error.stderr > error.tolerance
+    assert str(error) == f"stderr {reached.stderr} exceeds tolerance 1e-12"
 
 
 def test_empirical_gradient_frequencies_sum_to_one():
