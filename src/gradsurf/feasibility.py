@@ -685,7 +685,7 @@ class Plan(FeasibilityGraph):
     self-loops of the 1-torus stay separate, which changes no distance.
     ``order`` is the checkerboard order of the free sites and ``waves`` its
     wave schedule (``_wave_schedule``), None when a free site lacks a
-    neighbor; CFTP repeats it for each chain of a batch of samples
+    neighbor; a chain with several rows repeats it for each row
     (``sampler._copied_waves``).  ``windows`` maps sorted pins to the height
     windows of ``_value_windows``; ``start`` is filled by ``_torus_start``.
     """

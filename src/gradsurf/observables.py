@@ -317,7 +317,7 @@ def _chebyshev_grid(points: int = 21):
 def _ti_energy_integral(pot, n, slope, budget, rng, batches: int = 32):
     """Integral of the mean energy over beta in [0, 1], with stderr.
 
-    One chain per node of the beta grid, each a copy of one ``_Chain``
+    One chain per node of the beta grid, each a row of one ``_Chain``
     under its rescaled potential, so a sweep of all of them is one step.
     The chains share one stream: chain k's sweep t draws counter
     k * T + t, with T the sweeps of a chain.  After the burn-in, each
@@ -479,8 +479,8 @@ def variance_profile(
     the verdict checks every requested distance at three standard errors.
     """
     distances = tuple(sorted(distances))
-    if max(distances) >= n:
-        raise ValueError("distances must fit inside the torus")
+    if not distances or max(distances) >= n:
+        raise ValueError("distances must be nonempty and fit inside the torus")
     start, order = _torus_start(pot, n, slope)
     chain = _Chain(pot, start, order=order)
     counter = 0

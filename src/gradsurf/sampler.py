@@ -17,42 +17,42 @@ potential, so energies, their summation order and the probabilities are
 bit-for-bit those of ``site_conditional``, and outputs do not change.
 Which code runs: every heat-bath chain is a ``_Chain``, which asks
 ``_sweep_plan`` once (``torus_sample``, thermodynamic integration, variance
-profiles and region ``sample`` keep one chain for all their sweeps, and
-``heat_bath_sweep`` is one sweep of a new chain).  A ``_Chain`` holds K
-copies of the chain, each under its own potential: thermodynamic
-integration runs its 21 beta chains as the copies of one chain, and every
-other route is the K = 1 case.  Copies never interact: a site of copy k
-reads only copy k's heights, its own uniform (the one its beta chain would
-draw alone) and the conditional rows of copy k's potential, which one
-table over the K potentials fills with ``_discrete_conditional`` as each
-potential's own table would, and each copy's energy adds the same edge
+profiles, region ``sample`` and CFTP keep one chain for all their sweeps,
+and ``heat_bath_sweep`` is one sweep of a new chain).  A ``_Chain`` keeps
+K rows of heights in one (K, N) array; a row never reads another row.
+Thermodynamic integration runs its 21 beta chains as rows: a site of row k
+reads only row k's heights, its own uniform (the one its beta chain would
+draw alone) and the conditional rows of its potential, which one table
+over the 21 potentials fills with ``_discrete_conditional`` as each
+potential's own table would, and each row's energy adds the same edge
 energies in the same order.  So every output equals that of the per-beta
-loop, one chain after the other.
+loop.  Every other route runs its rows under one potential.
 
 - Chains with integer heights sweep them as int64 on the potential's
   ``Plan`` of the torus or region.  Its wave schedule puts each site in a
   later wave than every neighbor that precedes it in the order, so the
   sites of a wave share no edge and updating wave by wave equals updating
-  in order.  A wave is one numpy step (``_sweep_waves``): each site draws
+  in order.  A wave is one numpy step (``_sweep_waves``) over all rows, on
+  the schedule repeated for each row (``_copied_waves``): each site draws
   the first support value whose running sum, from a table filled by
   ``_discrete_conditional``, exceeds u, as ``quantile`` does.
-- Other chains sweep a dict in place with ``site_conditional``'s code:
-  non-integer heights, continuous domains, unbounded increments (whose scan
-  starts from a rounded mean, which a shift can move), tables over
-  ``_TABLE_LIMIT`` keys and region sites with a neighbor outside region |
-  boundary.
+- Other chains keep Python heights and sweep each row as a dict with
+  ``site_conditional``'s code: non-integer heights, continuous domains,
+  unbounded increments (whose scan starts from a rounded mean, which a
+  shift can move), tables over ``_TABLE_LIMIT`` keys and region sites with
+  a neighbor outside region | boundary.
 - CFTP (``cftp_samples``) sweeps the top and bottom chains of many samples
-  as one flat array, on the plan's schedule repeated for each chain
-  (``_copied_waves``), with each sample's own uniforms; ``cftp_sample`` is
-  its one-stream case.  An epoch's uniforms come from one ``rng.block``
-  call per slice (``_uniform_rows``), equal to the per-row ``at`` draws.
+  as the rows of one chain, a sample's two rows reading one row of
+  uniforms; ``cftp_sample`` is its one-stream case.  A sweep that raises is
+  replayed site by site (``_replay``).  An epoch's uniforms come from one
+  ``rng.block`` call per slice (``_uniform_rows``), equal to the per-row
+  ``at`` draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from itertools import accumulate
 from statistics import NormalDist
 
@@ -431,68 +431,81 @@ def torus_sample(pot, n: int, slope, sweeps: int, rng: RngStream) -> HeightConfi
 
 
 class _Chain:
-    """K heat-bath copies of ``order`` on ``config``, with the ``boundary``
-    heights held fixed; copy k sweeps under ``copies[k]``, by default one
-    copy under ``pot``.  Those potentials must share ``pot``'s period
-    lattice and increment bounds, as its rescalings do.  The order
-    defaults to the checkerboard order of the config's sites outside the
-    boundary, less a torus config's reference.  ``_sweep_plan`` is asked
-    once, for ``pot``: the heights then stay in one (K, N) int64 array over
-    the plan's sites, swept by one ``_sweep_waves`` call on the plan's
-    waves copied K times (copy k reads the rows of its potential in one
-    ``_ConditionalTable`` over all K), or in K dicts swept in place with
-    ``site_conditional``'s code.  ``config`` is read, never changed.
-    """
+    """Heat-bath rows of ``order`` on ``config`` with the ``boundary``
+    heights fixed, as one (K, N) array ``heights`` over ``sites``.  Row k
+    sweeps under ``copies[k]``, which share ``pot``'s period lattice and
+    increment bounds; without copies there is one row at the start and all
+    rows sweep under ``pot``.  The order defaults to the checkerboard order
+    of the config's sites outside the boundary, less a torus reference.
+    ``_sweep_plan`` is asked once, for ``pot``: on the plan ``heights`` is
+    int64 over its sites, swept by one ``_sweep_waves`` call on its waves
+    copied for the K rows (``_copied_waves``, kept for fewer rows) and
+    one ``_ConditionalTable`` over the copies; off it ``heights`` holds
+    objects and each row is swept as a dict with ``site_conditional``'s
+    code.  ``config`` is read, never changed."""
 
     def __init__(self, pot, config: HeightConfig, boundary=None, order=None, copies=None):
         if order is None:
             order = checkerboard_order(config.values.keys() - (set(boundary) if boundary else set()))
             if config.torus is not None:
                 order = [v for v in order if v != config.reference]
-        self.pot, self.start, self.order = pot, config, order
-        self.copies = [pot] if copies is None else list(copies)
+        self.pot, self.start, self.order, self.copies = pot, config, order, copies
+        values, self.torus = _lookup(config, boundary)
         found = _sweep_plan(pot, config, boundary, order)
         self.plan = None
         if found is None:
-            values, self.torus = _lookup(config, boundary)
-            self.values = [dict(values) for _ in self.copies]
+            # an order site without a height (None) gets one when swept
+            self.sites = list({**dict.fromkeys(order), **values})
+            self.index = {v: i for i, v in enumerate(self.sites)}
         else:
             self.plan, waves, table = found
-            k = len(self.copies)
-            if k == 1:  # the potential's own table, shared by its chains
-                self.waves, self.table = waves, _conditional_table(self.copies[0])
-            else:
-                self.waves = _copied_waves(waves, len(self.plan.sites), len(order), k, chains=1, cell=pot.lattice.index)
-                self.table = _ConditionalTable(self.copies, table.base)
-            values = {**config.values, **boundary} if boundary else config.values
-            self.heights = np.tile(np.array([values[v] for v in self.plan.sites], dtype=np.int64), (k, 1))
+            self.sites, self.index = self.plan.sites, self.plan.index
+            self.table = table if copies is None else _ConditionalTable(copies, table.base)
+            # ``copied``: the waves for rows that read the uniform rows ``uses``;
+            # ``schedule``: its first rows, for the last sweep's ``shape``
+            self.waves = self.schedule = self.copied = waves
+            self.shape, self.uses = (1, 1), np.zeros(1, dtype=np.int64)
+        row = [values.get(v) for v in self.sites]
+        self.heights = np.array([row] * (1 if copies is None else len(copies)), dtype=object if found is None else np.int64)
 
     def sweep(self, uniforms) -> None:
-        """One sweep of the order in every copy: copy k takes row k of the
-        (K, len(order)) ``uniforms``, one per site."""
+        """One sweep of the order in every row, with U rows of ``uniforms``
+        (one per site of the order) for the K rows of heights: row r takes
+        uniform row r * U // K."""
+        rows, urows = len(self.heights), len(uniforms)
         if self.plan is None:
-            for values, us, pot in zip(self.values, uniforms, self.copies):
-                for u, x in zip(us, self.order):
+            for r, heights in enumerate(self.heights):
+                pot = self.pot if self.copies is None else self.copies[r]
+                values = {v: h for v, h in zip(self.sites, heights.tolist()) if h is not None}
+                for u, x in zip(uniforms[r * urows // rows], self.order):
                     values[x] = _site_dist(pot, values, x, self.torus).quantile(u)
-        else:
-            _sweep_waves(self.table, self.waves, self.heights.reshape(-1), np.asarray(uniforms, dtype=np.float64).reshape(-1))
+                heights[:] = [values[v] for v in self.sites]
+            return
+        if self.shape != (rows, urows):
+            uses = np.arange(rows) * urows // rows
+            if rows > len(self.uses) or (uses != self.uses[:rows]).any():
+                cell = 0 if self.copies is None else self.pot.lattice.index
+                self.copied = _copied_waves(self.waves, len(self.sites), len(self.order), uses, cell)
+                self.uses = uses
+            self.schedule = [[a[: len(a) // len(self.uses) * rows] for a in wave] for wave in self.copied]
+            self.shape = (rows, urows)
+        _sweep_waves(self.table, self.schedule, self.heights.reshape(-1), np.asarray(uniforms, dtype=np.float64).reshape(-1))
 
     def config(self, k: int = 0) -> HeightConfig:
-        """The start config with copy k's current heights."""
+        """The start config with row k's current heights at the order's
+        sites."""
         values = dict(self.start.values)
-        if self.plan is None:
-            values.update((x, self.values[k][x]) for x in self.order)
-        else:
-            values.update(zip(self.plan.sites, self.heights[k, : len(values)].tolist()))
+        heights = self.heights[k].tolist()
+        values.update((x, heights[self.index[x]]) for x in self.order)
         return HeightConfig(values, self.start.reference, self.start.torus)
 
     def energy(self) -> np.ndarray:
-        """``_torus_energy`` under ``pot`` of each copy's current heights on a
-        torus, as K values; on the plan, each copy's edge energies added in
+        """``_torus_energy`` under ``pot`` of each row's current heights on a
+        torus, as K values; on the plan, each row's edge energies added in
         the same order (sites in sorted order, axis 0 before axis 1, left to
         right from 0.0, as ``np.add.accumulate`` adds a row)."""
         if self.plan is None:
-            return np.array([_torus_energy(self.pot, self.config(k)) for k in range(len(self.copies))])
+            return np.array([_torus_energy(self.pot, self.config(k)) for k in range(len(self.heights))])
         lo, table = _energy_table(self.pot)
         plan, heights = self.plan, self.heights
         inc = heights[:, plan.nbr[:, 0::2]] + plan.shift[:, 0::2] - heights[:, :, None]
@@ -547,72 +560,61 @@ def cftp_samples(pot, region, boundary, streams, max_epochs: int = 22) -> list[H
     from its stream's counter-addressed past epochs (1, 2, 4, ... sweeps
     back) until they coalesce at time zero.  Requires a discrete Lipschitz
     potential with convex edge potentials; chains that cross raise
-    NonMonotoneCoupling.  An empty region returns the boundary heights.
+    NonMonotoneCoupling.  Region sites the boundary pins keep their pins.
 
-    The samples run in chunks of at most _CFTP_HEIGHTS chain heights, taken
-    in stream order (``_cftp_chunk``): every epoch sweeps the chains of a
-    chunk's samples that have not coalesced as one array, and each sample
-    uses ``stream.at(t).random(len(region))`` at time t as it would alone.
-    An epoch's draws, every active sample at every time, come from
-    ``rng.block`` in slices of at most max(_CFTP_HEIGHTS, len(region))
-    doubles (``_uniform_rows``), and each row equals that ``at`` call bit
-    for bit.  So sample a equals ``cftp_sample`` with streams[a], and the
-    batch raises what the first of those calls to fail raises.
+    The chains are rows of one ``_Chain``.  The samples run in chunks of at
+    most _CFTP_HEIGHTS chain heights, in stream order (``_cftp_chunk``):
+    every epoch sweeps the chains of a chunk's samples that have not
+    coalesced at once, and each sample uses ``stream.at(t).random(size)``
+    at time t, ``size`` the free sites, as it would alone.  An epoch's
+    draws come from ``rng.block`` in slices of at most
+    max(_CFTP_HEIGHTS, size) doubles (``_uniform_rows``), each row equal to
+    that ``at`` call bit for bit.  So sample a equals ``cftp_sample`` with
+    streams[a], and the batch raises what the first of those calls to fail
+    raises.
     """
-    streams = list(streams)
-    region = sorted(region)
-    if not region or not streams:
-        return [HeightConfig(dict(boundary), reference=min(boundary)) for _ in streams]
-    windows = _region_windows(pot, region, boundary)
-    order = checkerboard_order(region)
-    top = {v: windows[v][-1] for v in region}
-    bot = {v: windows[v][0] for v in region}
-    found = _sweep_plan(pot, HeightConfig(top, reference=region[0]), boundary, order)
-    if found is None:
-        # site_conditional's code on the region's and boundary's heights
-        sites = list({**top, **boundary})
-        start = np.array([[heights[v] for v in sites] for heights in ({**top, **boundary}, {**bot, **boundary})], dtype=object)
-        sweep = partial(_replay, pot, order, sites)
-    else:
-        plan, waves, table = found
-        start = np.array([[chain.get(v, boundary.get(v)) for v in plan.sites] for chain in (top, bot)], dtype=np.int64)
-        # the number of samples changes only between epochs and on failures
-        schedule = lru_cache(maxsize=1)(partial(_copied_waves, waves, start.shape[1], len(order)))
-        sweep = partial(_coupled_waves, pot, plan, table, schedule)
+    streams, region = list(streams), sorted(region)
+    free = [v for v in region if v not in boundary]
+    if not free or not streams:
+        return [HeightConfig(dict(boundary), reference=min(region or boundary)) for _ in streams]
+    windows = _region_windows(pot, free, boundary)
+    order = checkerboard_order(free)
+    chain = _Chain(pot, HeightConfig({v: windows[v][-1] for v in free}, reference=region[0]), boundary, order)
+    start = np.repeat(chain.heights, 2, axis=0)
+    start[1, [chain.index[v] for v in order]] = [windows[v][0] for v in order]
     chunk = _CFTP_HEIGHTS // start.size or 1
     return [
-        HeightConfig({**boundary, **dict(zip(region, heights))}, reference=region[0])
+        HeightConfig({**boundary, **dict(zip(free, heights))}, reference=region[0])
         for lo in range(0, len(streams), chunk)
-        for heights in _cftp_chunk(streams[lo : lo + chunk], start, len(region), sweep, max_epochs)
+        for heights in _cftp_chunk(chain, start, streams[lo : lo + chunk], max_epochs)
     ]
 
 
-def _cftp_chunk(streams, start, size, sweep, max_epochs):
-    """The heights of the region, the first ``size`` sites of the (2, N)
-    ``start``, at which each stream's pair of chains from ``start``
-    coalesces.  ``sweep(chains, uniforms)`` sweeps the (A, 2, N) chains of
-    the A active samples, sample k with row k of the (A, size) uniforms,
-    and returns None, or (k, error) when sample k is the first to fail,
-    after sweeping the samples before it.  A failing sample and those after
-    it leave the batch and the others go on, so the first sample to fail or
-    to exhaust the epoch budget is the one whose error is raised."""
+def _cftp_chunk(chain, start, streams, max_epochs):
+    """The heights of the chain's config sites at which each stream's pair
+    of chains from the (2, N) ``start`` coalesces; each epoch puts sample a
+    of the active ones in rows 2a and 2a + 1.  A failing sample and those
+    after it leave the batch and the others go on, so the first sample to
+    fail or to exhaust the epoch budget is the one whose error is raised."""
     active = list(range(len(streams)))
     ends = [None] * len(streams)
     failure = None
     span, sweeps = 1, 0
+    cols = [chain.index[v] for v in chain.start.values]
     while active and max_epochs >= 0 and span <= (1 << max_epochs):
-        chains = np.repeat(start[None], len(active), axis=0)
-        for uniforms in _uniform_rows([streams[a] for a in active], range(-span, 0), size):
-            failed = sweep(chains, uniforms[: len(chains)])
+        chain.heights = np.tile(start, (len(active), 1))
+        for uniforms in _uniform_rows([streams[a] for a in active], range(-span, 0), len(chain.order)):
+            failed = _coupled_sweep(chain, uniforms[: len(active)])
             if failed is not None:
                 k, failure = failed
-                active, chains = active[:k], chains[:k]
+                active, chain.heights = active[:k], chain.heights[: 2 * k]
                 if not active:
                     break
         sweeps += span
-        done = (chains[:, 0, :size] == chains[:, 1, :size]).all(axis=1)
-        for k in np.flatnonzero(done).tolist():
-            ends[active[k]] = chains[k, 0, :size].tolist()
+        tops = chain.heights[0::2]
+        done = (tops == chain.heights[1::2]).all(axis=1)
+        for k, heights in zip(np.flatnonzero(done).tolist(), tops[done][:, cols].tolist()):
+            ends[active[k]] = heights
         active = [a for a, d in zip(active, done.tolist()) if not d]
         span *= 2
     if active:
@@ -642,76 +644,68 @@ def _uniform_rows(streams, times, size, offsets=None):
         yield from np.concatenate(drawn).reshape(len(ts), len(streams), size)
 
 
-def _coupled_sweep(pot, order, top, bot, uniforms):
-    """One sweep of both chains' height dicts, site by site with
-    ``site_conditional``'s code; raises NonMonotoneCoupling at the first
-    site where they cross."""
-    for u, x in zip(uniforms, order):
-        top[x] = _site_dist(pot, top, x, None).quantile(u)
-        bot[x] = _site_dist(pot, bot, x, None).quantile(u)
-        if bot[x] > top[x]:
-            raise NonMonotoneCoupling(f"coupled chains crossed at site {x}")
-
-
-def _replay(pot, order, sites, chains, uniforms):
-    """One ``_coupled_sweep`` of each sample's pair of the (A, 2, N) chains,
-    with heights at ``sites``, in sample order; returns (k, error) for the
-    first sample k that raises, after sweeping those before it, else
-    None."""
-    for k, (pair, us) in enumerate(zip(chains, uniforms)):
-        top, bot = (dict(zip(sites, heights)) for heights in pair.tolist())
-        try:
-            _coupled_sweep(pot, order, top, bot, us)
-        except GradsurfError as exc:
-            return k, exc
-        pair[:] = [[chain[v] for v in sites] for chain in (top, bot)]
-    return None
-
-
-def _copied_waves(waves, size, draws, copies, chains=2, cell=0):
-    """The plan's wave schedule for ``chains`` chains of each of ``copies``
-    copies in one flat array: chain b of copy a holds its N = ``size``
-    heights at offset (a * chains + b)N, draws the uniform at position
-    p + a * ``draws`` for position p and reads the conditional rows of cell
-    sig + a * ``cell``.  CFTP runs a top and a bottom chain per sample
-    under one potential (the defaults)."""
-    chain = np.arange(chains * copies, dtype=np.int64)[:, None]
-    offset, copy = chain * size, chain // chains
-    return [
-        (
-            (pos + copy * draws).ravel(),
-            (sites + offset).ravel(),
-            (nbr + offset[..., None]).reshape(-1, 4),
-            np.concatenate([shift] * len(chain)),
-            (sig + copy * cell).ravel(),
-        )
-        for pos, sites, nbr, shift, sig in waves
-    ]
-
-
-def _coupled_waves(pot, plan, table, schedule, chains, uniforms):
-    """One sweep of the (A, 2, N) int64 ``chains`` in the plan's checkerboard
-    order, as ``_cftp_chunk`` asks: one ``_sweep_waves`` call on
-    ``schedule(A)``, the ``_copied_waves`` of A samples.  Each site is updated once, so the first site in
-    that order where a sample's chains cross after the sweep is the site
-    ``_coupled_sweep`` names; a site without a finite-energy height replays
-    the sweep sample by sample (``_replay``), which finds the first sample
-    to fail and what it raises first."""
-    before = chains.copy()
+def _coupled_sweep(chain, uniforms):
+    """One ``chain.sweep`` of the CFTP pairs in its rows, sample a's top and
+    bottom chains in rows 2a and 2a + 1 with row a of ``uniforms``; returns
+    None, or (a, error) when sample a is the first to fail, after sweeping
+    the samples before it.  Each site is updated once, so the first site in
+    the order where a pair crosses after the sweep is where ``_replay``
+    sees it cross; a sweep that raises is undone and replayed."""
+    before = chain.heights.copy()
     try:
-        _sweep_waves(table, schedule(len(chains)), chains.reshape(-1), uniforms.reshape(-1))
-    except EmptySupport:
-        chains[:] = before
-        failed = _replay(pot, plan.order, plan.sites, chains, uniforms)
+        chain.sweep(uniforms)
+    except GradsurfError:
+        chain.heights[:] = before
+        failed = _replay(chain, uniforms)
         if failed is None:
             raise
         return failed
-    crossed = chains[:, 1] > chains[:, 0]
+    crossed = chain.heights[1::2] > chain.heights[0::2]
     if not crossed.any():
         return None
-    k = int(crossed.any(axis=1).argmax())
-    site = checkerboard_order(plan.sites[i] for i in np.flatnonzero(crossed[k]).tolist())[0]
-    return k, NonMonotoneCoupling(f"coupled chains crossed at site {site}")
+    a = int(crossed.any(axis=1).argmax())
+    site = checkerboard_order(chain.sites[i] for i in np.flatnonzero(crossed[a]).tolist())[0]
+    return a, NonMonotoneCoupling(f"coupled chains crossed at site {site}")
+
+
+def _replay(chain, uniforms):
+    """``_coupled_sweep`` sample by sample and site by site with
+    ``site_conditional``'s code, top chain before bottom chain at each site;
+    returns (a, error) for the first sample a that raises, after sweeping
+    those before it, with NonMonotoneCoupling at the first site where its
+    chains cross, else None."""
+    for a, us in enumerate(uniforms):
+        pair = chain.heights[2 * a : 2 * a + 2]
+        top, bot = (dict(zip(chain.sites, heights)) for heights in pair.tolist())
+        try:
+            for u, x in zip(us, chain.order):
+                top[x] = _site_dist(chain.pot, top, x, None).quantile(u)
+                bot[x] = _site_dist(chain.pot, bot, x, None).quantile(u)
+                if bot[x] > top[x]:
+                    raise NonMonotoneCoupling(f"coupled chains crossed at site {x}")
+        except GradsurfError as exc:
+            return a, exc
+        pair[:] = [[values[v] for v in chain.sites] for values in (top, bot)]
+    return None
+
+
+def _copied_waves(waves, size, draws, uses, cell):
+    """The plan's wave schedule for the rows of one (K, N) array, K =
+    len(``uses``): row r holds its N = ``size`` heights at offset rN, draws
+    the uniform at position p + ``uses[r]`` * ``draws`` for position p and
+    reads the conditional rows of cell sig + r * ``cell``."""
+    row = np.arange(len(uses), dtype=np.int64)[:, None]
+    offset, first = row * size, np.asarray(uses, dtype=np.int64)[:, None] * draws
+    return [
+        (
+            (pos + first).ravel(),
+            (sites + offset).ravel(),
+            (nbr + offset[..., None]).reshape(-1, 4),
+            np.concatenate([shift] * len(row)),
+            (sig + row * cell).ravel(),
+        )
+        for pos, sites, nbr, shift, sig in waves
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,10 @@ _PERIODIC2 = {
 def _preset(name, domain):
     return {"domain": domain, "period": [[1, 0], [0, 1]], "classes": name}
 
+# 0.25|eta| on increments in [-16, 16]: its conditional table would exceed
+# sampler._TABLE_LIMIT keys, so CFTP runs site_conditional's code
+_ABS_QUARTER_16 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {str(k): 0.25 * abs(k) for k in range(-16, 17)}}}
+
 _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
 
 
@@ -309,6 +313,11 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
             "cftp",
             {"potential": {"preset": "domino"}, "region": "6x6", "samples": 2},
             {"samples.csv": "407d8cdfff30c57a9c202c744076212e45d06b5556131d0253738b0a6b1b7e7e"},
+        ),
+        (
+            "cftp",
+            {"potential": _ABS_QUARTER_16, "region": "2x2", "samples": 50},
+            {"samples.csv": "6a216b0c91e7c4ab6f28520f8641600c5eaf399d889d0fdc6315803ad244f04e"},
         ),
         (
             "sample",
@@ -396,7 +405,7 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
         ),
     ],
     ids=[
-        "cftp-abs1-2x2", "cftp-domino-6x6", "sample-abs1-4x4", "sample-domino-4x4", "sample-sos-abs-4x4", "sample-gaussian-4x4",
+        "cftp-abs1-2x2", "cftp-domino-6x6", "cftp-abs-quarter-16-2x2", "sample-abs1-4x4", "sample-domino-4x4", "sample-sos-abs-4x4", "sample-gaussian-4x4",
         "sample-torus-abs2-sloped", "sample-torus-gaussian", "sample-torus-sos-abs", "swap-abs1-n6", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
         "sigma-ti-periodic2-n4-budget64", "sigma-ti-domino-sloped-n4-budget64",
         "distances-abs1-10x10", "distances-domino-10x10",

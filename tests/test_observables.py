@@ -496,6 +496,12 @@ def test_variance_profile_deterministic_flat(sos):
     assert prof.verdict == "PASS"
 
 
+def test_variance_profile_rejects_empty_distances(sos_trunc1):
+    for distances in ((), (4,)):
+        with pytest.raises(ValueError, match="distances"):
+            variance_profile(sos_trunc1, 4, (F(0), F(0)), distances=distances, trials=2, rng=RngStream(5, 0))
+
+
 def test_variance_profile_sos_bound(sos_trunc1):
     prof = variance_profile(
         sos_trunc1,

@@ -4,7 +4,6 @@ import math
 import random
 import sys
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -674,8 +673,8 @@ def test_cftp_memoized_path_equals_reference_path(monkeypatch, sos_trunc1, nonco
     # site_conditional code, forced by a selector that accepts no plan
     cases = _cftp_cases(sos_trunc1, nonconvex)
     plan_sweeps = []
-    coupled_waves = sampler._coupled_waves
-    monkeypatch.setattr(sampler, "_coupled_waves", lambda *args: plan_sweeps.append(1) or coupled_waves(*args))
+    sweep_waves = sampler._sweep_waves
+    monkeypatch.setattr(sampler, "_sweep_waves", lambda *args: plan_sweeps.append(1) or sweep_waves(*args))
     results = {}
     for path in ("plan", "reference"):
         if path == "reference":
@@ -773,18 +772,62 @@ def test_coupled_waves_replays_empty_supports_sample_by_sample(sos_trunc1):
     interior = sorted(box_region(3, 2))
     boundary = {v: 0 for v in outer_boundary(interior)}
     order = checkerboard_order(interior)
-    plan, waves, table = sampler._sweep_plan(sos_trunc1, HeightConfig(dict.fromkeys(interior, 1), reference=(0, 0)), boundary, order)
+    chain = sampler._Chain(sos_trunc1, HeightConfig(dict.fromkeys(interior, 1), reference=(0, 0)), boundary, order)
+    plan = chain.plan
     start = [[level if v in interior else 0 for v in plan.sites] for level in (1, -1)]
     chains = np.array([start, start], dtype=np.int64)
     chains[1, :, plan.index[(1, -1)]] = 9
     uniforms = np.random.default_rng(3).random((2, len(order)))
-    schedule = partial(sampler._copied_waves, waves, len(plan.sites), len(order))
     alone = chains[:1].copy()
-    assert sampler._coupled_waves(sos_trunc1, plan, table, schedule, alone, uniforms[:1]) is None
+    chain.heights = alone.reshape(2, -1)
+    assert sampler._coupled_sweep(chain, uniforms[:1]) is None
     assert not (alone == chains[:1]).all()
-    k, exc = sampler._coupled_waves(sos_trunc1, plan, table, schedule, chains, uniforms)
+    chain.heights = chains.reshape(4, -1)
+    k, exc = sampler._coupled_sweep(chain, uniforms)
     assert (k, f"{exc.kind}: {exc}") == (1, "EmptySupport: no height has finite energy")
     assert (chains[0] == alone[0]).all()
+
+
+def test_cftp_keeps_pins_inside_its_region(sos_trunc1):
+    # a region site that the boundary pins stays at its pin: each sample
+    # equals CFTP on the region without that site, stream by stream, with
+    # the region's own reference vertex
+    interior = sorted(box_region(3, 3))
+    boundary = {v: 0 for v in outer_boundary(interior)}
+    boundary[(1, 1)] = 1
+    streams = [RngStream(seed) for seed in range(5)]
+    holed = [v for v in interior if v != (1, 1)]
+    for out, alone in zip(sampler.cftp_samples(sos_trunc1, interior, boundary, streams), sampler.cftp_samples(sos_trunc1, holed, boundary, streams)):
+        assert out.values[(1, 1)] == 1
+        assert (_exact(out.values), out.reference) == (_exact(alone.values), (0, 0))
+    pinned = sampler.cftp_samples(sos_trunc1, [(1, 1)], boundary, streams[:2])
+    assert [(_exact(out.values), out.reference) for out in pinned] == [(_exact(boundary), (1, 1))] * 2
+
+
+def test_sweep_with_a_repinned_config_site_matches_golden(sos_trunc2):
+    # the boundary pins config site (1, 1) at 2 while the config holds -1:
+    # its neighbors see 2, and the swept config keeps -1 there
+    interior = sorted(box_region(4, 4))
+    boundary = {v: (v[0] + 2 * v[1]) % 3 - 1 for v in outer_boundary(interior)}
+    boundary[(1, 1)] = 2
+    config = HeightConfig({**dict.fromkeys(interior, 0), (1, 1): -1}, reference=(0, 0))
+    stream = RngStream(8, 2)
+    for t in range(4):
+        config = heat_bath_sweep(sos_trunc2, config, boundary=boundary, rng=stream.at(t))
+    assert _exact(config.values) == (
+        "[((0, 0), 0), ((0, 1), 0), ((0, 2), 0), ((0, 3), 0), ((1, 0), 1), ((1, 1), -1), ((1, 2), 1), ((1, 3), 0), "
+        "((2, 0), 0), ((2, 1), 0), ((2, 2), 0), ((2, 3), 0), ((3, 0), 0), ((3, 1), 0), ((3, 2), 0), ((3, 3), 1)]"
+    )
+
+
+def test_sweep_gives_an_order_site_without_a_height_one(sos_trunc1):
+    # (1, 1) is in the order but neither in the config nor the boundary: it
+    # has no height until its update, and the swept config holds it
+    interior = sorted(box_region(2, 2))
+    boundary = {v: 0 for v in outer_boundary(interior)}
+    config = HeightConfig({(0, 0): 0, (0, 1): 0, (1, 0): 0}, reference=(0, 0))
+    out = heat_bath_sweep(sos_trunc1, config, boundary=boundary, order=interior, rng=RngStream(1).at(0))
+    assert list(out.values.items()) == [((0, 0), 0), ((0, 1), 0), ((1, 0), -1), ((1, 1), 0)]
 
 
 def test_cftp_samples_chunks(monkeypatch, sos_trunc1, nonconvex):
