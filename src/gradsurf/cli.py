@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cluster_swap import Triplet, shifted_analysis
+from .cluster_swap import _SwapArrays
 from .errors import ConfigParse, GradsurfError
 from .feasibility import (
     FeasibilityGraph,
@@ -206,11 +206,6 @@ def _region_with_boundary(cfg):
     return region, {v: level for v in outer_boundary(region)}
 
 
-def _restrict(config, region):
-    values = {v: config.values[v] for v in region}
-    return HeightConfig(values, reference=sorted(region)[0])
-
-
 def cmd_cftp(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
     region, boundary = _region_with_boundary(cfg)
@@ -309,30 +304,20 @@ def cmd_swap(cfg, seed, out: Path):
     slope = _slope(cfg.get("slope", [0, 0]))
     sweeps = _integer(cfg, "sweeps", 64, least=0)
     trials = _integer(cfg, "trials", 16, least=1)
-    window = sorted((i, j) for i in range(n) for j in range(n))
     scans = []
     cluster_rows = ["trial,x,y,zeta,cluster,boundary_touch"]
     for t in range(trials):
         phi1 = torus_sample(pot, n, slope, sweeps, RngStream(seed, 2 * t))
         phi2 = torus_sample(pot, n, slope, sweeps, RngStream(seed, 2 * t + 1))
-        phi1 = _restrict(phi1, window)
-        phi2 = _restrict(phi2, window)
-        trip = Triplet.build(phi1, phi2, rng=RngStream(seed, 10_000 + t).at(0))
-        analysis = shifted_analysis(pot, trip, 0, window)
-        scans.append(
-            {
-                "trial": t,
-                "b_plus": analysis.b_plus,
-                "b_minus": analysis.b_minus,
-                "gap": analysis.b_plus - analysis.b_minus,
-            }
-        )
-        clusters = sorted(analysis.swappable.clusters, key=lambda c: c.anchor)
-        for ci, cl in enumerate(clusters):
-            for (x, y) in sorted(cl.vertices):
-                cluster_rows.append(
-                    f"{t},{x},{y},{cl.zeta},{ci},{int(cl.touches_boundary)}"
-                )
+        arrays = _SwapArrays.torus_window(pot, phi1, phi2, RngStream(seed, 10_000 + t).at(0))
+        ss, b_plus, b_minus = arrays.analysis(0)
+        scans.append({"trial": t, "b_plus": b_plus, "b_minus": b_minus, "gap": b_plus - b_minus})
+        # clusters in the order of their least vertex, each in sorted order
+        order = np.argsort(ss.label, kind="stable")
+        label = ss.label[order]
+        for k, z, c, b in zip(order.tolist(), ss.zeta[label].tolist(), label.tolist(), ss.touches[label].tolist()):
+            x, y = arrays.sites[k]
+            cluster_rows.append(f"{t},{x},{y},{z},{c},{int(b)}")
     gaps = [s["gap"] for s in scans]
     _write_json(
         out / "swap.json",

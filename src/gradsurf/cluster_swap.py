@@ -8,34 +8,44 @@ two surfaces at one endpoint; the components of the unswappable graph are
 the open clusters, on which the surfaces may be exchanged wholesale with
 the residual adjusted so t is untouched.
 
-Residuals are kept as exact rationals (floats convert losslessly), which
-makes swap involutions and energy conservation bitwise identities.
+A ``Triplet`` keeps its residuals as exact rationals (floats convert
+losslessly), which makes swap involutions and energy conservation bitwise
+identities.
 
-``swappable_set`` and ``shifted_analysis`` build one ``_SwapArrays``,
-classify the edges of one shift in one array pass and label the open
-clusters by union-find, each numbered by its least vertex.  On discrete
-Lipschitz potentials with integer heights each swap deficit is computed
-once: it reads only the edge class, the two surfaces' increments and
-their offset at the base, so it is memoized on the potential under that
-key (``_DeficitTable``) together with the least float at or above it.  A
-residual that is an exact float (every Exp(1) draw) is swappable exactly
-when it reaches that float; other residuals, such as those a swap
-leaves, are compared with the exact rational.  So the classification is
-the exact one.
+Every classification runs on one ``_SwapArrays``: a triplet as arrays
+over a plan's sites (neighbor slots and cells), two height rows, float
+residuals in edge order with the exact rational kept only where a
+residual is not a float, and masks of the window and its rim.  It has one
+constructor and two front-ends: ``_SwapArrays.of`` reads a dict
+``Triplet`` (behind ``swappable_set`` and ``shifted_analysis``), and
+``_SwapArrays.torus_window`` couples two torus samples on their plan with
+fresh Exp(1) residuals (behind ``gradsurf swap``, which builds no
+``Triplet``, ``Fraction`` per edge or ``Cluster``).  ``swappable``
+classifies the edges of one shift in one array pass and labels the open
+clusters by union-find, each numbered by its least vertex; ``analysis``
+adds the crossing bounds.  On discrete Lipschitz potentials with integer
+heights each swap deficit is computed once: it reads only the edge class,
+the two surfaces' increments and their offset at the base, so it is
+memoized on the potential under that key (``_DeficitTable``) together
+with the least float at or above it.  A float residual (every Exp(1)
+draw) is swappable exactly when it reaches that float; other residuals,
+such as those a swap leaves, are compared with the exact rational.  So
+the classification is the exact one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InfiniteEnergy, MixedClusterSign, NegativeResidual
-from .feasibility import _energy_table
+from .errors import InfiniteEnergy, MissingHeight, MixedClusterSign, NegativeResidual
+from .feasibility import _energy_table, _torus_plan
 from .heights import HeightConfig
 from .lattice import AXIS_VECTORS, Edge, Vertex, add, edges_within, neighbors
 from .potential import INF, PeriodicPotential, validate_sap
@@ -219,16 +229,47 @@ class Cluster:
         return min(self.vertices)
 
 
-@dataclass
+@dataclass(eq=False)
 class SwappableSet:
-    """Closed (swappable) edges and the open clusters of their complement."""
+    """Closed (swappable) edges and the open clusters of their complement,
+    as arrays over the sites of one ``_SwapArrays``: ``is_open`` over its
+    edges, ``label`` numbering each site's cluster in the order of the
+    clusters' least sites, and per cluster its sign ``zeta``, ``inside``
+    (every vertex lies in the window) and ``touches`` (a vertex lies on the
+    window rim).  ``closed_edges``, ``clusters`` and ``labels`` are built
+    from them on first use."""
 
-    closed_edges: frozenset[Edge]
-    clusters: list[Cluster]
-    labels: dict[Vertex, int]
+    arrays: "_SwapArrays"
+    is_open: np.ndarray
+    label: np.ndarray
+    zeta: np.ndarray
+    inside: np.ndarray
+    touches: np.ndarray
+
+    @cached_property
+    def closed_edges(self) -> frozenset[Edge]:
+        return frozenset(self.arrays.dangling) | frozenset(compress(self.arrays.edges, (~self.is_open).tolist()))
+
+    @cached_property
+    def clusters(self) -> list[Cluster]:
+        members = [[] for _ in range(len(self.zeta))]
+        for v, k in zip(self.arrays.sites, self.label.tolist()):
+            members[k].append(v)
+        return [
+            Cluster(vertices=frozenset(m), zeta=z, inside_window=i, touches_boundary=t)
+            for m, z, i, t in zip(members, self.zeta.tolist(), self.inside.tolist(), self.touches.tolist())
+        ]
+
+    @cached_property
+    def labels(self) -> dict[Vertex, int]:
+        return dict(zip(self.arrays.sites, self.label.tolist()))
 
     def cluster_of(self, x: Vertex) -> Cluster:
         return self.clusters[self.labels[x]]
+
+    def vertices(self, chosen) -> frozenset[Vertex]:
+        """The vertices of the clusters where the mask ``chosen`` holds."""
+        return frozenset(compress(self.arrays.sites, chosen[self.label].tolist()))
 
 
 def swappable_set(
@@ -243,67 +284,125 @@ def swappable_set(
     neighbor outside the window.
     """
     window = set(triplet.phi1.values) if window is None else set(window)
-    return _SwapArrays(pot, triplet, window).swappable(0)
+    return _SwapArrays.of(pot, triplet, window).swappable(0)
+
+
+def _height_row(values) -> np.ndarray:
+    """Heights as int64 when every one is an int, else as the Python
+    numbers themselves (objects), which the per-edge route reads."""
+    return np.array(values, dtype=np.int64 if all(type(h) is int for h in values) else object)
 
 
 class _SwapArrays:
-    """A triplet as arrays, built once per ``swappable_set`` or
-    ``shifted_analysis`` call to classify one shift c of phi1.  Vertices
-    are indexed in sorted order and edges whose head lies in the support
-    keep residual order; dangling edges are always closed.  Integer
-    heights and shifts on a potential with a ``_DeficitTable`` read their
-    deficits from it; other triplets call ``_deficit`` per edge.
+    """A triplet as arrays over sorted ``sites``, made once to classify one
+    shift c of phi1.  It takes a plan's ``nbr`` and ``sig`` over the sites
+    (``feasibility.Plan``), ``slots``, an (N, 2) mask of the +e1 and +e2
+    slots (``nbr`` columns 0 and 2) that are triplet edges, whose neighbor
+    is the vertex base + e_axis, the heights of phi1 and phi2 over the
+    sites, the residuals ``r`` as floats in the mask's order with ``exact``
+    holding the exact rational at the position of each residual that is not
+    a float, and the masks of the window and of its rim (window vertices
+    with a lattice neighbor outside it).  ``dangling`` lists triplet edges
+    whose head has no height; they are always closed.
+
+    Integer heights on a potential with a ``_DeficitTable`` read their
+    deficits from it at integer shifts; other triplets call ``_deficit``
+    per edge on the dicts ``p1`` and ``p2`` and the edge list ``edges``,
+    which are built from the arrays only then.  ``of`` makes the arrays of
+    a dict ``Triplet``, ``torus_window`` those of two torus samples.
     """
 
-    def __init__(self, pot, triplet: Triplet, window):
-        self.pot = pot
-        p1, p2 = self.p1, self.p2 = triplet.phi1.values, triplet.phi2.values
-        self.verts = sorted(p1)
-        index = {v: k for k, v in enumerate(self.verts)}
-        inner = {v for v in window if any(w not in window for w in neighbors(v))}
-        self.in_window = np.array([v in window for v in self.verts], dtype=bool)
-        self.inner = np.array([v in inner for v in self.verts], dtype=bool)
-        self.edges, self.dangling, base, head, residual = [], [], [], [], []
-        for e, r in triplet.residual.items():
-            h = add(e[0], AXIS_VECTORS[e[1]])
-            if h not in index:
-                self.dangling.append(e)
-                continue
-            self.edges.append(e)
-            base.append(index[e[0]])
-            head.append(index[h])
-            residual.append(r)
-        self.base = np.array(base, dtype=np.int64)
-        self.head = np.array(head, dtype=np.int64)
-        self.residual = residual
-        floats = [_exact_float(r) for r in residual]
-        self.inexact = np.array([f is None for f in floats], dtype=bool)
-        self.r = np.array([math.nan if f is None else f for f in floats])
+    def __init__(self, pot, sites, nbr, sig, slots, h1, h2, r, exact, window, rim, dangling=()):
+        self.pot, self.sites = pot, sites
+        self.h1, self.h2 = _height_row(h1), _height_row(h2)
+        self.base, self.axis = np.nonzero(slots)
+        self.head = nbr[self.base, 2 * self.axis]
+        self.r, self.exact = r, exact
+        self.inexact = np.zeros(len(r), dtype=bool)
+        self.inexact[list(exact)] = True
+        self.window, self.rim, self.dangling = window, rim, dangling
         self.table = None
-        if set(map(type, p1.values())) | set(map(type, p2.values())) == {int}:
+        if self.h1.dtype == self.h2.dtype == np.int64:
             self.table = _deficit_table(pot)
         if self.table is not None:
-            t = self.table
-            h1 = np.array([p1[v] for v in self.verts], dtype=np.int64)
-            h2 = np.array([p2[v] for v in self.verts], dtype=np.int64)
+            t, h1, h2 = self.table, self.h1, self.h2
             self.diff = h1 - h2
-            x, y = np.array(self.verts, dtype=np.int64).reshape(-1, 2).T
-            axis = y[self.head] - y[self.base]  # the head is the base + e_axis
-            self.cls = axis * pot.lattice.index + pot.lattice.cell(x[self.base], y[self.base])
+            self.cls = self.axis * pot.lattice.index + sig[self.base]
             self.i1 = h1[self.head] - h1[self.base] - t.lo
             self.i2 = h2[self.head] - h2[self.base] - t.lo
             self.offset = h2[self.base] - h1[self.base]  # delta at shift 0
             self.pair_ok = t.finite[self.cls, np.clip(1 + self.i1, 0, t.width + 1)] & t.finite[self.cls, np.clip(1 + self.i2, 0, t.width + 1)]
 
+    @classmethod
+    def of(cls, pot, triplet: Triplet, window: set) -> "_SwapArrays":
+        """The arrays of a dict triplet over its sorted support, with the
+        residual edges in sorted order; the window may reach past the
+        support."""
+        p1, p2, residual = triplet.phi1.values, triplet.phi2.values, triplet.residual
+        sites = sorted(p1)
+        index = {v: k for k, v in enumerate(sites)}
+        nbr = np.array([[index.get(w, -1) for w in neighbors(v)] for v in sites], dtype=np.int64)
+        slots, dangling = np.zeros((len(sites), 2), dtype=bool), []
+        for e in residual:
+            k = index.get(e[0], -1)
+            if k < 0 or nbr[k, 2 * e[1]] < 0:
+                dangling.append(e)
+            else:
+                slots[k, e[1]] = True
+        rs = [residual[(sites[k], a)] for k, a in zip(*(x.tolist() for x in np.nonzero(slots)))]
+        floats = [_exact_float(r) for r in rs]
+        exact = {j: r for j, (r, f) in enumerate(zip(rs, floats)) if f is None}
+        i, j = np.array(sites, dtype=np.int64).T
+        rim = {v for v in window if any(w not in window for w in neighbors(v))}
+        return cls(
+            pot, sites, nbr, pot.lattice.cell(i, j), slots,
+            [p1[v] for v in sites], [p2[v] for v in sites],
+            np.array([math.nan if f is None else f for f in floats]), exact,
+            np.array([v in window for v in sites], dtype=bool), np.array([v in rim for v in sites], dtype=bool), dangling,
+        )
+
+    @classmethod
+    def torus_window(cls, pot, phi1: HeightConfig, phi2: HeightConfig, rng) -> "_SwapArrays":
+        """Two configs of one torus slope class coupled on the fundamental
+        window [0, n)^2, as ``gradsurf swap`` couples them, over the
+        class's torus plan: the window's edges are the +e slots that do not
+        wrap, in ``edges_within`` order, with Exp(1) residuals drawn by
+        rng; the rim is the window's outer ring."""
+        n = phi1.torus.n
+        plan = _torus_plan(pot, phi1.torus)
+        i, j = np.divmod(np.arange(n * n), n)
+        slots = np.stack([i < n - 1, j < n - 1], axis=1)
+        return cls(
+            pot, plan.sites, plan.nbr, plan.sig, slots,
+            [phi1.values[v] for v in plan.sites], [phi2.values[v] for v in plan.sites],
+            rng.standard_exponential(int(slots.sum())), {},
+            np.ones(n * n, dtype=bool), (i == 0) | (i == n - 1) | (j == 0) | (j == n - 1),
+        )
+
+    def _edge(self, j) -> Edge:
+        return (self.sites[self.base[j]], int(self.axis[j]))
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        return [(self.sites[k], a) for k, a in zip(self.base.tolist(), self.axis.tolist())]
+
+    @cached_property
+    def p1(self) -> dict[Vertex, int | float]:
+        return dict(zip(self.sites, self.h1.tolist()))
+
+    @cached_property
+    def p2(self) -> dict[Vertex, int | float]:
+        return dict(zip(self.sites, self.h2.tolist()))
+
     def _check_pairs(self, idx) -> None:
         """Raise InfiniteEnergy for the first edge of idx on which either
         surface has infinite energy; shifts change neither."""
         if self.table is None:
-            ok = np.array([_pair_energy(self.pot, self.p1, self.p2, self.edges[j]) != INF for j in idx.tolist()], dtype=bool)
+            ok = np.array([_pair_energy(self.pot, self.p1, self.p2, self._edge(j)) != INF for j in idx.tolist()], dtype=bool)
         else:
             ok = self.pair_ok[idx]
         if not ok.all():
-            raise InfiniteEnergy(f"inadmissible pair on edge {self.edges[idx[np.argmin(ok)]]}")
+            raise InfiniteEnergy(f"inadmissible pair on edge {self._edge(idx[np.argmin(ok)])}")
 
     def _shift(self, c):
         """c as an int when the array path applies at that shift, else None."""
@@ -315,22 +414,18 @@ class _SwapArrays:
         k = self._shift(c)
         if k is not None:
             return np.sign(self.diff + k)
-        p1 = self.p1
-        zeta = []
-        for v in self.verts:
-            a, b = p1[v] + c, self.p2[v]
-            zeta.append(1 if a > b else (-1 if a < b else 0))
-        return np.array(zeta, dtype=np.int64)
+        a, b = self.h1.astype(object) + c, self.h2.astype(object)  # Python arithmetic, as on the dicts
+        return (a > b).astype(np.int64) - (a < b)
 
     def _closed(self, c, idx) -> np.ndarray:
         """Closed mask over the candidate edges idx (both endpoints differ)."""
         k = self._shift(c)
         if k is None:
-            p1 = self.p1 if c == 0 else {v: h + c for v, h in self.p1.items()}
+            p1 = self.p1 if c == 0 else dict(zip(self.sites, (self.h1.astype(object) + c).tolist()))
             out = []
             for j in idx.tolist():
-                d = _deficit(self.pot, p1, self.p2, self.edges[j])
-                out.append(d != INF and self.residual[j] >= d)
+                d = _deficit(self.pot, p1, self.p2, self._edge(j))
+                out.append(d != INF and self.exact.get(j, float(self.r[j])) >= d)
             return np.array(out, dtype=bool)
         self._check_pairs(idx)
         t = self.table
@@ -342,47 +437,67 @@ class _SwapArrays:
         if missing.any():
             fresh, first = np.unique(flat[missing], return_index=True)
             for f, j in zip(fresh.tolist(), idx[missing][first].tolist()):
-                base, head = self.edges[j][0], self.verts[self.head[j]]
+                edge, head = self._edge(j), self.sites[self.head[j]]
                 i1, i2 = int(self.i1[j]) + t.lo, int(self.i2[j]) + t.lo
                 gap = int(self.offset[j]) - k
-                d = _deficit(self.pot, {base: 0, head: i1}, {base: gap, head: gap + i2}, self.edges[j])
+                d = _deficit(self.pot, {edge[0]: 0, head: i1}, {edge[0]: gap, head: gap + i2}, edge)
                 t.ceiling[f], t.exact[f] = _float_ceiling(d), d
             ceiling = np.take(t.ceiling, flat, mode="clip")
         ceiling = np.where(reach, ceiling, INF)
         closed = self.r[idx] >= ceiling
         for j in np.flatnonzero(self.inexact[idx]).tolist():
             d = t.exact[int(flat[j])] if reach[j] else INF
-            closed[j] = d != INF and self.residual[idx[j]] >= d
+            closed[j] = d != INF and self.exact[int(idx[j])] >= d
         return closed
 
     def swappable(self, c) -> SwappableSet:
         """The swappable set of (phi1 + c, phi2, r)."""
         zeta = self._zeta(c)
         idx = np.flatnonzero((zeta[self.base] != 0) & (zeta[self.head] != 0))
-        is_open = np.zeros(len(self.edges), dtype=bool)
+        is_open = np.zeros(len(self.base), dtype=bool)
         is_open[idx[~self._closed(c, idx)]] = True
         a, b = self.base[is_open], self.head[is_open]
-        roots = _components(len(self.verts), a, b)
+        roots = _components(len(zeta), a, b)
         mixed = zeta[a] != zeta[b]
         if mixed.any():
             anchor = int(roots[a[mixed]].min())
             signs = sorted(set(zeta[roots == anchor].tolist()))
-            raise MixedClusterSign(f"open cluster at {self.verts[anchor]} has zeta values {signs}")
-        anchors = np.flatnonzero(roots == np.arange(len(roots)))
-        label = (np.cumsum(roots == np.arange(len(roots))) - 1)[roots]
-        size = np.bincount(label, minlength=len(anchors))
-        inside = np.bincount(label[self.in_window], minlength=len(anchors)) == size
-        touches = np.bincount(label[self.inner], minlength=len(anchors)) > 0
-        labels = label.tolist()
-        members = [[] for _ in anchors]
-        for v, k in zip(self.verts, labels):
-            members[k].append(v)
-        clusters = [
-            Cluster(vertices=frozenset(m), zeta=z, inside_window=i, touches_boundary=t)
-            for m, z, i, t in zip(members, zeta[anchors].tolist(), inside.tolist(), touches.tolist())
-        ]
-        closed = frozenset(self.dangling) | frozenset(compress(self.edges, (~is_open).tolist()))
-        return SwappableSet(closed, clusters, dict(zip(self.verts, labels)))
+            raise MixedClusterSign(f"open cluster at {self.sites[anchor]} has zeta values {signs}")
+        is_root = roots == np.arange(len(roots))
+        label = (np.cumsum(is_root) - 1)[roots]
+        count = int(is_root.sum())
+        size = np.bincount(label, minlength=count)
+        inside = np.bincount(label[self.window], minlength=count) == size
+        touches = np.bincount(label[self.rim], minlength=count) > 0
+        return SwappableSet(self, is_open, label, zeta[is_root], inside, touches)
+
+    def analysis(self, c) -> tuple[SwappableSet, int | float, int | float]:
+        """The swappable set of (phi1 + c, phi2, r) and the crossing bounds
+        b+ and b- (see ``shifted_analysis``).  Raises InfiniteEnergy for the
+        first edge on which either surface has infinite energy, and
+        MixedClusterSign on a nonconvex potential."""
+        ss = self.swappable(c)
+        self._check_pairs(np.arange(len(self.base)))
+        nonconvex = sorted(cls for cls, r in validate_sap(self.pot).per_class.items() if not r.convex)
+        if nonconvex:
+            raise MixedClusterSign(f"classes {nonconvex} are nonconvex, so open clusters may mix signs")
+        return (ss, *self._bounds())
+
+    def _bounds(self):
+        """b+, the least level s of ``_scan_levels`` with no rim site where
+        phi1 + s < phi2, and b-, the greatest with none where phi1 + s >
+        phi2; +-inf without such a level.  With integer heights they are
+        the extremes of phi2 - phi1 on the rim."""
+        if self.h1.dtype == self.h2.dtype == np.int64 and self.rim.any():
+            d = (self.h2 - self.h1)[self.rim]
+            return int(d.max()), int(d.min())
+        h1, h2 = self.h1.astype(object), self.h2.astype(object)
+        levels = _scan_levels((h2 - h1)[self.window].tolist(), self.pot.discrete)
+        a, b = h1[self.rim], h2[self.rim]
+        # the comparisons of _zeta, so real heights round alike
+        b_plus = next((lv for lv in levels if not (a + lv < b).any()), INF)
+        b_minus = next((lv for lv in reversed(levels) if not (a + lv > b).any()), -INF)
+        return b_plus, b_minus
 
 
 def _exact_float(r):
@@ -570,37 +685,23 @@ def shifted_analysis(
     between the observed height differences, b_plus is the least level
     emptying the plus proxy and b_minus the greatest emptying the minus
     proxy: the extremes of phi2 - phi1 on the window boundary, with no
-    edge classified.  Raises InfiniteEnergy for the first edge on which
-    either surface has infinite energy, and MixedClusterSign on a
-    nonconvex potential, whose open clusters may mix signs.
+    edge classified; an empty window has b_plus = +inf and b_minus = -inf.
+    Raises InfiniteEnergy for the first edge on which either surface has
+    infinite energy, MixedClusterSign on a nonconvex potential, whose open
+    clusters may mix signs, and MissingHeight for the least window vertex
+    without a height.
     """
     window = set(triplet.phi1.values) if window is None else set(window)
-    arrays = _SwapArrays(pot, triplet, window)
-    ss = arrays.swappable(c)
-    arrays._check_pairs(np.arange(len(arrays.edges)))
-    nonconvex = sorted(cls for cls, r in validate_sap(pot).per_class.items() if not r.convex)
-    if nonconvex:
-        raise MixedClusterSign(f"classes {nonconvex} are nonconvex, so open clusters may mix signs")
-    t_plus, t_minus = set(), set()
-    for cl in ss.clusters:
-        if not cl.touches_boundary or cl.zeta == 0:
-            continue
-        # zeta of (phi1 + c, phi2) is +1 when phi1 + c > phi2
-        if cl.zeta < 0:
-            t_plus |= cl.vertices
-        else:
-            t_minus |= cl.vertices
-    p1, p2 = triplet.phi1.values, triplet.phi2.values
-    boundary = list(compress(arrays.verts, arrays.inner.tolist()))
-    levels = _scan_levels([p2[v] - p1[v] for v in sorted(window)], pot.discrete)
-    # the comparisons of _SwapArrays._zeta, so real heights round alike
-    b_plus = next((lv for lv in levels if not any(p1[v] + lv < p2[v] for v in boundary)), INF)
-    b_minus = next((lv for lv in reversed(levels) if not any(p1[v] + lv > p2[v] for v in boundary)), -INF)
+    ss, b_plus, b_minus = _SwapArrays.of(pot, triplet, window).analysis(c)
+    missing = window - triplet.phi1.values.keys()
+    if missing:
+        raise MissingHeight(f"window vertex {min(missing)} has no height")
+    # zeta of (phi1 + c, phi2) is +1 when phi1 + c > phi2
     return ShiftedAnalysis(
         shift=c,
         swappable=ss,
-        t_plus=frozenset(t_plus),
-        t_minus=frozenset(t_minus),
+        t_plus=ss.vertices(ss.touches & (ss.zeta < 0)),
+        t_minus=ss.vertices(ss.touches & (ss.zeta > 0)),
         b_plus=b_plus,
         b_minus=b_minus,
         window_size=len(window),
@@ -608,6 +709,8 @@ def shifted_analysis(
 
 
 def _scan_levels(diffs, discrete: bool):
+    if not diffs:
+        return []
     if discrete:
         return list(range(int(min(diffs)) - 1, int(max(diffs)) + 2))
     return sorted(set(diffs))

@@ -450,6 +450,7 @@ class _Chain:
             if config.torus is not None:
                 order = [v for v in order if v != config.reference]
         self.pot, self.start, self.order, self.copies = pot, config, order, copies
+        self.pins = {x: h for x, h in (boundary or {}).items() if x in config.values}
         values, self.torus = _lookup(config, boundary)
         found = _sweep_plan(pot, config, boundary, order)
         self.plan = None
@@ -492,9 +493,10 @@ class _Chain:
         _sweep_waves(self.table, self.schedule, self.heights.reshape(-1), np.asarray(uniforms, dtype=np.float64).reshape(-1))
 
     def config(self, k: int = 0) -> HeightConfig:
-        """The start config with row k's current heights at the order's
-        sites."""
-        values = dict(self.start.values)
+        """The start config with the boundary's heights at the sites it
+        re-pins (``pins``) and row k's current heights at the order's
+        sites: the heights the sweeps used."""
+        values = {**self.start.values, **self.pins}
         heights = self.heights[k].tolist()
         values.update((x, heights[self.index[x]]) for x in self.order)
         return HeightConfig(values, self.start.reference, self.start.torus)

@@ -1,3 +1,4 @@
+import collections
 import filecmp
 import hashlib
 import json
@@ -284,6 +285,13 @@ def _preset(name, domain):
 # sampler._TABLE_LIMIT keys, so CFTP runs site_conditional's code
 _ABS_QUARTER_16 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {str(k): 0.25 * abs(k) for k in range(-16, 17)}}}
 
+# 0.1 eta^2 on increments in [-40, 40]: its swap deficit table would
+# exceed cluster_swap._TABLE_LIMIT entries, so swaps classify per edge
+_WIDE_40 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {str(k): 0.1 * k * k for k in range(-40, 41)}}}
+
+# V(0) = 1, V(+-1) = 0: not convex, so it fails validation
+_NONCONVEX = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-1": 0.0, "0": 1.0, "1": 0.0}}}
+
 _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
 
 
@@ -363,6 +371,46 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
             },
         ),
         (
+            "swap",
+            {"potential": _ABS2, "n": 5, "slope": ["2/5", "-1/5"], "sweeps": 8, "trials": 2},
+            {
+                "swap.json": "5480e050380a1c155cca2a249dacd65c48e9b8dae384a4074f69c2a00db89b89",
+                "clusters.csv": "1afc74842cff56674171b53ed642ee5f60e0ab0a511323198956c8249f7493eb",
+            },
+        ),
+        (
+            "swap",
+            {"potential": {"preset": "domino"}, "n": 2, "sweeps": 8, "trials": 3},
+            {
+                "swap.json": "d6d3122d836849f6eba3bbe9fb8edee335d0a683e4d4cac33cc6a214cebc0f13",
+                "clusters.csv": "137a826ea9e2a688dcd86a450fd697b0b1ca3b77004e97057da65db25627104a",
+            },
+        ),
+        (
+            "swap",
+            {"potential": _preset("gaussian:1.0", "real"), "n": 4, "sweeps": 4, "trials": 2},
+            {
+                "swap.json": "8b8b9fed86701408b3b5576f26c2564d56ccf18f6137d9905ec083690033755c",
+                "clusters.csv": "c82ae5e1c59697b7aebae08e53ac5146ebc0d5b19c3890f200e91aba7a97f809",
+            },
+        ),
+        (
+            "swap",
+            {"potential": _preset("sos-abs", "int"), "n": 4, "sweeps": 4, "trials": 2},
+            {
+                "swap.json": "431dc6af1d8bbe3c19cb97064b158785d4c8bda5d3d0246759249b3d5653a5f0",
+                "clusters.csv": "54e1972157221facfbebbc9ad2bdbcbc734c322c15abbdf4926738a67754926a",
+            },
+        ),
+        (
+            "swap",
+            {"potential": _WIDE_40, "n": 4, "sweeps": 4, "trials": 2},
+            {
+                "swap.json": "f9f3874580373c792298e137bf297bba5c8a3a73ba3f9038be22cd0a93522518",
+                "clusters.csv": "6ea3185433e9c8f7fb87c9ee8ee4b473e91300ac3012eb9d8a54f062722d9ed6",
+            },
+        ),
+        (
             "tile",
             {"region": _NOTCHED_6X6, "count": True, "samples": 2},
             {
@@ -406,7 +454,8 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
     ],
     ids=[
         "cftp-abs1-2x2", "cftp-domino-6x6", "cftp-abs-quarter-16-2x2", "sample-abs1-4x4", "sample-domino-4x4", "sample-sos-abs-4x4", "sample-gaussian-4x4",
-        "sample-torus-abs2-sloped", "sample-torus-gaussian", "sample-torus-sos-abs", "swap-abs1-n6", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
+        "sample-torus-abs2-sloped", "sample-torus-gaussian", "sample-torus-sos-abs", "swap-abs1-n6",
+        "swap-abs2-n5-sloped", "swap-domino-n2", "swap-torus-gaussian", "swap-torus-sos-abs", "swap-wide-table-n4", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
         "sigma-ti-periodic2-n4-budget64", "sigma-ti-domino-sloped-n4-budget64",
         "distances-abs1-10x10", "distances-domino-10x10",
     ],
@@ -419,6 +468,41 @@ def test_region_outputs_match_golden_digests(tmp_path, command, cfg, digests):
     assert rc == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+def test_swap_on_a_nonconvex_table_matches_golden_error(tmp_path):
+    # open clusters of a nonconvex potential may mix signs, so the crossing
+    # bounds have no meaning there; the config is refused before any sweep
+    cfg = {"potential": _NONCONVEX, "n": 4, "sweeps": 4, "trials": 1}
+    rc = main(["swap", "--config", _write_config(tmp_path, "c.json", cfg), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    error = (tmp_path / "out" / "error.json").read_bytes()
+    assert hashlib.sha256(error).hexdigest() == "00c75e08a15cad5364acab8b3430a12fafd8fde845684e5ac5fbd2792d0d9ef8"
+
+
+def test_swap_on_a_plan_potential_builds_no_triplet_and_no_fraction_per_edge(tmp_path, monkeypatch):
+    # the swap op classifies on the torus plan's arrays: no Triplet, no
+    # float check per residual, and exact deficits (the only Fractions)
+    # only where the deficit table gains an entry
+    from gradsurf import cluster_swap
+
+    calls = collections.Counter()
+
+    def counted(name, f):
+        return lambda *args, **kwargs: calls.update([name]) or f(*args, **kwargs)
+
+    for name in ("_exact_float", "_deficit", "_to_fraction"):
+        monkeypatch.setattr(cluster_swap, name, counted(name, getattr(cluster_swap, name)))
+    monkeypatch.setattr(cluster_swap.Triplet, "build", staticmethod(counted("build", cluster_swap.Triplet.build)))
+    tables, table_of = [], cluster_swap._deficit_table
+    monkeypatch.setattr(cluster_swap, "_deficit_table", lambda pot: tables.append(table_of(pot)) or tables[-1])
+    cfg = {"potential": _ABS2, "n": 8, "sweeps": 4, "trials": 3}
+    assert main(["swap", "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls["_exact_float"] == calls["build"] == 0
+    assert len(tables) == 3 and all(t is tables[0] for t in tables)
+    fills = len(tables[0].exact)
+    assert 0 < calls["_deficit"] == fills < 3 * 2 * 8 * 7
+    assert calls["_to_fraction"] <= 4 * fills
 
 
 _DOMINO = {"preset": "domino"}

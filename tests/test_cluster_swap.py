@@ -21,15 +21,16 @@ from gradsurf.cluster_swap import (
     to_derived,
     total_energy,
 )
-from gradsurf.errors import Infeasible, InfiniteEnergy, MixedClusterSign, NegativeResidual
+from gradsurf.errors import Infeasible, InfiniteEnergy, MissingHeight, MixedClusterSign, NegativeResidual
 from gradsurf.heights import HeightConfig
-from gradsurf.lattice import box_region, edge_head, edges_within, outer_boundary
+from gradsurf.lattice import box_region, edge_head, edges_within, neighbors, outer_boundary
 from gradsurf.potential import (
     INF,
     PeriodicPotential,
     QuadraticPotential,
     TablePotential,
     domino_potential,
+    sos_abs_potential,
     validate_sap,
 )
 from gradsurf.rng import RngStream
@@ -628,3 +629,89 @@ def test_swappable_set_exact_after_swaps_and_involution():
             assert twice.phi1.values == trip.phi1.values and twice.phi2.values == trip.phi2.values
             assert twice.residual == trip.residual
     assert inexact
+
+
+# ---------------------------------------------------------------------------
+# The swap command's array route against the dict route
+
+
+def _box_triplet(phi1, phi2, rng, side):
+    """The dict triplet of two torus samples on the box [0, side)^2."""
+    box = sorted(box_region(side, side))
+    p1, p2 = (HeightConfig({v: p.values[v] for v in box}, reference=(0, 0)) for p in (phi1, phi2))
+    return Triplet.build(p1, p2, rng=rng)
+
+
+def test_torus_window_arrays_equal_the_dict_route():
+    # gradsurf swap classifies on the torus plan's arrays; its crossing
+    # bounds and clusters are those of shifted_analysis on the dict
+    # triplet drawn from the same streams, and its clusters those of one
+    # swap_deficit call per edge
+    from test_feasibility import _random_periodic_potential
+
+    abs_tables = [{k: scale * abs(k) for k in range(-w, w + 1)} for w, scale in ((1, 1.0), (2, 1.1))]
+    rng = random.Random(21)
+    periodic = next(p for p in iter(lambda: _random_periodic_potential(rng), None) if validate_sap(p).valid)
+    pots = [(domino_potential(), range(2, 11, 2)), (periodic, range(2, 11, 2))]
+    pots += [(PeriodicPotential.isotropic("int", TablePotential.from_dict(t)), range(2, 11)) for t in abs_tables]
+    pots += [(PeriodicPotential.isotropic("real", QuadraticPotential(1.0)), range(2, 11))]
+    pots += [(PeriodicPotential.isotropic("int", sos_abs_potential()), range(2, 11))]
+    compared = 0
+    for k, (pot, sides) in enumerate(pots):
+        for n in sides:
+            for slope in ((0, 0), (F(1, 2), 0), (F(1, 4), F(1, 4))):
+                seed = 10 * k + n
+                try:
+                    phi1, phi2 = (torus_sample(pot, n, slope, 4, RngStream(seed, i)) for i in (0, 1))
+                except Infeasible:
+                    continue
+                arrays = cluster_swap._SwapArrays.torus_window(pot, phi1, phi2, RngStream(seed, 10_000).at(0))
+                ss, b_plus, b_minus = arrays.analysis(0)
+                trip = _box_triplet(phi1, phi2, RngStream(seed, 10_000).at(0), n)
+                ref = shifted_analysis(pot, trip, 0, box_region(n, n))
+                assert (b_plus, b_minus) == (ref.b_plus, ref.b_minus)
+                got = [(c.vertices, c.zeta, c.touches_boundary) for c in ss.clusters]
+                assert got == [(c.vertices, c.zeta, c.touches_boundary) for c in ref.swappable.clusters]
+                closed, clusters = _direct_swappable(pot, trip)
+                assert ss.closed_edges == ref.swappable.closed_edges == closed
+                assert sorted(sorted(v) for v, _, _ in got) == clusters
+                compared += 1
+    assert compared >= 120
+
+
+def _domino_3x3_triplet():
+    """Two domino surfaces on the 3x3 box, from torus samples of side 4."""
+    pot = domino_potential()
+    phi1, phi2 = (torus_sample(pot, 4, (0, 0), 8, RngStream(5, i)) for i in (0, 1))
+    return pot, _box_triplet(phi1, phi2, RngStream(5, 2).at(0), 3)
+
+
+def _reference_clusters(pot, trip, window):
+    """Each open cluster's vertices, inside_window and touches_boundary,
+    the window rim found from lattice neighbors."""
+    rim = {v for v in window if any(w not in window for w in neighbors(v))}
+    return [(sorted(c), set(c) <= window, bool(set(c) & rim)) for c in _direct_swappable(pot, trip)[1]]
+
+
+@pytest.mark.parametrize("window", [box_region(4, 4), box_region(2, 3, (1, 1)), set()], ids=["past-support", "inner", "empty"])
+def test_swappable_set_flags_clusters_against_any_window(window):
+    pot, trip = _domino_3x3_triplet()
+    ss = swappable_set(pot, trip, window)
+    got = sorted((sorted(c.vertices), c.inside_window, c.touches_boundary) for c in ss.clusters)
+    assert got == sorted(_reference_clusters(pot, trip, set(window)))
+
+
+def test_shifted_analysis_names_a_window_vertex_without_a_height():
+    # a window reaching past the support has no crossing bounds: the least
+    # window vertex without a height is named
+    pot, trip = _domino_3x3_triplet()
+    with pytest.raises(MissingHeight, match=r"\(0, 3\)"):
+        shifted_analysis(pot, trip, 0, box_region(4, 4))
+
+
+def test_shifted_analysis_of_an_empty_window_has_infinite_bounds():
+    # no rim site constrains a level, and no level is observed
+    pot, trip = _domino_3x3_triplet()
+    a = shifted_analysis(pot, trip, 0, set())
+    assert (a.b_plus, a.b_minus, a.window_size) == (INF, -INF, 0)
+    assert a.t_plus == a.t_minus == frozenset()

@@ -806,16 +806,21 @@ def test_cftp_keeps_pins_inside_its_region(sos_trunc1):
 
 def test_sweep_with_a_repinned_config_site_matches_golden(sos_trunc2):
     # the boundary pins config site (1, 1) at 2 while the config holds -1:
-    # its neighbors see 2, and the swept config keeps -1 there
+    # its neighbors see 2, and the swept config holds the pin there, the
+    # height the sweep used
     interior = sorted(box_region(4, 4))
     boundary = {v: (v[0] + 2 * v[1]) % 3 - 1 for v in outer_boundary(interior)}
     boundary[(1, 1)] = 2
     config = HeightConfig({**dict.fromkeys(interior, 0), (1, 1): -1}, reference=(0, 0))
     stream = RngStream(8, 2)
     for t in range(4):
+        chain = sampler._Chain(sos_trunc2, config, boundary)
+        chain.sweep([stream.at(t).random(len(chain.order))])
+        used = dict(zip(chain.sites, chain.heights[0].tolist()))
         config = heat_bath_sweep(sos_trunc2, config, boundary=boundary, rng=stream.at(t))
+        assert config.values == {v: used[v] for v in config.values}
     assert _exact(config.values) == (
-        "[((0, 0), 0), ((0, 1), 0), ((0, 2), 0), ((0, 3), 0), ((1, 0), 1), ((1, 1), -1), ((1, 2), 1), ((1, 3), 0), "
+        "[((0, 0), 0), ((0, 1), 0), ((0, 2), 0), ((0, 3), 0), ((1, 0), 1), ((1, 1), 2), ((1, 2), 1), ((1, 3), 0), "
         "((2, 0), 0), ((2, 1), 0), ((2, 2), 0), ((2, 3), 0), ((3, 0), 0), ((3, 1), 0), ((3, 2), 0), ((3, 3), 1)]"
     )
 
