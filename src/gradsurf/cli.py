@@ -316,7 +316,7 @@ def cmd_swap(cfg, seed, out: Path):
         order = np.argsort(ss.label, kind="stable")
         label = ss.label[order]
         for k, z, c, b in zip(order.tolist(), ss.zeta[label].tolist(), label.tolist(), ss.touches[label].tolist()):
-            x, y = arrays.sites[k]
+            x, y = arrays.triplet.sites[k]
             cluster_rows.append(f"{t},{x},{y},{z},{c},{int(b)}")
     gaps = [s["gap"] for s in scans]
     _write_json(

@@ -8,29 +8,26 @@ two surfaces at one endpoint; the components of the unswappable graph are
 the open clusters, on which the surfaces may be exchanged wholesale with
 the residual adjusted so t is untouched.
 
-A ``Triplet`` keeps its residuals as exact rationals (floats convert
-losslessly), which makes swap involutions and energy conservation bitwise
-identities.
+A ``Triplet`` is one set of arrays over its sorted support: neighbor
+slots, two height rows and the residuals as floats in edge order, with the
+exact rational stored only where a residual is not a float, as swaps may
+leave it.  So swap involutions and energy conservation are bitwise
+identities.  A swap exchanges the rows under a site mask and recomputes
+only the residuals of the edges with one swapped endpoint.
 
-Every classification runs on one ``_SwapArrays``: a triplet as arrays
-over a plan's sites (neighbor slots and cells), two height rows, float
-residuals in edge order with the exact rational kept only where a
-residual is not a float, and masks of the window and its rim.  It has one
-constructor and two front-ends: ``_SwapArrays.of`` reads a dict
-``Triplet`` (behind ``swappable_set`` and ``shifted_analysis``), and
-``_SwapArrays.torus_window`` couples two torus samples on their plan with
-fresh Exp(1) residuals (behind ``gradsurf swap``, which builds no
-``Triplet``, ``Fraction`` per edge or ``Cluster``).  ``swappable``
-classifies the edges of one shift in one array pass and labels the open
-clusters by union-find, each numbered by its least vertex; ``analysis``
-adds the crossing bounds.  On discrete Lipschitz potentials with integer
-heights each swap deficit is computed once: it reads only the edge class,
-the two surfaces' increments and their offset at the base, so it is
-memoized on the potential under that key (``_DeficitTable``) together
-with the least float at or above it.  A float residual (every Exp(1)
-draw) is swappable exactly when it reaches that float; other residuals,
-such as those a swap leaves, are compared with the exact rational.  So
-the classification is the exact one.
+``_SwapArrays`` adds to a triplet what one classification needs of the
+potential and the window; ``torus_window`` couples two torus samples on
+their plan (behind ``gradsurf swap``, which builds no dict, ``Fraction``
+per edge or ``Cluster``).  ``swappable`` classifies the edges of one shift
+in one array pass and labels the open clusters by union-find, each
+numbered by its least vertex; ``analysis`` adds the crossing bounds.  On
+discrete Lipschitz potentials with integer heights each swap deficit is
+computed once: it reads only the edge class, the two surfaces' increments
+and their offset at the base, so it is memoized on the potential under
+that key (``_DeficitTable``) with the least float at or above it.  A float
+residual (every Exp(1) draw) is swappable exactly when it reaches that
+float; others are compared with the exact rational.  So the
+classification is the exact one.
 """
 
 from __future__ import annotations
@@ -55,38 +52,102 @@ def _to_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass
 class Triplet:
-    """Two height configs on a common support plus per-edge residuals."""
+    """Two height configs on a common support plus per-edge residuals, as
+    arrays over the sorted support ``sites``: ``coords``, their (2, N)
+    coordinates, ``nbr``, the (N, 4) neighbor slots (+e1, -e1, +e2, -e2;
+    -1 for none), ``slots``, the (N, 2) mask of the +e1 and +e2 slots
+    (``nbr`` columns 0 and 2) that carry a residual, the height rows ``h1``
+    and ``h2`` (``_height_row``), the residuals ``r`` as floats in slot
+    order (the sorted edge order) with ``exact`` holding the exact rational
+    at the position of each residual that is not a float (NaN in ``r``),
+    and the ``reference`` of both configs.  Slot j is the edge (``sites``
+    [``base``[j]], ``axis``[j]) with head ``head``[j].  A triplet is never
+    changed in place; ``phi1``, ``phi2`` and ``residual`` are built from
+    the arrays on first use."""
 
-    phi1: HeightConfig
-    phi2: HeightConfig
-    residual: dict[Edge, Fraction]
+    def __init__(self, phi1: HeightConfig, phi2: HeightConfig, residual: Mapping[Edge, object]):
+        if set(phi1.values) != set(phi2.values) or phi1.reference != phi2.reference:
+            raise ValueError("coupled configs must share their support and reference")
+        sites = sorted(phi1.values)
+        index = {v: k for k, v in enumerate(sites)}
+        nbr = np.array([[index.get(w, -1) for w in neighbors(v)] for v in sites], dtype=np.int64)
+        slots = np.zeros((len(sites), 2), dtype=bool)
+        for e in residual:
+            k = index.get(e[0], -1)
+            if k < 0 or nbr[k, 2 * e[1]] < 0:
+                raise MissingHeight(f"residual edge {e} has an endpoint without a height")
+            slots[k, e[1]] = True
+        rs = [_stored_residual(residual[e], e) for e in sorted(residual)]  # slot order
+        self._set(
+            sites, np.array(sites, dtype=np.int64).reshape(-1, 2).T.copy(), nbr, slots,
+            _height_row([phi1.values[v] for v in sites]), _height_row([phi2.values[v] for v in sites]),
+            np.array([x if type(x) is float else math.nan for x in rs]),
+            {j: x for j, x in enumerate(rs) if type(x) is not float}, phi1.reference,
+        )
 
-    def __post_init__(self):
-        if set(self.phi1.values) != set(self.phi2.values):
-            raise ValueError("coupled configs must share their support")
-        self.residual = {e: _to_fraction(r) for e, r in self.residual.items()}
-        for e, r in self.residual.items():
-            if r < 0:
-                raise NegativeResidual(f"residual {r} on edge {e}")
+    def _set(self, sites, coords, nbr, slots, h1, h2, r, exact, reference) -> "Triplet":
+        self.sites, self.coords, self.nbr, self.slots = sites, coords, nbr, slots
+        self.h1, self.h2, self.r, self.exact, self.reference = h1, h2, r, exact, reference
+        self.base, self.axis = np.nonzero(slots)
+        self.head = nbr[self.base, 2 * self.axis]
+        return self
+
+    def _with(self, **arrays) -> "Triplet":
+        """A new triplet with this one's arrays, those given replaced."""
+        fields = ("sites", "coords", "nbr", "slots", "h1", "h2", "r", "exact", "reference")
+        return Triplet.__new__(Triplet)._set(**({k: getattr(self, k) for k in fields} | arrays))
 
     @staticmethod
     def build(phi1: HeightConfig, phi2: HeightConfig, rng=None, residual=None) -> "Triplet":
-        """Couple two configs, drawing Exp(1) residuals when none are given."""
-        edges = edges_within(phi1.values.keys())
-        if residual is None:
-            draws = rng.standard_exponential(len(edges))
-            residual = {e: _to_fraction(float(r)) for e, r in zip(edges, draws)}
-        else:
-            residual = {e: _to_fraction(residual.get(e, 0)) for e in edges}
-        return Triplet(phi1.copy(), phi2.copy(), residual)
+        """Couple two configs on every edge of their support, drawing Exp(1)
+        residuals in sorted edge order when none are given."""
+        if residual is not None:
+            return Triplet(phi1, phi2, {e: residual.get(e, 0) for e in edges_within(phi1.values.keys())})
+        bare = Triplet(phi1, phi2, {})
+        slots = bare.nbr[:, [0, 2]] >= 0
+        return bare._with(slots=slots, r=rng.standard_exponential(int(slots.sum())))
+
+    def _edge(self, j) -> Edge:
+        return (self.sites[self.base[j]], int(self.axis[j]))
 
     def edges(self) -> list[Edge]:
-        return sorted(self.residual)
+        return [(self.sites[k], a) for k, a in zip(self.base.tolist(), self.axis.tolist())]
+
+    @cached_property
+    def phi1(self) -> HeightConfig:
+        return HeightConfig(dict(zip(self.sites, self.h1.tolist())), self.reference)
+
+    @cached_property
+    def phi2(self) -> HeightConfig:
+        return HeightConfig(dict(zip(self.sites, self.h2.tolist())), self.reference)
+
+    @cached_property
+    def residual(self) -> dict[Edge, Fraction]:
+        return {e: self.exact[j] if j in self.exact else Fraction(x) for j, (e, x) in enumerate(zip(self.edges(), self.r.tolist()))}
 
     def copy(self) -> "Triplet":
-        return Triplet(self.phi1.copy(), self.phi2.copy(), dict(self.residual))
+        return self._with()
+
+
+def _stored_residual(x, edge) -> float | Fraction:
+    """The residual x as a float when it is one exactly, else as a rational.
+    NaN and negative values raise NegativeResidual, +inf InfiniteEnergy."""
+    if not x >= 0:
+        raise NegativeResidual(f"residual {x} on edge {edge}")
+    if isinstance(x, float):
+        if x == INF:
+            raise InfiniteEnergy(f"infinite residual on edge {edge}")
+        return float(x)
+    q = _to_fraction(x)
+    f = _exact_float(q)
+    return q if f is None else f
+
+
+def _height_row(values) -> np.ndarray:
+    """Heights as int64 when every one is an int, else as the Python
+    numbers themselves (objects), which the per-edge route reads."""
+    return np.array(values, dtype=np.int64 if set(map(type, values)) <= {int} else object)
 
 
 def _pair_energy(pot, phi1, phi2, edge, swapped=False) -> Fraction | float:
@@ -233,11 +294,11 @@ class Cluster:
 class SwappableSet:
     """Closed (swappable) edges and the open clusters of their complement,
     as arrays over the sites of one ``_SwapArrays``: ``is_open`` over its
-    edges, ``label`` numbering each site's cluster in the order of the
-    clusters' least sites, and per cluster its sign ``zeta``, ``inside``
-    (every vertex lies in the window) and ``touches`` (a vertex lies on the
-    window rim).  ``closed_edges``, ``clusters`` and ``labels`` are built
-    from them on first use."""
+    triplet's edges, ``label`` numbering each site's cluster in the order
+    of the clusters' least sites, and per cluster its sign ``zeta``,
+    ``inside`` (every vertex lies in the window) and ``touches`` (a vertex
+    lies on the window rim).  ``closed_edges``, ``clusters`` and ``labels``
+    are built from them on first use."""
 
     arrays: "_SwapArrays"
     is_open: np.ndarray
@@ -248,12 +309,12 @@ class SwappableSet:
 
     @cached_property
     def closed_edges(self) -> frozenset[Edge]:
-        return frozenset(self.arrays.dangling) | frozenset(compress(self.arrays.edges, (~self.is_open).tolist()))
+        return frozenset(compress(self.arrays.triplet.edges(), (~self.is_open).tolist()))
 
     @cached_property
     def clusters(self) -> list[Cluster]:
         members = [[] for _ in range(len(self.zeta))]
-        for v, k in zip(self.arrays.sites, self.label.tolist()):
+        for v, k in zip(self.arrays.triplet.sites, self.label.tolist()):
             members[k].append(v)
         return [
             Cluster(vertices=frozenset(m), zeta=z, inside_window=i, touches_boundary=t)
@@ -262,14 +323,20 @@ class SwappableSet:
 
     @cached_property
     def labels(self) -> dict[Vertex, int]:
-        return dict(zip(self.arrays.sites, self.label.tolist()))
+        return dict(zip(self.arrays.triplet.sites, self.label.tolist()))
 
     def cluster_of(self, x: Vertex) -> Cluster:
-        return self.clusters[self.labels[x]]
+        return self.clusters[self._label(x)]
+
+    def _label(self, x: Vertex) -> int:
+        """The label of x's cluster; MissingHeight when x has no height."""
+        if x not in self.labels:
+            raise MissingHeight(f"vertex {x} has no height")
+        return self.labels[x]
 
     def vertices(self, chosen) -> frozenset[Vertex]:
         """The vertices of the clusters where the mask ``chosen`` holds."""
-        return frozenset(compress(self.arrays.sites, chosen[self.label].tolist()))
+        return frozenset(compress(self.arrays.triplet.sites, chosen[self.label].tolist()))
 
 
 def swappable_set(
@@ -281,128 +348,70 @@ def swappable_set(
 
     A cluster is ``inside_window`` when every vertex lies in the window and
     ``touches_boundary`` when it meets a window vertex with a lattice
-    neighbor outside the window.
+    neighbor outside the window.  The window defaults to the support.
     """
-    window = set(triplet.phi1.values) if window is None else set(window)
-    return _SwapArrays.of(pot, triplet, window).swappable(0)
-
-
-def _height_row(values) -> np.ndarray:
-    """Heights as int64 when every one is an int, else as the Python
-    numbers themselves (objects), which the per-edge route reads."""
-    return np.array(values, dtype=np.int64 if all(type(h) is int for h in values) else object)
+    return _SwapArrays(pot, triplet, None if window is None else set(window)).swappable(0)
 
 
 class _SwapArrays:
-    """A triplet as arrays over sorted ``sites``, made once to classify one
-    shift c of phi1.  It takes a plan's ``nbr`` and ``sig`` over the sites
-    (``feasibility.Plan``), ``slots``, an (N, 2) mask of the +e1 and +e2
-    slots (``nbr`` columns 0 and 2) that are triplet edges, whose neighbor
-    is the vertex base + e_axis, the heights of phi1 and phi2 over the
-    sites, the residuals ``r`` as floats in the mask's order with ``exact``
-    holding the exact rational at the position of each residual that is not
-    a float, and the masks of the window and of its rim (window vertices
-    with a lattice neighbor outside it).  ``dangling`` lists triplet edges
-    whose head has no height; they are always closed.
-
+    """A triplet with what classifying a shift c of phi1 needs beyond it:
+    masks of the window (the whole support when None) and of its rim
+    (window vertices with a lattice neighbor outside it) over the sites.
     Integer heights on a potential with a ``_DeficitTable`` read their
-    deficits from it at integer shifts; other triplets call ``_deficit``
-    per edge on the dicts ``p1`` and ``p2`` and the edge list ``edges``,
-    which are built from the arrays only then.  ``of`` makes the arrays of
-    a dict ``Triplet``, ``torus_window`` those of two torus samples.
+    deficits from it at integer shifts, by the edge classes ``cls``, the
+    increments ``i1``, ``i2`` and the offsets of phi2 over phi1 at the
+    bases; other triplets call ``_deficit`` per edge on the dict views.
     """
 
-    def __init__(self, pot, sites, nbr, sig, slots, h1, h2, r, exact, window, rim, dangling=()):
-        self.pot, self.sites = pot, sites
-        self.h1, self.h2 = _height_row(h1), _height_row(h2)
-        self.base, self.axis = np.nonzero(slots)
-        self.head = nbr[self.base, 2 * self.axis]
-        self.r, self.exact = r, exact
-        self.inexact = np.zeros(len(r), dtype=bool)
-        self.inexact[list(exact)] = True
-        self.window, self.rim, self.dangling = window, rim, dangling
-        self.table = None
-        if self.h1.dtype == self.h2.dtype == np.int64:
-            self.table = _deficit_table(pot)
+    def __init__(self, pot, triplet: Triplet, window: set | None = None):
+        t = self.triplet = triplet
+        self.pot = pot
+        if window is None:
+            self.window, self.rim = np.ones(len(t.sites), dtype=bool), t.nbr.min(axis=1) < 0
+        else:
+            rim = {v for v in window if any(w not in window for w in neighbors(v))}
+            self.window = np.array([v in window for v in t.sites], dtype=bool)
+            self.rim = np.array([v in rim for v in t.sites], dtype=bool)
+        self.table = _deficit_table(pot) if t.h1.dtype == t.h2.dtype == np.int64 else None
         if self.table is not None:
-            t, h1, h2 = self.table, self.h1, self.h2
+            tab, h1, h2, base = self.table, t.h1, t.h2, t.base
             self.diff = h1 - h2
-            self.cls = self.axis * pot.lattice.index + sig[self.base]
-            self.i1 = h1[self.head] - h1[self.base] - t.lo
-            self.i2 = h2[self.head] - h2[self.base] - t.lo
-            self.offset = h2[self.base] - h1[self.base]  # delta at shift 0
-            self.pair_ok = t.finite[self.cls, np.clip(1 + self.i1, 0, t.width + 1)] & t.finite[self.cls, np.clip(1 + self.i2, 0, t.width + 1)]
-
-    @classmethod
-    def of(cls, pot, triplet: Triplet, window: set) -> "_SwapArrays":
-        """The arrays of a dict triplet over its sorted support, with the
-        residual edges in sorted order; the window may reach past the
-        support."""
-        p1, p2, residual = triplet.phi1.values, triplet.phi2.values, triplet.residual
-        sites = sorted(p1)
-        index = {v: k for k, v in enumerate(sites)}
-        nbr = np.array([[index.get(w, -1) for w in neighbors(v)] for v in sites], dtype=np.int64)
-        slots, dangling = np.zeros((len(sites), 2), dtype=bool), []
-        for e in residual:
-            k = index.get(e[0], -1)
-            if k < 0 or nbr[k, 2 * e[1]] < 0:
-                dangling.append(e)
-            else:
-                slots[k, e[1]] = True
-        rs = [residual[(sites[k], a)] for k, a in zip(*(x.tolist() for x in np.nonzero(slots)))]
-        floats = [_exact_float(r) for r in rs]
-        exact = {j: r for j, (r, f) in enumerate(zip(rs, floats)) if f is None}
-        i, j = np.array(sites, dtype=np.int64).T
-        rim = {v for v in window if any(w not in window for w in neighbors(v))}
-        return cls(
-            pot, sites, nbr, pot.lattice.cell(i, j), slots,
-            [p1[v] for v in sites], [p2[v] for v in sites],
-            np.array([math.nan if f is None else f for f in floats]), exact,
-            np.array([v in window for v in sites], dtype=bool), np.array([v in rim for v in sites], dtype=bool), dangling,
-        )
+            self.cls = t.axis * pot.lattice.index + pot.lattice.cell(*t.coords)[base]
+            self.i1 = h1[t.head] - h1[base] - tab.lo
+            self.i2 = h2[t.head] - h2[base] - tab.lo
+            self.offset = h2[base] - h1[base]  # delta at shift 0
+            self.pair_ok = tab.finite[self.cls, np.clip(1 + self.i1, 0, tab.width + 1)] & tab.finite[self.cls, np.clip(1 + self.i2, 0, tab.width + 1)]
 
     @classmethod
     def torus_window(cls, pot, phi1: HeightConfig, phi2: HeightConfig, rng) -> "_SwapArrays":
         """Two configs of one torus slope class coupled on the fundamental
         window [0, n)^2, as ``gradsurf swap`` couples them, over the
         class's torus plan: the window's edges are the +e slots that do not
-        wrap, in ``edges_within`` order, with Exp(1) residuals drawn by
-        rng; the rim is the window's outer ring."""
+        wrap, in sorted order, with Exp(1) residuals drawn by rng; the rim
+        is the window's outer ring."""
         n = phi1.torus.n
         plan = _torus_plan(pot, phi1.torus)
         i, j = np.divmod(np.arange(n * n), n)
-        slots = np.stack([i < n - 1, j < n - 1], axis=1)
-        return cls(
-            pot, plan.sites, plan.nbr, plan.sig, slots,
-            [phi1.values[v] for v in plan.sites], [phi2.values[v] for v in plan.sites],
-            rng.standard_exponential(int(slots.sum())), {},
-            np.ones(n * n, dtype=bool), (i == 0) | (i == n - 1) | (j == 0) | (j == n - 1),
+        nbr = np.where(np.stack([i < n - 1, i > 0, j < n - 1, j > 0], axis=1), plan.nbr, -1)  # no wrapping slot
+        slots = nbr[:, [0, 2]] >= 0
+        triplet = Triplet.__new__(Triplet)._set(
+            plan.sites, np.stack([i, j]), nbr, slots,
+            _height_row([phi1.values[v] for v in plan.sites]), _height_row([phi2.values[v] for v in plan.sites]),
+            rng.standard_exponential(int(slots.sum())), {}, phi1.reference,
         )
-
-    def _edge(self, j) -> Edge:
-        return (self.sites[self.base[j]], int(self.axis[j]))
-
-    @cached_property
-    def edges(self) -> list[Edge]:
-        return [(self.sites[k], a) for k, a in zip(self.base.tolist(), self.axis.tolist())]
-
-    @cached_property
-    def p1(self) -> dict[Vertex, int | float]:
-        return dict(zip(self.sites, self.h1.tolist()))
-
-    @cached_property
-    def p2(self) -> dict[Vertex, int | float]:
-        return dict(zip(self.sites, self.h2.tolist()))
+        return cls(pot, triplet)
 
     def _check_pairs(self, idx) -> None:
         """Raise InfiniteEnergy for the first edge of idx on which either
         surface has infinite energy; shifts change neither."""
+        t = self.triplet
         if self.table is None:
-            ok = np.array([_pair_energy(self.pot, self.p1, self.p2, self._edge(j)) != INF for j in idx.tolist()], dtype=bool)
+            p1, p2 = t.phi1.values, t.phi2.values
+            ok = np.array([_pair_energy(self.pot, p1, p2, t._edge(j)) != INF for j in idx.tolist()], dtype=bool)
         else:
             ok = self.pair_ok[idx]
         if not ok.all():
-            raise InfiniteEnergy(f"inadmissible pair on edge {self._edge(idx[np.argmin(ok)])}")
+            raise InfiniteEnergy(f"inadmissible pair on edge {t._edge(idx[np.argmin(ok)])}")
 
     def _shift(self, c):
         """c as an int when the array path applies at that shift, else None."""
@@ -411,58 +420,59 @@ class _SwapArrays:
         return None
 
     def _zeta(self, c) -> np.ndarray:
-        k = self._shift(c)
+        k, t = self._shift(c), self.triplet
         if k is not None:
             return np.sign(self.diff + k)
-        a, b = self.h1.astype(object) + c, self.h2.astype(object)  # Python arithmetic, as on the dicts
+        a, b = t.h1.astype(object) + c, t.h2.astype(object)  # Python arithmetic, as on the dicts
         return (a > b).astype(np.int64) - (a < b)
 
     def _closed(self, c, idx) -> np.ndarray:
         """Closed mask over the candidate edges idx (both endpoints differ)."""
-        k = self._shift(c)
+        k, t = self._shift(c), self.triplet
         if k is None:
-            p1 = self.p1 if c == 0 else dict(zip(self.sites, (self.h1.astype(object) + c).tolist()))
+            p1 = t.phi1.values if c == 0 else dict(zip(t.sites, (t.h1.astype(object) + c).tolist()))
             out = []
             for j in idx.tolist():
-                d = _deficit(self.pot, p1, self.p2, self._edge(j))
-                out.append(d != INF and self.exact.get(j, float(self.r[j])) >= d)
+                d = _deficit(self.pot, p1, t.phi2.values, t._edge(j))
+                out.append(d != INF and t.exact.get(j, float(t.r[j])) >= d)
             return np.array(out, dtype=bool)
         self._check_pairs(idx)
-        t = self.table
-        delta = self.offset[idx] - k + t.width - 1
-        reach = (delta >= 0) & (delta < 2 * t.width - 1)  # else a swapped increment leaves the support
-        flat = ((self.cls[idx] * t.width + self.i1[idx]) * t.width + self.i2[idx]) * (2 * t.width - 1) + delta
-        ceiling = np.take(t.ceiling, flat, mode="clip")  # read only where reach
+        tab = self.table
+        delta = self.offset[idx] - k + tab.width - 1
+        reach = (delta >= 0) & (delta < 2 * tab.width - 1)  # else a swapped increment leaves the support
+        flat = ((self.cls[idx] * tab.width + self.i1[idx]) * tab.width + self.i2[idx]) * (2 * tab.width - 1) + delta
+        ceiling = np.take(tab.ceiling, flat, mode="clip")  # read only where reach
         missing = reach & np.isnan(ceiling)
         if missing.any():
             fresh, first = np.unique(flat[missing], return_index=True)
             for f, j in zip(fresh.tolist(), idx[missing][first].tolist()):
-                edge, head = self._edge(j), self.sites[self.head[j]]
-                i1, i2 = int(self.i1[j]) + t.lo, int(self.i2[j]) + t.lo
+                edge, head = t._edge(j), t.sites[t.head[j]]
+                i1, i2 = int(self.i1[j]) + tab.lo, int(self.i2[j]) + tab.lo
                 gap = int(self.offset[j]) - k
                 d = _deficit(self.pot, {edge[0]: 0, head: i1}, {edge[0]: gap, head: gap + i2}, edge)
-                t.ceiling[f], t.exact[f] = _float_ceiling(d), d
-            ceiling = np.take(t.ceiling, flat, mode="clip")
+                tab.ceiling[f], tab.exact[f] = _float_ceiling(d), d
+            ceiling = np.take(tab.ceiling, flat, mode="clip")
         ceiling = np.where(reach, ceiling, INF)
-        closed = self.r[idx] >= ceiling
-        for j in np.flatnonzero(self.inexact[idx]).tolist():
-            d = t.exact[int(flat[j])] if reach[j] else INF
-            closed[j] = d != INF and self.exact[int(idx[j])] >= d
+        closed = t.r[idx] >= ceiling
+        for j in np.flatnonzero(np.isnan(t.r[idx])).tolist():  # the exact residuals
+            d = tab.exact[int(flat[j])] if reach[j] else INF
+            closed[j] = d != INF and t.exact[int(idx[j])] >= d
         return closed
 
     def swappable(self, c) -> SwappableSet:
         """The swappable set of (phi1 + c, phi2, r)."""
+        t = self.triplet
         zeta = self._zeta(c)
-        idx = np.flatnonzero((zeta[self.base] != 0) & (zeta[self.head] != 0))
-        is_open = np.zeros(len(self.base), dtype=bool)
+        idx = np.flatnonzero((zeta[t.base] != 0) & (zeta[t.head] != 0))
+        is_open = np.zeros(len(t.base), dtype=bool)
         is_open[idx[~self._closed(c, idx)]] = True
-        a, b = self.base[is_open], self.head[is_open]
+        a, b = t.base[is_open], t.head[is_open]
         roots = _components(len(zeta), a, b)
         mixed = zeta[a] != zeta[b]
         if mixed.any():
             anchor = int(roots[a[mixed]].min())
             signs = sorted(set(zeta[roots == anchor].tolist()))
-            raise MixedClusterSign(f"open cluster at {self.sites[anchor]} has zeta values {signs}")
+            raise MixedClusterSign(f"open cluster at {t.sites[anchor]} has zeta values {signs}")
         is_root = roots == np.arange(len(roots))
         label = (np.cumsum(is_root) - 1)[roots]
         count = int(is_root.sum())
@@ -477,7 +487,7 @@ class _SwapArrays:
         first edge on which either surface has infinite energy, and
         MixedClusterSign on a nonconvex potential."""
         ss = self.swappable(c)
-        self._check_pairs(np.arange(len(self.base)))
+        self._check_pairs(np.arange(len(self.triplet.base)))
         nonconvex = sorted(cls for cls, r in validate_sap(self.pot).per_class.items() if not r.convex)
         if nonconvex:
             raise MixedClusterSign(f"classes {nonconvex} are nonconvex, so open clusters may mix signs")
@@ -488,10 +498,11 @@ class _SwapArrays:
         phi1 + s < phi2, and b-, the greatest with none where phi1 + s >
         phi2; +-inf without such a level.  With integer heights they are
         the extremes of phi2 - phi1 on the rim."""
-        if self.h1.dtype == self.h2.dtype == np.int64 and self.rim.any():
-            d = (self.h2 - self.h1)[self.rim]
+        t = self.triplet
+        if t.h1.dtype == t.h2.dtype == np.int64 and self.rim.any():
+            d = (t.h2 - t.h1)[self.rim]
             return int(d.max()), int(d.min())
-        h1, h2 = self.h1.astype(object), self.h2.astype(object)
+        h1, h2 = t.h1.astype(object), t.h2.astype(object)
         levels = _scan_levels((h2 - h1)[self.window].tolist(), self.pot.discrete)
         a, b = h1[self.rim], h2[self.rim]
         # the comparisons of _zeta, so real heights round alike
@@ -582,28 +593,29 @@ def _components(size: int, a, b) -> np.ndarray:
 # Swaps
 
 
-def _apply_swap(pot, triplet: Triplet, swap_vertices: frozenset[Vertex]) -> Triplet:
-    """Exchange the surfaces on the given vertices, preserving t per edge."""
-    out = triplet.copy()
-    p1, p2 = out.phi1.values, out.phi2.values
-    for v in swap_vertices:
-        p1[v], p2[v] = p2[v], p1[v]
-    for e in out.residual:
-        base, axis = e
-        head = add(base, AXIS_VECTORS[axis])
-        if head not in p1:
-            continue
-        affected = (base in swap_vertices) != (head in swap_vertices)
-        if not affected:
-            continue
-        old = _pair_energy(pot, triplet.phi1.values, triplet.phi2.values, e)
-        new = _pair_energy(pot, p1, p2, e)
+def _apply_swap(pot, triplet: Triplet, mask) -> Triplet:
+    """Exchange the surfaces on the sites where the mask holds, preserving
+    t per edge: only an edge with one swapped endpoint changes its pair
+    energy, so only its residual is recomputed, exactly."""
+    t = triplet
+    h1, h2 = np.where(mask, t.h2, t.h1), np.where(mask, t.h1, t.h2)
+    r, exact = t.r.copy(), dict(t.exact)
+    o1, o2 = t.h1.tolist(), t.h2.tolist()
+    cut = np.flatnonzero(mask[t.base] != mask[t.head])
+    for j, k, m in zip(cut.tolist(), t.base[cut].tolist(), t.head[cut].tolist()):
+        e = t._edge(j)
+        p1, p2 = {e[0]: o1[k], t.sites[m]: o1[m]}, {e[0]: o2[k], t.sites[m]: o2[m]}
+        new = _pair_energy(pot, p1, p2, e, swapped=True)  # exchanging either endpoint gives it
         if new == INF:
             raise NegativeResidual(f"swap made edge {e} inadmissible")
-        out.residual[e] = triplet.residual[e] + (old - new)
-        if out.residual[e] < 0:
+        q = (exact.pop(j) if j in exact else Fraction(float(r[j]))) + (_pair_energy(pot, p1, p2, e) - new)
+        if q < 0:
             raise NegativeResidual(f"swap pushed residual below zero on {e}")
-    return out
+        f = _exact_float(q)
+        r[j] = math.nan if f is None else f
+        if f is None:
+            exact[j] = q
+    return t._with(h1=h1, h2=h2, r=r, exact=exact)
 
 
 def cluster_swap_at(
@@ -612,16 +624,17 @@ def cluster_swap_at(
     window: Iterable[Vertex] | None,
     x: Vertex,
 ) -> Triplet:
-    """Swap the open cluster containing x when it lies inside the window.
+    """Swap the open cluster containing x when it lies inside the window;
+    MissingHeight when x has no height.
 
     An involution: the closed-edge set depends only on the totals, which
     are preserved, so applying the map twice restores every field exactly.
     """
     ss = swappable_set(pot, triplet, window)
-    cluster = ss.cluster_of(x)
-    if not cluster.inside_window or cluster.zeta == 0:
+    k = ss._label(x)
+    if not ss.inside[k] or ss.zeta[k] == 0:
         return triplet.copy()
-    return _apply_swap(pot, triplet, cluster.vertices)
+    return _apply_swap(pot, triplet, ss.label == k)
 
 
 def swendsen_wang_update(
@@ -632,27 +645,18 @@ def swendsen_wang_update(
 ) -> Triplet:
     """One cluster-swapping sweep preserving the product Gibbs law.
 
-    Residuals are redrawn as independent Exp(1), the swappable set is
-    recomputed, and an independent fair coin decides whether each open
+    Residuals are redrawn as independent Exp(1) in sorted edge order, the
+    swappable set is recomputed, and an independent fair coin, in the
+    order of the clusters' least vertices, decides whether each open
     cluster inside the window exchanges the two surfaces; residuals absorb
     the difference so every total energy is untouched.
     """
-    out = triplet.copy()
-    edges = out.edges()
-    draws = rng.standard_exponential(len(edges))
-    out.residual = {e: _to_fraction(float(r)) for e, r in zip(edges, draws)}
-    ss = swappable_set(pot, out, window)
-    eligible = sorted(
-        (c for c in ss.clusters if c.inside_window), key=lambda c: c.anchor
-    )
-    coins = rng.random(len(eligible))
-    to_swap: set[Vertex] = set()
-    for c, coin in zip(eligible, coins):
-        if coin < 0.5 and c.zeta != 0:
-            to_swap |= c.vertices
-    if to_swap:
-        out = _apply_swap(pot, out, frozenset(to_swap))
-    return out
+    fresh = triplet._with(r=rng.standard_exponential(len(triplet.base)), exact={})
+    ss = swappable_set(pot, fresh, window)
+    flip = np.zeros(len(ss.zeta), dtype=bool)
+    flip[ss.inside] = rng.random(int(ss.inside.sum())) < 0.5
+    flip &= ss.zeta != 0
+    return _apply_swap(pot, fresh, flip[ss.label]) if flip.any() else fresh
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +695,9 @@ def shifted_analysis(
     clusters may mix signs, and MissingHeight for the least window vertex
     without a height.
     """
-    window = set(triplet.phi1.values) if window is None else set(window)
-    ss, b_plus, b_minus = _SwapArrays.of(pot, triplet, window).analysis(c)
-    missing = window - triplet.phi1.values.keys()
+    window = set(triplet.sites) if window is None else set(window)
+    ss, b_plus, b_minus = _SwapArrays(pot, triplet, window).analysis(c)
+    missing = window.difference(triplet.sites)
     if missing:
         raise MissingHeight(f"window vertex {min(missing)} has no height")
     # zeta of (phi1 + c, phi2) is +1 when phi1 + c > phi2
@@ -731,25 +735,17 @@ def coin_merge_coupling(
 
     Each marginal already assigned its cluster sign by an independent fair
     coin, so the merge leaves both marginals untouched while forcing
-    equality on interior clusters.
+    equality on interior clusters.  The coins come in the order of the
+    clusters' least vertices.
     """
-    window = set(window)
-    ss = swappable_set(pot, triplet, window=window)
-    trip = triplet.copy()
-    eligible = sorted(
-        (c for c in ss.clusters if c.inside_window), key=lambda c: c.anchor
-    )
-    coins = rng.random(len(eligible))
-    p1, p2 = trip.phi1.values, trip.phi2.values
-    for cl, coin in zip(eligible, coins):
-        if cl.zeta == 0:
-            continue
-        for v in cl.vertices:
-            lo, hi = min(p1[v], p2[v]), max(p1[v], p2[v])
-            pick = lo if coin < 0.5 else hi
-            p1[v] = pick
-            p2[v] = pick
-    return trip.phi1, trip.phi2
+    t = triplet
+    ss = swappable_set(pot, t, window)
+    up = np.zeros(len(ss.zeta), dtype=bool)
+    up[ss.inside] = rng.random(int(ss.inside.sum())) >= 0.5
+    merge = (ss.inside & (ss.zeta != 0))[ss.label]
+    pick = np.where(up[ss.label], np.maximum(t.h1, t.h2), np.minimum(t.h1, t.h2))
+    out = t._with(h1=np.where(merge, pick, t.h1), h2=np.where(merge, pick, t.h2))
+    return out.phi1, out.phi2
 
 
 def synchronized_domination_coupling(

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from gradsurf.cluster_swap import (
     Triplet,
     _scan_levels,
     cluster_swap_at,
+    coin_merge_coupling,
     edge_coupling_constant,
     from_derived,
     shifted_analysis,
@@ -30,6 +33,7 @@ from gradsurf.potential import (
     QuadraticPotential,
     TablePotential,
     domino_potential,
+    lipschitz_truncate,
     sos_abs_potential,
     validate_sap,
 )
@@ -366,6 +370,34 @@ def test_mixed_cluster_sign_raises_typed_error(nonconvex):
     trip = Triplet.build(phi1, phi2, residual={})
     with pytest.raises(MixedClusterSign):
         swappable_set(nonconvex, trip)
+
+
+@pytest.mark.parametrize("edge", [((0, 0), 0), ((0, 0), 1), ((5, 5), 0)], ids=["head", "head-e2", "base"])
+def test_triplet_refuses_residual_edges_that_leave_the_support(edge):
+    # such an edge has no pair energy, so swaps could not conserve t on it
+    phi = HeightConfig({(0, 0): 0}, reference=(0, 0))
+    with pytest.raises(MissingHeight, match=re.escape(str(edge))):
+        Triplet(phi, phi.copy(), {edge: 1})
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(math.nan, NegativeResidual), (-math.inf, NegativeResidual), (-0.5, NegativeResidual), (F(-1, 3), NegativeResidual), (math.inf, InfiniteEnergy)],
+    ids=["nan", "-inf", "negative-float", "negative-rational", "inf"],
+)
+def test_triplet_types_residuals_that_are_not_finite_and_nonnegative(value, error):
+    phi = HeightConfig({(0, 0): 0, (1, 0): 0}, reference=(0, 0))
+    with pytest.raises(error, match=r"edge \(\(0, 0\), 0\)"):
+        Triplet(phi, phi.copy(), {((0, 0), 0): value})
+
+
+def test_cluster_swap_at_names_a_vertex_without_a_height(sos_trunc1):
+    phi = HeightConfig({(0, 0): 0, (1, 0): 1}, reference=(0, 0))
+    trip = Triplet.build(phi, phi.copy(), residual={})
+    with pytest.raises(MissingHeight, match=r"\(7, 7\)"):
+        cluster_swap_at(sos_trunc1, trip, None, (7, 7))
+    with pytest.raises(MissingHeight, match=r"\(7, 7\)"):
+        swappable_set(sos_trunc1, trip).cluster_of((7, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -715,3 +747,94 @@ def test_shifted_analysis_of_an_empty_window_has_infinite_bounds():
     a = shifted_analysis(pot, trip, 0, set())
     assert (a.b_plus, a.b_minus, a.window_size) == (INF, -INF, 0)
     assert a.t_plus == a.t_minus == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Golden digests of the swap maps: (phi1, phi2, residual) of every output,
+# with the types of its heights and residuals, byte for byte
+
+
+def _state(*parts):
+    """Each triplet or config of parts as its references and sorted items."""
+    out = []
+    for p in parts:
+        for phi in (p.phi1, p.phi2) if isinstance(p, Triplet) else (p,):
+            out.append((phi.reference, sorted(phi.values.items())))
+        if isinstance(p, Triplet):
+            out.append(sorted(p.residual.items()))
+    return out
+
+
+def _golden_cases():
+    """(potential, triplets, window) per case: the sos_trunc1 chain, the 3x3
+    domino box, real Gaussian heights, a table wider than _TABLE_LIMIT and
+    residuals tied to float-rounded deficits, which swaps leave inexact."""
+    sos1 = lipschitz_truncate(PeriodicPotential.isotropic("int", sos_abs_potential()), 1)
+    rng = random.Random(8)
+    chain = [_random_triplet(sos1, rng, _chain_region(), _chain_boundary()) for _ in range(3)]
+    domino, box = _domino_3x3_triplet()
+    gaussian, trips = zip(*_gaussian_triplets()[:2])
+    wide = PeriodicPotential.isotropic("int", TablePotential.from_dict({k: 0.5 * k * k for k in range(-40, 41)}))
+    region = sorted(box_region(4, 4))
+    wides = []
+    for seed in range(2):
+        p1, p2 = (HeightConfig({v: rng.randint(-3, 3) for v in region}, reference=(0, 0)) for _ in range(2))
+        wides.append(Triplet.build(p1, p2, rng=RngStream(seed, 0).at(0)))
+    inexact, ties = _inexact_deficit_potential(), []
+    for k in range(2):
+        p1, p2 = (HeightConfig({v: rng.randint(-1, 1) for v in box_region(3, 3)}, reference=(0, 0)) for _ in range(2))
+        trip = Triplet.build(p1, p2, rng=RngStream(k, 7).at(0))
+        residual = {}
+        for e, r in trip.residual.items():
+            d = swap_deficit(inexact, trip, e) if p1.values[e[0]] != p2.values[e[0]] else INF
+            residual[e] = max(float(d), 0.0) if d != INF and r > 0.5 else r
+        ties.append(Triplet.build(p1, p2, residual=residual))
+    return {
+        "sos_trunc1-chain": (sos1, chain, _chain_region()),
+        "domino-3x3": (domino, [box], None),
+        "gaussian": (gaussian[0], list(trips), box_region(3, 3)),
+        "wide-table": (wide, wides, None),
+        "inexact-residuals": (inexact, ties, None),
+    }
+
+
+_SWAP_DIGESTS = {
+    "sos_trunc1-chain": "f608f66cad1e7a3e5d770a51d3ad05b8e6a5c2f69d02c1071cb1e093c6325652",
+    "domino-3x3": "d28d0a16da5d75588d4c3b72d5974f20c729e19f3ffc11e577f7bb4f5723fef6",
+    "gaussian": "1948f668d1d343ef5a69d6efafd75738e6f65da6bc778c95407c8503c345100c",
+    "wide-table": "97d46a19ffeb7fa0dd6abcdbe816f38230bffd5329228c85427323a90b171e4d",
+    "inexact-residuals": "d6222aeee29f2ae4658438af0ad1444c71017514cd8c69a245a189fd06f97e8d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWAP_DIGESTS))
+def test_swap_maps_match_golden_digests(case):
+    # each map from each triplet: cluster_swap_at chained over the sorted
+    # support, six chained Swendsen-Wang updates and three coin merges
+    pot, trips, window = _golden_cases()[case]
+    out = []
+    for s, trip in enumerate(trips):
+        support = sorted(trip.phi1.values)
+        t = trip
+        for x in support:
+            t = cluster_swap_at(pot, t, window, x)
+            out.append(_state(t))
+        t = trip
+        for k in range(6):
+            t = swendsen_wang_update(pot, t, window, RngStream(s, k).at(0))
+            out.append(_state(t, cluster_swap_at(pot, t, window, support[k % len(support)])))
+        for k in range(3):
+            out.append(_state(*coin_merge_coupling(pot, trip, support if window is None else window, RngStream(s, 10 + k).at(0))))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _SWAP_DIGESTS[case]
+
+
+def test_synchronized_domination_coupling_matches_golden_digest(sos_trunc1):
+    interior = sorted(box_region(2, 2, origin=(1, 1)))
+    b1 = {v: 0 for v in outer_boundary(interior)}
+    b2 = {v: 1 for v in outer_boundary(interior)}
+    out = [
+        _state(*synchronized_domination_coupling(pot, interior, b1, b2, RngStream(31, k)))
+        for pot in (sos_trunc1, _inexact_deficit_potential())
+        for k in range(8)
+    ]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == "fb5714a902e08b6f6413b1e3ce4fe358cb64160bfcbe3b705015923ba341aba2"
