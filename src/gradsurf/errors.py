@@ -68,6 +68,11 @@ class NonMonotoneCoupling(GradsurfError):
     conditionals are not stochastically ordered in the neighbor heights."""
 
 
+class NotErgodic(GradsurfError):
+    """Single-site moves cannot reach every configuration of the slope
+    class: a cycle of edges is tight, so the sites on it never move."""
+
+
 class MixedClusterSign(GradsurfError):
     """An open cluster joins sites where the two surfaces are ordered
     oppositely.  Convex edge potentials always make such edges swappable, so

@@ -39,7 +39,7 @@ from .heights import HeightConfig
 from .lattice import Sublattice, Vertex, add, edges_meeting, neighbors
 from .potential import INF, PeriodicPotential, TablePotential
 from .rng import RngStream
-from .sampler import _Chain, _torus_start, _uniform_rows
+from .sampler import _Chain, _check_ergodic, _torus_start, _uniform_rows
 
 EXACT_SUM = "ExactSum"
 TRANSFER_MATRIX = "TransferMatrix"
@@ -270,7 +270,9 @@ def sigma_estimate(
     """Surface tension at a slope from the n-torus: -log Z / n^2.
 
     Exact methods report stderr 0; thermodynamic integration runs
-    fixed-class MCMC over a Chebyshev beta grid with batch-mean errors.
+    fixed-class MCMC over a Chebyshev beta grid with batch-mean errors, and
+    raises NotErgodic where single-site moves cannot mix the class
+    (``sampler._check_ergodic``).
     """
     info = torus_info(pot, n, slope)
     if not torus_slope_feasible(pot, n, slope):
@@ -282,6 +284,7 @@ def sigma_estimate(
         return SigmaEstimate(info.slope, n, value, method, 0.0)
     if method != THERMODYNAMIC_INTEGRATION:
         raise ValueError(f"unknown sigma method {method!r}")
+    _check_ergodic(pot, info)
     integral, int_err = _ti_energy_integral(pot, n, slope, budget, rng)
     log_n0 = _transfer_matrix_log_z(_scale_potential(pot, 0.0), n, slope)
     raw_offset = sum(pot.offsets.values()) * (volume // pot.lattice.index)

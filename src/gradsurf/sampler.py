@@ -14,7 +14,11 @@ orientations and heights relative to their minimum m, so it is kept in a
 table on the potential under that key and a site draws m + quantile(u).
 Shifting all heights by the integer m changes no argument passed to an edge
 potential, so energies, their summation order and the probabilities are
-bit-for-bit those of ``site_conditional``, and outputs do not change.
+bit-for-bit those of ``site_conditional``, and outputs do not change.  A
+table fills the rows of all fresh keys of a lookup in one numpy pass
+(``_ConditionalTable._fill``) from per-slot energy rows looked up once in
+``_energy_table``; ``_discrete_conditional`` computes conditionals only for
+chains without a table and is the oracle the fill is tested against.
 Which code runs: every heat-bath chain is a ``_Chain``, which asks
 ``_sweep_plan`` once (``torus_sample``, thermodynamic integration, variance
 profiles, region ``sample`` and CFTP keep one chain for all their sweeps,
@@ -23,9 +27,9 @@ K rows of heights in one (K, N) array; a row never reads another row.
 Thermodynamic integration runs its 21 beta chains as rows: a site of row k
 reads only row k's heights, its own uniform (the one its beta chain would
 draw alone) and the conditional rows of its potential, which one table
-over the 21 potentials fills with ``_discrete_conditional`` as each
-potential's own table would, and each row's energy adds the same edge
-energies in the same order.  So every output equals that of the per-beta
+over the 21 potentials fills as each potential's own table would (a key
+that one chain meets is filled for all 21 at once), and each row's energy
+adds the same edge energies in the same order.  So every output equals that of the per-beta
 loop.  Every other route runs its rows under one potential.
 
 - Chains with integer heights sweep them as int64 on the potential's
@@ -34,8 +38,8 @@ loop.  Every other route runs its rows under one potential.
   sites of a wave share no edge and updating wave by wave equals updating
   in order.  A wave is one numpy step (``_sweep_waves``) over all rows, on
   the schedule repeated for each row (``_copied_waves``): each site draws
-  the first support value whose running sum, from a table filled by
-  ``_discrete_conditional``, exceeds u, as ``quantile`` does.
+  the first support value whose running sum, from the chain's
+  ``_ConditionalTable``, exceeds u, as ``quantile`` does.
 - Other chains keep Python heights and sweep each row as a dict with
   ``site_conditional``'s code: non-integer heights, continuous domains,
   unbounded increments (whose scan starts from a rounded mean, which a
@@ -53,15 +57,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
 
 from . import rng as _rng
-from .errors import EmptySupport, GradsurfError, NoCoalescence, NonMonotoneCoupling, StateSpaceTooLarge
+from .errors import EmptySupport, GradsurfError, NoCoalescence, NonMonotoneCoupling, NotErgodic, StateSpaceTooLarge
 from .feasibility import (
     _energy_table,
+    _fundamental_torus_steps,
+    _InArcs,
     _local_energy,
     _neighbor_terms,
     _region_plan,
@@ -291,38 +296,59 @@ def _site_dist(pot, values, x, torus):
 
 
 class _ConditionalTable:
-    """CDF rows of the discrete site conditionals of one or more potentials
-    that share a period lattice and increment bounds, each row filled by
-    ``_discrete_conditional`` the first time its key occurs.
+    """CDF rows of the discrete site conditionals of K potentials that share
+    a period lattice, increment bounds and finite entries, filled by one
+    numpy pass (``_fill``) over the fresh keys of a lookup.
 
     A key packs a site's cell (its index modulo the period lattice, which
-    fixes its slot edge classes, plus k times the lattice index for the
-    k-th potential) and its neighbors' effective heights minus their
-    minimum m, in base B = floor(2R) + 1 with R the largest increment
+    fixes its slot edge classes) and its neighbors' effective heights minus
+    their minimum m, in base B = floor(2R) + 1 with R the largest increment
     bound: a larger spread leaves no height with finite energy.  ``row_of``
-    maps every key to its row, or -1 before the first fill.  Row r holds
-    the conditional's support minus m in ``vals`` and, in ``cdf``, the
-    running sums ``DiscreteDistribution.quantile`` forms, with the last
-    one and the padding set to +inf: the first entry above u is then at
-    the index ``quantile`` returns.
+    maps every key to the first of its K rows, which lie side by side and
+    are filled together, or -1 before the first fill; a lookup for the k-th
+    potential passes the cell plus k times the lattice index and reads row
+    ``row_of[key] + k``.  So the table holds at most index * B^4 keys for
+    any K.  Row r holds the conditional's support minus m at the front of
+    ``vals`` and, in ``cdf``, the running sums
+    ``DiscreteDistribution.quantile`` forms, with the last one and the
+    padding set to +inf: the first entry above u is then at the index
+    ``quantile`` returns.
+
+    The support minus m lies in ``grid``, the integers of [-R, R], as the
+    neighbor at m allows no other.  ``energies`` holds, per (cell, slot,
+    relative neighbor height), the slot's energy at each grid height for
+    the K potentials, looked up once in their ``_energy_table``; slots come
+    in the order +e1, -e1, +e2, -e2 of ``_neighbor_slots``.
     """
+
+    _AXIS, _ORIENT = np.array([0, 0, 1, 1])[:, None, None], np.array([1, -1, 1, -1])[:, None, None]
 
     def __init__(self, pots, base):
         lat = pots[0].lattice
         domain = lat.fundamental_domain()
-        self.slots = []
+        classes = np.array([[k, lat.cell(i - 1, j), k, lat.cell(i, j - 1)] for k, (i, j) in enumerate(domain)])
+        half = (base - 1) // 2
+        self.grid = np.arange(-half, half + 1, dtype=np.int64)
+        # the slot's increment: the neighbor's height minus the site's on
+        # +e slots, the site's minus the neighbor's on -e slots
+        inc = self._ORIENT * (np.arange(base)[:, None] - self.grid)
+        energies = []
         for pot in pots:
-            classes = [[pot.class_potentials[(axis, r)] for r in domain] for axis in (0, 1)]
-            self.slots += [
-                [(classes[0][k], 1), (classes[0][lat.cell(i - 1, j)], -1), (classes[1][k], 1), (classes[1][lat.cell(i, j - 1)], -1)]
-                for k, (i, j) in enumerate(domain)
-            ]
-        self.base = base
-        self.powers = self.base ** np.arange(4, dtype=np.int64)
-        self.row_of = np.full(len(self.slots) * base**4, -1, dtype=np.int64)
+            lo, table = _energy_table(pot)
+            at = np.minimum(np.maximum(1 + inc - lo, 0), table.shape[2] - 1)
+            energies.append(table[self._AXIS, classes[..., None, None], at])
+        energies = np.stack(energies, axis=3)
+        if ((energies < INF) != (energies[..., :1, :] < INF)).any():
+            raise ValueError("the potentials of one conditional table must share their finite entries")
+        self.energies = energies.reshape(len(domain) * 4 * base, -1)
+        self.base, self.width = base, len(pots)
+        self.span = base**4
+        self.powers = base ** np.arange(4, dtype=np.int64)
+        self.slot_offsets = np.arange(4) * base
+        self.row_of = np.full(len(domain) * self.span, -1, dtype=np.int64)
         self.count = 0
-        self.vals = np.zeros((16, self.base), dtype=np.int64)
-        self.cdf = np.full((16, self.base), INF)
+        self.vals = np.zeros((16, len(self.grid)), dtype=np.int64)
+        self.cdf = np.full((16, len(self.grid)), INF)
 
     def rows(self, sig, rel):
         """Rows of the conditionals of the given sites (``sig``) and
@@ -330,58 +356,95 @@ class _ConditionalTable:
         energy."""
         if rel.max(initial=0) >= self.base:
             raise EmptySupport("no height has finite energy")
-        key = sig * self.base**4 + rel @ self.powers
+        key = sig * self.span + rel @ self.powers
+        copy = 0
+        if self.width > 1:
+            copy, key = np.divmod(key, len(self.row_of))
         rows = self.row_of[key]
         if rows.min(initial=0) < 0:
             missing = rows < 0
-            self._fill(key[missing], sig[missing], rel[missing])
+            self._fill(key[missing], rel[missing])
             rows = self.row_of[key]
-        return rows
+        return rows + copy
 
-    def _fill(self, key, sig, rel):
+    def _fill(self, key, rel):
+        """Fill the K rows of every distinct key at once, each as
+        ``_discrete_conditional`` forms it, bit for bit: each grid height
+        adds its four slot energies from 0.0 in slot order, as
+        ``_local_energy`` does (an infinite one keeps the sum infinite, and
+        no other height has finite energy); the finite heights, moved in
+        ascending order to the front of the row, are the support, weighted
+        by ``math.exp(-(e - emin))`` (0.0 at an infinite energy); the total
+        and the running sums are sequential ``np.add.accumulate`` sums,
+        where those +0.0 change no sum.  The K potentials share their finite
+        entries, so a key without a finite-energy height has none for any
+        of them."""
         fresh, first = np.unique(key, return_index=True)
-        end = self.count + len(fresh)
+        at = (fresh // self.span * 4 * self.base)[:, None] + self.slot_offsets + rel[first]
+        terms = self.energies[at]
+        energy = 0.0 + terms[:, 0]
+        for slot in (1, 2, 3):
+            energy += terms[:, slot]
+        energy = energy.reshape(-1, len(self.grid))
+        finite = energy < INF
+        count = finite.sum(axis=1)
+        if not count.all():
+            raise EmptySupport("no height has finite energy")
+        support = np.argsort(~finite, axis=1, kind="stable")
+        energy = energy[np.arange(len(energy))[:, None], support]
+        weights = np.array(list(map(math.exp, (-(energy - energy.min(axis=1)[:, None])).ravel().tolist()))).reshape(energy.shape)
+        sums = np.add.accumulate(weights / np.add.accumulate(weights, axis=1)[:, -1:], axis=1)
+        sums[np.arange(len(self.grid)) >= count[:, None] - 1] = INF
+        end = self.count + len(energy)
         if end > len(self.cdf):
             grow = max(end, 2 * len(self.cdf)) - len(self.cdf)
-            self.vals = np.concatenate([self.vals, np.zeros((grow, self.base), dtype=np.int64)])
-            self.cdf = np.concatenate([self.cdf, np.full((grow, self.base), INF)])
-        for r, i in enumerate(first.tolist(), start=self.count):
-            terms = [(v, h, orient) for (v, orient), h in zip(self.slots[sig[i]], rel[i].tolist())]
-            dist = _discrete_conditional(terms)
-            k = len(dist.support)
-            self.vals[r, :k] = dist.support
-            self.cdf[r, : k - 1] = list(accumulate(dist.probs))[:-1]
-        self.row_of[fresh] = np.arange(self.count, end)
+            self.vals = np.concatenate([self.vals, np.zeros((grow, len(self.grid)), dtype=np.int64)])
+            self.cdf = np.concatenate([self.cdf, np.full((grow, len(self.grid)), INF)])
+        self.vals[self.count : end] = self.grid[support]
+        self.cdf[self.count : end] = sums
+        self.row_of[fresh] = np.arange(self.count, end, self.width)
         self.count = end
 
 
 _TABLE_LIMIT = 1 << 20  # keys of one conditional table (8 MB of row numbers)
 
 
-def _conditional_table(pot) -> _ConditionalTable | None:
-    """The potential's table; None unless the potential is discrete
-    Lipschitz with at most _TABLE_LIMIT keys (increment bounds in the tens
-    exceed it; such chains use the reference code)."""
+def _table_base(pot) -> int | None:
+    """The key base B of the potential's conditional tables; None unless
+    the potential is discrete Lipschitz with at most _TABLE_LIMIT keys
+    (increment bounds in the tens exceed it; such chains use the reference
+    code).  The limit holds for a table over K copies too, as their rows
+    share keys."""
     memo = pot._memo("_conditionals")
-    if "table" not in memo:
-        base = INF
+    if "base" not in memo:
+        base = None
         if pot.discrete and pot.is_lipschitz():
             base = math.floor(2 * max(max(abs(b) for b in p.support()) for p in pot.class_potentials.values())) + 1
-        memo["table"] = _ConditionalTable([pot], base) if pot.lattice.index * base**4 <= _TABLE_LIMIT else None
+            if pot.lattice.index * base**4 > _TABLE_LIMIT:
+                base = None
+        memo["base"] = base
+    return memo["base"]
+
+
+def _conditional_table(pot) -> _ConditionalTable | None:
+    """The potential's table, built once; None without a ``_table_base``."""
+    memo = pot._memo("_conditionals")
+    if "table" not in memo:
+        base = _table_base(pot)
+        memo["table"] = None if base is None else _ConditionalTable([pot], base)
     return memo["table"]
 
 
 def _sweep_plan(pot, config, boundary, order):
-    """(plan, waves, table) when a sweep of ``order`` runs on a plan: a
-    potential with a conditional table, integer heights on the config and
+    """(plan, waves) when a sweep of ``order`` runs on a plan: a potential
+    with a ``_table_base``, integer heights on the config and
     the boundary, every site of the order with four neighbors on the plan,
     and either a region config disjoint from the boundary and the order or
     a torus config with a height at every site, no boundary and a side
     that is a positive multiple of the period (on the 1-torus only the
     empty order qualifies: its one site has no neighbor); else None."""
-    table = _conditional_table(pot)
     boundary = boundary or {}
-    if table is None or not {*map(type, config.values.values()), *map(type, boundary.values())} <= {int}:
+    if _table_base(pot) is None or not {*map(type, config.values.values()), *map(type, boundary.values())} <= {int}:
         return None
     info = config.torus
     if info is None:
@@ -398,7 +461,7 @@ def _sweep_plan(pot, config, boundary, order):
         waves = plan.waves if order is plan.order or tuple(order) == plan.order else _wave_schedule(plan, order)
     except KeyError:
         return None
-    return None if waves is None else (plan, waves, table)
+    return None if waves is None else (plan, waves)
 
 
 def _sweep_waves(table, waves, heights, uniforms):
@@ -459,9 +522,9 @@ class _Chain:
             self.sites = list({**dict.fromkeys(order), **values})
             self.index = {v: i for i, v in enumerate(self.sites)}
         else:
-            self.plan, waves, table = found
+            self.plan, waves = found
             self.sites, self.index = self.plan.sites, self.plan.index
-            self.table = table if copies is None else _ConditionalTable(copies, table.base)
+            self.table = _conditional_table(pot) if copies is None else _ConditionalTable(copies, _table_base(pot))
             # ``copied``: the waves for rows that read the uniform rows ``uses``;
             # ``schedule``: its first rows, for the last sweep's ``shape``
             self.waves = self.schedule = self.copied = waves
@@ -514,6 +577,40 @@ class _Chain:
         terms = np.zeros((len(heights), 1 + inc[0].size))
         terms[:, 1:] = table[[0, 1], plan.sig[:, None], np.clip(1 + inc - lo, 0, table.shape[2] - 1)].reshape(len(heights), -1)
         return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _check_ergodic(pot, info) -> None:
+    """Raise NotErgodic when a cycle of the fundamental-torus steps is tight
+    at the torus slope u (weight w - u.disp of 0) and some class potential
+    of the discrete Lipschitz ``pot`` is not constant on its support:
+    thermodynamic integration asks this before its chains sweep.
+
+    Every edge of a tight cycle sits at an increment bound, so no
+    single-site move changes a site on it: the chain keeps those sites at
+    their start heights, and an average over its sweeps is not one over
+    the class.  Where every class is constant on its support, every config
+    of the class has the same energy, and the average stays exact.  Scaled
+    to integers at a feasible slope, a tight cycle weighs 0 and every other
+    cycle at least 1;
+    lowering each arc by 1 / (S + 1), with S the steps' vertices, makes the
+    tight cycles negative and leaves the others, of at most S arcs,
+    positive, so one relaxation finds one."""
+    if not (pot.discrete and pot.is_lipschitz()):
+        return
+    table = _energy_table(pot)[1]
+    finite = table < INF
+    if (np.where(finite, table, -INF).max(axis=2) == np.where(finite, table, INF).min(axis=2)).all():
+        return
+    steps, disps = _fundamental_torus_steps(pot)
+    u = info.slope
+    q = math.lcm(u[0].denominator, u[1].denominator, *(w.denominator for w in steps.w.flat))
+    scaled = q * (steps.w - disps[..., 0] * u[0] - disps[..., 1] * u[1])
+    found = _InArcs(steps.sites, steps.index, steps.src, ((len(steps.sites) + 1) * scaled - 1).astype(float)).negative_cycle()
+    if found is not None:
+        raise NotErgodic(
+            f"the cycle {found[0]} is tight at slope ({u[0]}, {u[1]}), so single-site moves never change "
+            "its sites; thermodynamic integration needs a slope inside the allowed polytope"
+        )
 
 
 def _torus_start(pot, n: int, slope) -> tuple[HeightConfig, tuple]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gradsurf.errors import Infeasible, NotIncreasing, SlopeMismatch, StateSpaceTooLarge
+from gradsurf.errors import Infeasible, NotErgodic, NotIncreasing, SlopeMismatch, StateSpaceTooLarge
 from gradsurf.feasibility import torus_slope_feasible
 from gradsurf.heights import HeightConfig, TorusInfo
 from gradsurf.lattice import Sublattice, box_region, outer_boundary
@@ -373,6 +373,64 @@ def test_ti_sweeps_all_beta_chains_in_one_wave_pass_per_sweep(monkeypatch, sos_t
     monkeypatch.setattr(sampler, "_sweep_waves", lambda *args: calls.append(len(args[2])) or sweep_waves(*args))
     _ti_energy_integral(sos_trunc1, 4, (F(1, 4), F(0)), 16, RngStream(0, 0))
     assert calls == [21 * 16] * 40
+
+
+def test_ti_fills_each_pattern_for_all_beta_chains_at_once(monkeypatch):
+    # a bench-sized abs1 TI op (n = 4, budget 16): a pattern that one beta
+    # chain meets is filled for all 21 at once, so the op takes fewer fills
+    # than the 77 that filling each potential's rows on its own takes here
+    from gradsurf import sampler
+    from gradsurf.observables import _ti_energy_integral
+
+    added = []
+    fill = sampler._ConditionalTable._fill
+
+    def counted(table, key, *rest):
+        count = table.count
+        fill(table, key, *rest)
+        added.append((table.count - count, len(np.unique(key))))
+
+    monkeypatch.setattr(sampler._ConditionalTable, "_fill", counted)
+    abs1 = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0}))
+    _ti_energy_integral(abs1, 4, (F(0), F(0)), 16, RngStream(0, 0))
+    assert 0 < len(added) < 77
+    assert all(rows == 21 * keys for rows, keys in added)
+
+
+def test_ti_table_keys_stay_within_the_limit(monkeypatch):
+    # increment bounds of +-15 give 31^4 keys, within sampler._TABLE_LIMIT:
+    # the 21 beta chains share one table of that many keys, and no table of
+    # the unscaled potential is built
+    from gradsurf import sampler
+    from gradsurf.observables import _ti_energy_integral
+
+    built = []
+    table = sampler._ConditionalTable
+    monkeypatch.setattr(sampler, "_ConditionalTable", lambda *args: built.append(table(*args)) or built[-1])
+    wide = PeriodicPotential.isotropic("int", TablePotential.from_dict({k: 0.25 * abs(k) for k in range(-15, 16)}))
+    _ti_energy_integral(wide, 2, (F(0), F(0)), 4, RngStream(0, 0))
+    assert [t.row_of.size for t in built] == [31**4] and 31**4 <= sampler._TABLE_LIMIT
+    assert built[0].width == 21
+
+
+def test_ti_raises_at_boundary_slopes_where_transfer_matrix_answers(domino):
+    # at slope (1, 0) every x-increment of abs1 is tight, so no site can
+    # move and the chains would average the start's energy (0.81597 with
+    # stderr 0 at every seed and budget); the exact methods give 0.99975
+    abs1 = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0}))
+    for slope in ((F(1), F(0)), (F(1), F(1)), (F(-1), F(1, 2))):
+        exact = sigma_estimate(abs1, slope, 4, method=TRANSFER_MATRIX)
+        assert exact.value == sigma_estimate(abs1, slope, 4, method=EXACT_SUM).value < INF
+        with pytest.raises(NotErgodic, match="tight"):
+            sigma_estimate(abs1, slope, 4, method=THERMODYNAMIC_INTEGRATION, budget=16, rng=RngStream(0, 0))
+    assert sigma_estimate(abs1, (F(1), F(0)), 4, method=TRANSFER_MATRIX).value == pytest.approx(0.99975, abs=1e-5)
+    inside = sigma_estimate(abs1, (F(3, 4), F(0)), 4, method=THERMODYNAMIC_INTEGRATION, budget=64, rng=RngStream(0, 0))
+    assert inside.stderr > 0
+    # domino energies are constant on their supports, so its boundary
+    # slopes keep the exact answer
+    slope = (F(1, 4), F(1, 4))
+    ti = sigma_estimate(domino, slope, 4, method=THERMODYNAMIC_INTEGRATION, budget=16, rng=RngStream(0, 0))
+    assert (ti.value, ti.stderr) == (sigma_estimate(domino, slope, 4, method=TRANSFER_MATRIX).value, 0.0)
 
 
 @pytest.mark.parametrize(

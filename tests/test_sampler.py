@@ -887,8 +887,8 @@ def test_torus_start_built_once_per_potential(monkeypatch):
 
 
 def test_one_conditional_per_distinct_pattern(monkeypatch):
-    # a domino chain recomputes no site conditional: one
-    # _discrete_conditional call per distinct neighborhood pattern
+    # a domino chain recomputes no site conditional: its table fills one
+    # row per distinct neighborhood pattern and no key twice
     pot = domino_potential()
     start, table = _torus_start(pot, 8, (0, 0))
     stream, sweeps = RngStream(0, 0), 8
@@ -902,13 +902,99 @@ def test_one_conditional_per_distinct_pattern(monkeypatch):
             patterns.add((classes, tuple(h - min(hs) for h in hs)))
             view = HeightConfig(values, start.reference, start.torus)
             values[x] = site_conditional(pot, view, x).quantile(u)
-    calls = []
-    conditional = sampler._discrete_conditional
-
-    def counted(terms):
-        calls.append(terms)
-        return conditional(terms)
-
-    monkeypatch.setattr(sampler, "_discrete_conditional", counted)
+    filled = []
+    fill = sampler._ConditionalTable._fill
+    monkeypatch.setattr(sampler._ConditionalTable, "_fill", lambda self, key, rel: filled.append(np.unique(key)) or fill(self, key, rel))
     assert _library_sweeps(pot, start, table, stream, sweeps) == values
-    assert len(calls) == len(patterns) < len(table) * sweeps // 10
+    keys = np.concatenate(filled)
+    rows = sampler._conditional_table(pot)
+    assert len(np.unique(keys)) == len(keys) == rows.count == (rows.row_of >= 0).sum()
+    assert rows.count == len(patterns) < len(table) * sweeps // 10
+
+
+def _conditional_cases():
+    """(name, potentials of one table): one-potential tables, among them
+    random 2Z^2-periodic tables with ties (one left unnormalized, so with
+    negative energies), and the 21 TI copies of abs2, beta = 0 included."""
+    from gradsurf.observables import _chebyshev_grid, _scale_potential
+    from test_feasibility import _random_periodic_potential
+
+    abs1 = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0}))
+    abs2 = PeriodicPotential.isotropic("int", TablePotential.from_dict({k: 1.07 * abs(k) for k in range(-2, 3)}))
+    rng = random.Random(2323)
+    lat = domino_potential().lattice
+    raw = {
+        (axis, base): TablePotential.from_dict({k: rng.choice([-1.5, -0.5, 0.0, 0.5]) for k in range(rng.randint(-2, 0), rng.randint(0, 2) + 1)})
+        for axis in (0, 1)
+        for base in lat.fundamental_domain()
+    }
+    cases = [
+        ("abs1", [abs1]),
+        ("abs2-scaled", [abs2]),
+        ("domino", [domino_potential()]),
+        ("random-periodic", [_random_periodic_potential(rng)]),
+        ("random-negative", [PeriodicPotential("int", lat, raw)]),
+        ("ti-copies", [_scale_potential(abs2, beta) for beta in _chebyshev_grid()]),
+    ]
+    return [pytest.param(name, pots, id=name) for name, pots in cases]
+
+
+@pytest.mark.parametrize("name, pots", _conditional_cases())
+def test_conditional_fill_matches_discrete_conditional(name, pots):
+    # every filled row holds _discrete_conditional's support and running
+    # sums bit for bit, for each of the K potentials of a pattern; a
+    # pattern without a finite-energy height raises its EmptySupport
+    base = sampler._table_base(pots[0])
+    table = sampler._ConditionalTable(pots, base)
+    lat = pots[0].lattice
+    domain = lat.fundamental_domain()
+    gen = np.random.default_rng(len(name))
+
+    def reference(k, cell, rel):
+        x = domain[cell]
+        around = {(x[0] + dx, x[1] + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+        slots = feasibility._neighbor_slots(x, around, None)
+        terms = [(pots[k].edge_potential(edge), h, o) for (_, _, edge, o), h in zip(slots, rel)]
+        return sampler._discrete_conditional(terms)
+
+    empty = 0
+    for batch in range(6):
+        rel = gen.integers(0, base, size=(40, 4))
+        rel -= rel.min(axis=1, keepdims=True)
+        k, cell = gen.integers(0, len(pots), size=40), gen.integers(0, lat.index, size=40)
+        ok = []
+        for i in range(40):
+            try:
+                reference(k[i], cell[i], rel[i].tolist())
+                ok.append(i)
+            except EmptySupport as exc:
+                message = str(exc)
+                with pytest.raises(EmptySupport) as raised:
+                    table.rows(cell[i : i + 1] + k[i : i + 1] * lat.index, rel[i : i + 1])
+                assert str(raised.value) == message
+                empty += 1
+        table.rows(cell[ok] + k[ok] * lat.index, rel[ok])
+    keys = np.flatnonzero(table.row_of >= 0)
+    assert table.count == len(keys) * len(pots) > 0
+    for key in keys.tolist():
+        cell, digits = divmod(key, base**4)
+        rel = [digits // base**s % base for s in range(4)]
+        for k in range(len(pots)):
+            dist = reference(k, cell, rel)
+            row = table.row_of[key] + k
+            size = len(dist.support)
+            assert table.vals[row, :size].tolist() == list(dist.support)
+            assert table.cdf[row, : size - 1].tolist() == list(itertools.accumulate(dist.probs))[:-1]
+            assert (table.cdf[row, size - 1 :] == math.inf).all()
+    # abs1 and abs2 leave some height finite within every key's spread
+    assert (empty > 0) == (name in ("domino", "random-periodic", "random-negative"))
+
+
+def test_conditional_table_potentials_share_finite_entries():
+    # a key's K rows are filled together, so a key without a finite-energy
+    # height must have none for every potential of the table
+    abs1 = TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0})
+    gapped = TablePotential.from_dict({-1: 1.0, 1: 1.0})
+    pots = [PeriodicPotential.isotropic("int", edge) for edge in (abs1, gapped)]
+    with pytest.raises(ValueError, match="finite entries"):
+        sampler._ConditionalTable(pots, 3)
