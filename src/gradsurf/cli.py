@@ -27,7 +27,7 @@ from .feasibility import (
     _torus_side_fits,
     allowed_slope_polytope,
     distances_csv,
-    shortest_distances,
+    torus_info,
     torus_slope_feasible,
 )
 from .heights import HeightConfig
@@ -35,7 +35,7 @@ from .lattice import outer_boundary
 from .observables import EXACT_SUM, THERMODYNAMIC_INTEGRATION, TRANSFER_MATRIX, convexity_margin, sigma_estimate
 from .potential import PeriodicPotential, validate_sap
 from .rng import RngStream
-from .sampler import _Chain, cftp_samples, torus_sample
+from .sampler import _Chain, _check_ergodic, cftp_samples, torus_sample
 from .tilings import (
     BRUTE_FORCE_LIMIT,
     count_tilings_bruteforce,
@@ -176,6 +176,7 @@ def cmd_sample(cfg, seed, out: Path):
     if mode == "torus":
         n = _torus_side(pot, cfg)
         slope = _slope(cfg.get("slope", [0, 0]))
+        _check_ergodic(pot, torus_info(pot, n, slope))
         for s in range(samples):
             config = torus_sample(pot, n, slope, sweeps, RngStream(seed, s))
             rows.extend(_config_csv(config, s))
@@ -252,8 +253,7 @@ def cmd_feasibility(cfg, seed, out: Path):
     if "distance_region" in cfg:
         region = sorted(_region_from_spec(cfg["distance_region"]))
         graph = FeasibilityGraph.from_potential(pot, region)
-        table = shortest_distances(graph, region)
-        _write(out / "distances.csv", "\n".join(distances_csv(table)) + "\n")
+        _write(out / "distances.csv", "\n".join(distances_csv(region, region, graph.distance_matrix(region))) + "\n")
     checks = []
     for u, n in items:
         checks.append(

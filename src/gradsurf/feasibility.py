@@ -39,6 +39,8 @@ from .potential import INF, PeriodicPotential
 
 Arc = tuple[Vertex, Vertex]
 
+_BATCH_ENTRIES = 1 << 16  # arc entries a batched relaxation reads per round
+
 
 @dataclass(frozen=True)
 class IncrementBounds:
@@ -87,17 +89,22 @@ class _InArcs:
     def relax(self, dist):
         """Lower ``dist`` along every arc at once, one round per vertex,
         and return the tail that last lowered each vertex (-1 for none).
-        Raises NegativeCycle when a vertex is still lowered in the last
-        round: its tails lead back to a negative cycle."""
+        ``dist`` is N + 1 entries or S rows of them, relaxed side by side,
+        each as if alone.  Raises NegativeCycle when a vertex of the first
+        such row is still lowered in the last round: its tails lead back to
+        a negative cycle."""
         size, width = self.src.shape
-        tail = np.full(size, -1)
-        tails, first = self.src.ravel(), np.arange(0, size * width, width)
-        head = dist[:-1]
-        lowered = np.zeros(size, dtype=bool)
+        flat, src, tails, first = dist, self.src, self.src.ravel(), np.arange(0, size * width, width)
+        if dist.ndim == 2:  # row r reads its tails' entries from r (N + 1) on
+            flat = dist.reshape(-1)  # a view: the rows relax in place
+            src = src + np.arange(0, dist.size, size + 1)[:, None, None]
+            tails = np.tile(tails, len(dist))
+            first = np.arange(0, tails.size, width).reshape(len(dist), size)
+        tail, head, lowered = np.full(first.shape, -1), dist[..., :-1], np.zeros(first.shape, dtype=bool)
         for _ in range(size):
-            reach = dist[self.src]
+            reach = flat[src]
             reach += self.w
-            arc = reach.argmin(axis=1) + first  # flat index of each row's best arc
+            arc = reach.argmin(axis=-1) + first  # flat index of each row's best arc
             reach = reach.ravel()[arc]
             lowered = reach < head
             if not lowered.any():
@@ -105,7 +112,8 @@ class _InArcs:
             np.copyto(tail, tails[arc], where=lowered)
             np.minimum(head, reach, out=head)
         if lowered.any():
-            raise NegativeCycle(*self._cycle(tail.tolist(), int(lowered.argmax())))
+            r, v = divmod(int(lowered.argmax()), size)  # the first lowered row's first lowered vertex
+            raise NegativeCycle(*self._cycle(tail.reshape(-1, size)[r].tolist(), v))
         return tail
 
     def _cycle(self, tail, v):
@@ -136,11 +144,18 @@ class _InArcs:
             return exc.witness, exc.weight
         return None
 
-    def distances(self, source: Vertex) -> dict[Vertex, float]:
-        """D(source, .); raises NegativeCycle for a cycle the source reaches."""
-        dist = self.seeded({source: 0.0})[0]
-        self.relax(dist)
-        return dict(zip(self.sites, dist[:-1].tolist()))
+    def distance_matrix(self, sources) -> np.ndarray:
+        """D(source, v) as an (S, N) array: one relaxation per chunk of
+        sources, at most ``_BATCH_ENTRIES`` arc entries a round, row k seeded
+        0 at source k; raises NegativeCycle for a cycle a source reaches."""
+        self.seeded(dict.fromkeys(sources, 0.0))  # ValueError for a source that is not a vertex
+        pins = [self.index[v] for v in sources]
+        table = np.full((len(pins), len(self.sites) + 1), INF)
+        table[np.arange(len(pins)), pins] = 0.0
+        step = max(1, _BATCH_ENTRIES // self.src.size)
+        for lo in range(0, len(pins), step):
+            self.relax(table[lo:lo + step])  # contiguous rows, relaxed in place
+        return table[:, :-1]
 
     def extend(self, partial: Mapping[Vertex, float]):
         """Per row, min over pinned x of phi(x) + D(x, v), from one
@@ -209,7 +224,14 @@ class FeasibilityGraph:
         return FeasibilityGraph(self.vertices, self.reverse, self.forward)
 
     def distances_from(self, source: Vertex) -> dict[Vertex, float]:
-        return self.forward.distances(source)
+        """D(source, .); raises NegativeCycle for a cycle the source reaches."""
+        return dict(zip(self.vertices, self.forward.distance_matrix([source])[0].tolist()))
+
+    def distance_matrix(self, sources) -> np.ndarray:
+        """``_InArcs.distance_matrix``, once the graph has no negative cycle."""
+        if (cycle := self.negative_cycle()) is not None:
+            raise NegativeCycle(*cycle)
+        return self.forward.distance_matrix(sources)
 
     def negative_cycle(self):
         """A witness negative cycle (vertex list, weight) or None."""
@@ -227,18 +249,18 @@ class FeasibilityGraph:
 
 def shortest_distances(graph: FeasibilityGraph, sources: Iterable[Vertex]) -> dict[Vertex, dict[Vertex, float]]:
     """D(source, .) for each source; raises NegativeCycle with a witness."""
-    cycle = graph.negative_cycle()
-    if cycle is not None:
-        raise NegativeCycle(*cycle)
-    return {s: graph.distances_from(s) for s in sources}
+    sources = list(sources)
+    return {s: dict(zip(graph.vertices, row)) for s, row in zip(sources, graph.distance_matrix(sources).tolist())}
 
 
-def distances_csv(distances: dict) -> list[str]:
-    """CSV rows for a distance table from shortest_distances."""
+def distances_csv(sources, targets, table: np.ndarray) -> list[str]:
+    """CSV rows of a distance matrix, a row per source and a column per
+    target, in the order given."""
     rows = ["source_x,source_y,target_x,target_y,distance"]
-    for s in sorted(distances):
-        for t in sorted(distances[s]):
-            rows.append(f"{s[0]},{s[1]},{t[0]},{t[1]},{distances[s][t]}")
+    labels = [f",{t[0]},{t[1]}," for t in targets]
+    for s, row in zip(sources, table.tolist()):
+        lead = f"{s[0]},{s[1]}"
+        rows += [lead + label + d for label, d in zip(labels, map(str, row))]
     return rows
 
 
@@ -418,16 +440,21 @@ def _prune_redundant(halfspaces: list[Halfspace]) -> list[Halfspace]:
 
 def _vertices(halfspaces: list[Halfspace]) -> list[tuple[Fraction, Fraction]]:
     """The sorted vertices of the intersection, exact: the meeting points of
-    two boundary lines that satisfy every halfspace."""
+    two boundary lines that satisfy every halfspace.  Offsets scaled by
+    their common denominator L to integers d put lines 1 and 2 meeting at
+    (x, y) / (L det), det > 0, inside n.u <= d / L iff n.(x, y) <= d det."""
+    scale = math.lcm(*(h.offset.denominator for h in halfspaces))
+    lines = [(*h.normal, h.offset.numerator * (scale // h.offset.denominator)) for h in halfspaces]
     points = set()
-    for h1, h2 in itertools.combinations(halfspaces, 2):
-        det = h1.normal[0] * h2.normal[1] - h1.normal[1] * h2.normal[0]
+    for (a1, b1, d1), (a2, b2, d2) in itertools.combinations(lines, 2):
+        det = a1 * b2 - b1 * a2
         if det == 0:
             continue
-        ux = Fraction(h1.offset * h2.normal[1] - h2.offset * h1.normal[1], det)
-        uy = Fraction(h1.normal[0] * h2.offset - h2.normal[0] * h1.offset, det)
-        if all(dot(h.normal, (ux, uy)) <= h.offset for h in halfspaces):
-            points.add((ux, uy))
+        x, y = d1 * b2 - d2 * b1, a1 * d2 - a2 * d1
+        if det < 0:
+            x, y, det = -x, -y, -det
+        if all(a * x + b * y <= d * det for a, b, d in lines):
+            points.add((Fraction(x, det * scale), Fraction(y, det * scale)))
     return sorted(points)
 
 

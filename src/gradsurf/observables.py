@@ -480,10 +480,13 @@ def variance_profile(
 
     C-hat is the largest sampled single-increment variance over unit edges;
     the verdict checks every requested distance at three standard errors.
+    Raises NotErgodic where single-site moves cannot mix the class
+    (``sampler._check_ergodic``).
     """
     distances = tuple(sorted(distances))
     if not distances or max(distances) >= n:
         raise ValueError("distances must be nonempty and fit inside the torus")
+    _check_ergodic(pot, torus_info(pot, n, slope))
     start, order = _torus_start(pot, n, slope)
     chain = _Chain(pot, start, order=order)
     counter = 0

@@ -582,8 +582,10 @@ class _Chain:
 def _check_ergodic(pot, info) -> None:
     """Raise NotErgodic when a cycle of the fundamental-torus steps is tight
     at the torus slope u (weight w - u.disp of 0) and some class potential
-    of the discrete Lipschitz ``pot`` is not constant on its support:
-    thermodynamic integration asks this before its chains sweep.
+    of the discrete Lipschitz ``pot`` is not constant on its support: torus
+    sampling, variance profiles and thermodynamic integration ask this once
+    before their chains sweep.  At a slope outside the allowed polytope it
+    raises nothing, leaving Infeasible to the chain's start.
 
     Every edge of a tight cycle sits at an increment bound, so no
     single-site move changes a site on it: the chain keeps those sites at
@@ -606,10 +608,10 @@ def _check_ergodic(pot, info) -> None:
     q = math.lcm(u[0].denominator, u[1].denominator, *(w.denominator for w in steps.w.flat))
     scaled = q * (steps.w - disps[..., 0] * u[0] - disps[..., 1] * u[1])
     found = _InArcs(steps.sites, steps.index, steps.src, ((len(steps.sites) + 1) * scaled - 1).astype(float)).negative_cycle()
-    if found is not None:
+    if found is not None and _InArcs(steps.sites, steps.index, steps.src, scaled.astype(float)).negative_cycle() is None:
         raise NotErgodic(
             f"the cycle {found[0]} is tight at slope ({u[0]}, {u[1]}), so single-site moves never change "
-            "its sites; thermodynamic integration needs a slope inside the allowed polytope"
+            "its sites; a single-site chain needs a slope inside the allowed polytope"
         )
 
 

@@ -612,6 +612,25 @@ def cycle_polytope(pot, cycle_length_bound=None):
     return SlopePolytope(halfspaces=tuple(_prune_redundant(halfspaces)), feasible=feasible)
 
 
+def fraction_vertices(halfspaces):
+    """The sorted vertices of the intersection of halfspaces n.u <= offset
+    with rational offsets: each meeting point of two boundary lines, solved
+    in Fractions, kept when every halfspace holds at it."""
+    from fractions import Fraction
+
+    points = set()
+    for h1, h2 in itertools.combinations(halfspaces, 2):
+        (a1, b1), (a2, b2) = h1.normal, h2.normal
+        det = a1 * b2 - b1 * a2
+        if det == 0:
+            continue
+        ux = Fraction(h1.offset * b2 - h2.offset * b1, det)
+        uy = Fraction(a1 * h2.offset - a2 * h1.offset, det)
+        if all(h.normal[0] * ux + h.normal[1] * uy <= h.offset for h in halfspaces):
+            points.add((ux, uy))
+    return sorted(points)
+
+
 def at_rows(streams, counters, size):
     """The reference of ``rng.block``: row k is
     ``streams[k].at(counters[k]).random(size)``, one numpy generator per row."""

@@ -123,6 +123,25 @@ def test_feasibility_distances_keep_isolated_vertices(tmp_path):
     assert rows[1:] == ["0,0,0,0,0.0", "0,0,3,3,inf", "3,3,0,0,inf", "3,3,3,3,0.0"]
 
 
+def test_torus_sample_at_a_boundary_slope_raises_not_ergodic(tmp_path):
+    # at slope (1, 0) every x-increment of abs1 is tight, so the chain
+    # would return its start surface unchanged: the command refuses it; an
+    # infeasible slope still fails as Infeasible, and domino, whose energies
+    # are constant on their supports, still samples at (1/4, 1/4)
+    for potential, slope, error in (
+        (_ABS1, [1, 0], "NotErgodic"),
+        (_ABS1, [2, 0], "Infeasible"),
+        ({"preset": "domino"}, ["1/4", "1/4"], None),
+    ):
+        cfg = {"potential": potential, "mode": "torus", "n": 4, "slope": slope, "sweeps": 4, "samples": 2}
+        out = tmp_path / f"{error}"
+        rc = main(["sample", "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+        if error is None:
+            assert rc == 0 and len((out / "samples.csv").read_text().splitlines()) == 1 + 2 * 16
+        else:
+            assert rc == 2 and json.loads((out / "error.json").read_text())["error"] == error
+
+
 def test_sample_torus_manifest(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -292,6 +311,18 @@ _WIDE_40 = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "ta
 # V(0) = 1, V(+-1) = 0: not convex, so it fails validation
 _NONCONVEX = {"domain": "int", "period": [[1, 0], [0, 1]], "classes": {"kind": "table", "values": {"-1": 0.0, "0": 1.0, "1": 0.0}}}
 
+# real heights, increments in [-0.2, 1.1] on axis 0 and [-0.3, inf) on
+# axis 1: distances such as 3.3000000000000003 and inf, and an isolated
+# vertex, in the distance table
+_REAL_BOUNDS = {
+    "domain": "real",
+    "period": [[1, 0], [0, 1]],
+    "classes": [
+        {"axis": 0, "base": [0, 0], "potential": {"kind": "pwl", "breakpoints": [-0.2, 0.0, 1.1], "values": [0.5, 0.0, 1.0]}},
+        {"axis": 1, "base": [0, 0], "potential": {"kind": "pwl", "breakpoints": [-0.3, 0.0], "values": [0.75, 0.0], "right_slope": 1.0}},
+    ],
+}
+
 _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not in {(4, 5), (5, 5)})
 
 
@@ -444,12 +475,33 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
         (
             "feasibility",
             {"potential": _ABS1, "distance_region": _box_10x10(1, 2)},
-            {"distances.csv": "acd20c9d21209e4eb82b7d272c435bffff8789ab74f106fda1b732f2375d1eb8"},
+            {
+                "distances.csv": "acd20c9d21209e4eb82b7d272c435bffff8789ab74f106fda1b732f2375d1eb8",
+                "polytope.csv": "d15df3a7b1851fb08ceb8cf52681348ce47b34c8e9055cad72cf66a8065a8677",
+                "feasibility.json": "406695a1f7c8c58158a6da3c1bfefa3919f5b43d97a656763b2caef15acb700b",
+            },
         ),
         (
             "feasibility",
             {"potential": {"preset": "domino"}, "distance_region": _box_10x10(3, 1)},
-            {"distances.csv": "c5510bfb08b6c06373691bca4732f593937dc5f2080c5dc0c7c4759cab86a248"},
+            {
+                "distances.csv": "c5510bfb08b6c06373691bca4732f593937dc5f2080c5dc0c7c4759cab86a248",
+                "polytope.csv": "33adb671d51dc1dcd221981b5fc0b64d9a723b172ca3dac4e49449910dbb8d50",
+                "feasibility.json": "406695a1f7c8c58158a6da3c1bfefa3919f5b43d97a656763b2caef15acb700b",
+            },
+        ),
+        (
+            "feasibility",
+            {
+                "potential": _REAL_BOUNDS,
+                "distance_region": [[i, j] for i in range(4) for j in range(3)] + [[7, 7]],
+                "slopes": [{"slope": ["1/4", "0"], "n": 4}, {"slope": ["0", "1/2"], "n": 2}],
+            },
+            {
+                "distances.csv": "98aa812cf1cef4d3d3b3e6669370c52b7ee93e881d4f0e87e123df1e59d67b58",
+                "polytope.csv": "d7eb2617dda1b2e41e346f3cf475e819cd709d39d4253e8a02b0e1d57e77d7ac",
+                "feasibility.json": "0851b4318e54d242a9a70c8965beed06da32be07e217eef0ba7250136ce4713f",
+            },
         ),
     ],
     ids=[
@@ -457,7 +509,7 @@ def test_region_sample_starts_from_integer_heights(tmp_path):
         "sample-torus-abs2-sloped", "sample-torus-gaussian", "sample-torus-sos-abs", "swap-abs1-n6",
         "swap-abs2-n5-sloped", "swap-domino-n2", "swap-torus-gaussian", "swap-torus-sos-abs", "swap-wide-table-n4", "tile-notched-6x6", "tile-6x6", "sigma-ti-abs1-n4",
         "sigma-ti-periodic2-n4-budget64", "sigma-ti-domino-sloped-n4-budget64",
-        "distances-abs1-10x10", "distances-domino-10x10",
+        "distances-abs1-10x10", "distances-domino-10x10", "distances-real-bounds",
     ],
 )
 def test_region_outputs_match_golden_digests(tmp_path, command, cfg, digests):

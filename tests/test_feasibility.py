@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from gradsurf import feasibility
 from gradsurf.errors import GradsurfError, Infeasible, NegativeCycle, StateSpaceTooLarge
 from gradsurf.feasibility import (
     FeasibilityGraph,
+    Halfspace,
     allowed_slope_polytope,
     enumerate_region_configs,
     enumerate_torus_configs,
@@ -19,7 +21,7 @@ from gradsurf.feasibility import (
     shortest_distances,
     torus_slope_feasible,
 )
-from gradsurf.lattice import Sublattice, box_region, outer_boundary
+from gradsurf.lattice import Sublattice, box_region, neighbors, outer_boundary
 from gradsurf.observables import log_partition_exact
 from gradsurf.potential import (
     INF,
@@ -38,6 +40,7 @@ from oracles import (
     bellman_ford_distances,
     cycle_polytope,
     enumerate_feasible_configs,
+    fraction_vertices,
     graph_negative_cycle,
     graph_windows,
     region_arcs,
@@ -105,6 +108,7 @@ def test_pin_or_source_outside_the_graph_raises_value_error(sos_trunc1):
         lambda: extend_boundary(g, {(5, 5): 0}),
         lambda: extend_boundary_min(g, {(0, 0): 0, (5, 5): 0}),
         lambda: g.distances_from((5, 5)),
+        lambda: g.distance_matrix([(0, 0), (5, 5), (0, 0)]),
         lambda: shortest_distances(g, [(0, 0), (5, 5)]),
     ]
     for run in runs:
@@ -139,6 +143,95 @@ def test_distances_match_path_enumeration_random_graphs():
             for x in verts:
                 for y in verts:
                     assert dists[x][y] == oracle[(x, y)]
+
+
+def _random_region_arcs(rng, side, weight):
+    """Most vertices of a side x side box and, each with probability 0.7,
+    the arcs between grid neighbours at weight(); one vertex keeps no arc."""
+    verts = [v for v in sorted(box_region(side, side)) if rng.random() < 0.85] or [(0, 0)]
+    alone = rng.choice(verts)
+    kept = set(verts) - {alone}
+    arcs = {(x, y): weight() for x in sorted(kept) for y in neighbors(x) if y in kept and rng.random() < 0.7}
+    return verts, arcs
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_distance_matrix_equals_per_source_bellman_ford(kind):
+    # every entry of the batched table equals the dict Bellman-Ford
+    # distance exactly: +inf for unreachable pairs and isolated vertices,
+    # and a repeated source repeats its row; a graph with a negative cycle
+    # raises the one witness of the all-zero relaxation
+    rng = random.Random(f"distance-matrix-{kind}")
+    weight = (lambda: rng.randint(-1, 6)) if kind == "int" else (lambda: rng.randint(-3, 22) / 10)
+    tables = cycles = 0
+    for _ in range(60):
+        verts, arcs = _random_region_arcs(rng, rng.randint(1, 6), weight)
+        g = FeasibilityGraph.from_arcs(arcs, verts)
+        sources = [rng.choice(verts) for _ in range(rng.randint(1, 2 * len(verts)))]
+        if graph_negative_cycle(verts, arcs) is not None:
+            with pytest.raises(NegativeCycle) as exc:
+                g.distance_matrix(sources)
+            assert (exc.value.witness, exc.value.weight) == g.negative_cycle()
+            cycles += 1
+            continue
+        oracle = bellman_ford_distances(verts, arcs, sorted(set(sources)))
+        table = g.distance_matrix(sources)
+        assert table.shape == (len(sources), len(verts))
+        assert table.tolist() == [[oracle[(s, v)] for v in verts] for s in sources]
+        assert shortest_distances(g, sources) == {s: {v: oracle[(s, v)] for v in verts} for s in sources}
+        tables += 1
+    assert tables >= 20 and cycles >= 5
+
+
+def test_distance_matrix_in_chunks_matches_bellman_ford_on_a_30x30_box(monkeypatch):
+    # 900 sources of a 30 x 30 box relax in several chunks of rows; sampled
+    # rows equal the dict Bellman-Ford distances exactly
+    rng = random.Random(30)
+    verts = sorted(box_region(30, 30))
+    inside = set(verts)
+    arcs = {(x, y): rng.randint(0, 12) / 10 for x in verts for y in neighbors(x) if y in inside}
+    g = FeasibilityGraph.from_arcs(arcs, verts)
+    shapes = []
+    relax = feasibility._InArcs.relax
+    monkeypatch.setattr(feasibility._InArcs, "relax", lambda self, dist: shapes.append(dist.shape) or relax(self, dist))
+    table = g.distance_matrix(verts)
+    assert shapes[0] == (901,)  # the negative-cycle check, then the chunks
+    assert len(shapes) > 2 and sum(rows for rows, _ in shapes[1:]) == 900
+    sample = sorted(rng.sample(range(900), 4))
+    oracle = bellman_ford_distances(verts, arcs, [verts[k] for k in sample])
+    for k in sample:
+        assert table[k].tolist() == [oracle[(verts[k], v)] for v in verts]
+
+
+def test_batched_rows_raise_the_witness_of_their_own_relaxation():
+    # (0, 0) reaches the negative cycle (1, 0) -> (2, 0) -> (2, 1) -> (1, 1)
+    # -> (1, 0), (10, 0) a shifted copy of it and (5, 5) no cycle: a batch
+    # raises the witness that the one-row relaxation of its first source
+    # that reaches a cycle raises, and (5, 5)'s row alone relaxes
+    arcs = {((5, 5), (6, 5)): 1.0}
+    for dx in (0, 10):
+        ring = [(1 + dx, 0), (2 + dx, 0), (2 + dx, 1), (1 + dx, 1)]
+        arcs[((dx, 0), ring[0])] = 2.0
+        arcs.update({(x, y): -0.5 for x, y in zip(ring, ring[1:] + ring[:1])})
+    g = FeasibilityGraph.from_arcs(arcs)
+    witness = {}
+    for x in ((0, 0), (10, 0)):
+        with pytest.raises(NegativeCycle) as alone:
+            g.forward.relax(g.forward.seeded({x: 0.0})[0])
+        witness[x] = (alone.value.witness, alone.value.weight)
+    assert witness[(0, 0)] == ([(1, 0), (2, 0), (2, 1), (1, 1), (1, 0)], -2)
+    assert witness[(10, 0)] == ([(11, 0), (12, 0), (12, 1), (11, 1), (11, 0)], -2)
+    for sources, first in (
+        ([(0, 0)], (0, 0)),
+        ([(5, 5), (0, 0), (10, 0)], (0, 0)),
+        ([(5, 5), (10, 0), (5, 5), (0, 0)], (10, 0)),
+        ([(10, 0), (5, 5)], (10, 0)),
+    ):
+        with pytest.raises(NegativeCycle) as exc:
+            g.forward.distance_matrix(sources)
+        assert (exc.value.witness, exc.value.weight) == witness[first]
+    assert g.distances_from((5, 5)) == {v: {(5, 5): 0.0, (6, 5): 1.0}.get(v, INF) for v in g.vertices}
+    assert g.negative_cycle() == graph_negative_cycle(g.vertices, arcs) == witness[(0, 0)]
 
 
 def test_distance_triangle_inequality(domino):
@@ -361,6 +454,34 @@ def test_polytope_matches_torus_feasibility_at_period_8():
             assert poly.contains(u) == torus_slope_feasible(pot, 8, u), u
             inside += poly.contains(u)
     assert 0 < inside < 33 * 33
+
+
+def test_integer_vertices_equal_fraction_vertices():
+    # random halfspace sets with repeated, parallel and opposite lines, so
+    # some intersections are empty, segments or single points, and offsets
+    # that are integers, small fractions or exact binary fractions
+    rng = random.Random(24)
+    normals = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    offsets = [lambda: rng.randint(-5, 5), lambda: F(rng.randint(-12, 12), rng.randint(1, 6)), lambda: F(rng.randint(-30, 30) / 10)]
+    shapes = collections.Counter()
+    for _ in range(600):
+        hs = [Halfspace(rng.choice(normals), rng.choice(offsets)(), ()) for _ in range(rng.randint(0, 6))]
+        for h in rng.sample(hs, min(len(hs), rng.randint(0, 2))):
+            a, b = h.normal
+            hs.append(rng.choice([h, Halfspace(h.normal, h.offset + rng.randint(-2, 2), ()), Halfspace((-a, -b), -h.offset + rng.choice([-1, 0, 0, 1]), ())]))
+        rng.shuffle(hs)
+        points = feasibility._vertices(hs)
+        assert points == fraction_vertices(hs)
+        shapes[min(len(points), 3)] += 1
+    assert all(shapes[k] > 20 for k in range(4))
+    x_is_1 = [Halfspace((1, 0), F(1), ()), Halfspace((-1, 0), F(-1), ())]
+    for hs, points in (
+        (x_is_1 + [Halfspace((0, 1), 2, ()), Halfspace((0, -1), -2, ())], [(1, 2)]),
+        (x_is_1 + [Halfspace((0, 1), 2, ()), Halfspace((0, -1), 0, ()), Halfspace((0, 1), 2, ())], [(1, 0), (1, 2)]),
+        ([Halfspace((1, 0), 0, ()), Halfspace((-1, 0), -1, ()), Halfspace((0, 1), 1, ()), Halfspace((0, -1), 1, ())], []),
+        ([Halfspace((1, 1), F(1, 3), ()), Halfspace((1, -1), F(1, 7), ()), Halfspace((-1, 0), F(1), ())], [(-1, F(-8, 7)), (-1, F(4, 3)), (F(5, 21), F(2, 21))]),
+    ):
+        assert feasibility._vertices(hs) == fraction_vertices(hs) == points
 
 
 def test_polytope_soundness_domino(domino):

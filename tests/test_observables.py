@@ -433,6 +433,18 @@ def test_ti_raises_at_boundary_slopes_where_transfer_matrix_answers(domino):
     assert (ti.value, ti.stderr) == (sigma_estimate(domino, slope, 4, method=TRANSFER_MATRIX).value, 0.0)
 
 
+def test_variance_profile_raises_at_boundary_slopes(domino):
+    # the profile's chain would never move a site on a tight cycle, so
+    # abs1 at (1, 0) is refused before any sweep; inside the polytope it
+    # runs, and domino keeps its boundary slopes
+    abs1 = PeriodicPotential.isotropic("int", TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0}))
+    with pytest.raises(NotErgodic, match="single-site chain needs a slope inside the allowed polytope"):
+        variance_profile(abs1, 4, (F(1), F(0)), distances=(1, 2), trials=2, rng=RngStream(0, 0), burn_in=1, batches=2)
+    for pot, slope in ((abs1, (F(3, 4), F(0))), (domino, (F(1, 4), F(1, 4)))):
+        prof = variance_profile(pot, 4, slope, distances=(1, 2), trials=2, rng=RngStream(0, 0), burn_in=1, batches=2)
+        assert len(prof.variances) == 2
+
+
 @pytest.mark.parametrize(
     "edge",
     [PiecewiseLinearPotential((-1, 0, 1), (1, 0, 1)), TablePotential.from_dict({-1: 1.0, 0: 0.0, 1: 1.0})],
