@@ -228,7 +228,7 @@ class FeasibilityGraph:
         return dict(zip(self.vertices, self.forward.distance_matrix([source])[0].tolist()))
 
     def distance_matrix(self, sources) -> np.ndarray:
-        """``_InArcs.distance_matrix``, once the graph has no negative cycle."""
+        """``_InArcs.distance_matrix``; first raises the graph's NegativeCycle."""
         if (cycle := self.negative_cycle()) is not None:
             raise NegativeCycle(*cycle)
         return self.forward.distance_matrix(sources)
