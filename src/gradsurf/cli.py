@@ -153,12 +153,21 @@ def _manifest(command: str, cfg: dict, seed: int, pot: PeriodicPotential | None)
     }
 
 
-def _config_csv(config, sample_id=None) -> list[str]:
-    rows = []
-    for (x, y), h in config.sorted_items():
-        prefix = f"{sample_id}," if sample_id is not None else ""
-        rows.append(f"{prefix}{x},{y},{h}")
-    return rows
+def _samples_csv(configs) -> str:
+    """The ``sample,x,y,height`` table of the configs, sample s's heights in
+    sorted site order.  The sites are sorted once per key order, into a
+    template of ``{0},x,y,{k}`` lines, k the site's place in that order,
+    that one ``str.format`` call fills with s and the config's heights as
+    they come; ``"{}"`` formats a height as ``format(h, "")`` does, as an
+    f-string would."""
+    lines, templates = ["sample,x,y,height"], {}
+    for s, config in enumerate(configs):
+        keys = tuple(config.values)
+        if keys not in templates:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            templates[keys] = "\n".join(f"{{0}},{keys[k][0]},{keys[k][1]},{{{k + 1}}}" for k in order)
+        lines.append(templates[keys].format(s, *config.values.values()))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +181,11 @@ def cmd_sample(cfg, seed, out: Path):
         raise ConfigParse(f"unknown sample mode {mode!r}")
     samples = _integer(cfg, "samples", 1, least=0)
     sweeps = _integer(cfg, "sweeps", 64, least=0)
-    rows = ["sample,x,y,height"]
     if mode == "torus":
         n = _torus_side(pot, cfg)
         slope = _slope(cfg.get("slope", [0, 0]))
         _check_ergodic(pot, torus_info(pot, n, slope))
-        for s in range(samples):
-            config = torus_sample(pot, n, slope, sweeps, RngStream(seed, s))
-            rows.extend(_config_csv(config, s))
+        table = _samples_csv(torus_sample(pot, n, slope, sweeps, RngStream(seed, s)) for s in range(samples))
     else:
         region, boundary = _region_with_boundary(cfg)
         if pot.is_lipschitz():
@@ -189,15 +195,19 @@ def cmd_sample(cfg, seed, out: Path):
             start = HeightConfig({v: cast(top[v]) for v in region}, reference=region[0])
         else:  # flat at boundary_level, the plane through the pins
             start = HeightConfig(dict.fromkeys(region, boundary[min(boundary)]), reference=region[0])
-        for s in range(samples):
-            chain = _Chain(pot, start, boundary)
-            stream = RngStream(seed, s)
-            for t in range(sweeps):
-                chain.sweep([stream.at(t).random(len(chain.order))])
-            rows.extend(_config_csv(chain.config(), s))
-    _write(out / "samples.csv", "\n".join(rows) + "\n")
+        table = _samples_csv(_region_sample(pot, start, boundary, sweeps, RngStream(seed, s)) for s in range(samples))
+    _write(out / "samples.csv", table)
     _write_json(out / "manifest.json", _manifest("sample", cfg, seed, pot))
     return 0
+
+
+def _region_sample(pot, start, boundary, sweeps, stream):
+    """A heat-bath chain from ``start`` after ``sweeps`` sweeps, sweep t
+    with ``stream.at(t)``."""
+    chain = _Chain(pot, start, boundary)
+    for t in range(sweeps):
+        chain.sweep([stream.at(t).random(len(chain.order))])
+    return chain.config()
 
 
 def _region_with_boundary(cfg):
@@ -211,10 +221,8 @@ def cmd_cftp(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
     region, boundary = _region_with_boundary(cfg)
     samples = _integer(cfg, "samples", 1, least=0)
-    rows = ["sample,x,y,height"]
-    for s, config in enumerate(cftp_samples(pot, region, boundary, [RngStream(seed, s) for s in range(samples)])):
-        rows.extend(_config_csv(config, s))
-    _write(out / "samples.csv", "\n".join(rows) + "\n")
+    configs = cftp_samples(pot, region, boundary, [RngStream(seed, s) for s in range(samples)])
+    _write(out / "samples.csv", _samples_csv(configs))
     _write_json(out / "manifest.json", _manifest("cftp", cfg, seed, pot))
     return 0
 
@@ -231,15 +239,14 @@ def cmd_tile(cfg, seed, out: Path):
     samples = _integer(cfg, "samples", 0, least=0)
     if samples:
         rows = ["sample,square1_x,square1_y,square2_x,square2_y"]
-        height_rows = ["sample,x,y,height"]
-        for s, t in enumerate(uniform_tiling_samples(region, [RngStream(seed, s) for s in range(samples)])):
+        tilings = uniform_tiling_samples(region, [RngStream(seed, s) for s in range(samples)])
+        for s, t in enumerate(tilings):
             for d in sorted(tuple(sorted(dom)) for dom in t.dominoes):
                 (ax, ay), (bx, by) = d
                 rows.append(f"{s},{ax},{ay},{bx},{by}")
-            for (x, y), h in matching_to_height(t).sorted_items():
-                height_rows.append(f"{s},{x},{y},{h}")
+        heights = _samples_csv(map(matching_to_height, tilings))
         _write(out / "tilings.csv", "\n".join(rows) + "\n")
-        _write(out / "heights.csv", "\n".join(height_rows) + "\n")
+        _write(out / "heights.csv", heights)
     _write_json(out / "counts.json", result)
     _write_json(out / "manifest.json", _manifest("tile", cfg, seed, None))
     return 0

@@ -388,6 +388,23 @@ def _fundamental_torus_steps(pot: PeriodicPotential):
     return _InArcs(sites, index, src, weights), disps
 
 
+def _integer_weights(steps: _InArcs, disps):
+    """The function u -> q (w - u.disp) of a rational slope u, as Python
+    ints, for the exact step weights w and their displacements, q the
+    least common multiple of the weights' and u's denominators.  The
+    weights are put over their common denominator L once, as integers W,
+    so a slope costs (q / L) W - (q u1) dx - (q u2) dy in integers."""
+    scale = math.lcm(*(w.denominator for w in steps.w.flat))
+    whole = np.frompyfunc(lambda w: w.numerator * (scale // w.denominator), 1, 1)(steps.w)
+    dx, dy = disps[..., 0], disps[..., 1]
+
+    def at_slope(u):
+        q = math.lcm(scale, u[0].denominator, u[1].denominator)
+        return q // scale * whole - q // u[0].denominator * u[0].numerator * dx - q // u[1].denominator * u[1].numerator * dy
+
+    return at_slope
+
+
 def allowed_slope_polytope(pot: PeriodicPotential) -> SlopePolytope:
     """The slopes u at which the fundamental-torus steps, weighted
     w - u.disp, have no negative cycle, by cutting planes from a box that
@@ -397,13 +414,13 @@ def allowed_slope_polytope(pot: PeriodicPotential) -> SlopePolytope:
     and a vertex without one is confirmed.  A negative cycle of displacement
     (0, 0), or a polygon cut empty, leaves no slope."""
     steps, disps = _fundamental_torus_steps(pot)
+    at_slope = _integer_weights(steps, disps)
     bound = 2 * len(steps.sites) ** 2 * max(map(abs, steps.w.ravel())) + 1
     cuts = {(normal, bound): Halfspace(normal, bound, ()) for normal in ((1, 0), (-1, 0), (0, 1), (0, -1))}
     confirmed: set = set()
     while not confirmed.issuperset(corners := _vertices(list(cuts.values()))):
         for u in [c for c in corners if c not in confirmed]:
-            q = math.lcm(u[0].denominator, u[1].denominator, *(w.denominator for w in steps.w.flat))
-            scaled = np.frompyfunc(int, 1, 1)(q * (steps.w - disps[..., 0] * u[0] - disps[..., 1] * u[1]))
+            scaled = at_slope(u)
             found = _InArcs(steps.sites, steps.index, steps.src, scaled).negative_cycle()
             if found is None:
                 confirmed.add(u)

@@ -48,13 +48,16 @@ loop.  Every other route runs its rows under one potential.
 - CFTP (``cftp_samples``) sweeps the top and bottom chains of many samples
   as the rows of one chain, a sample's two rows reading one row of
   uniforms; ``cftp_sample`` is its one-stream case.  A sweep that raises is
-  replayed site by site (``_replay``).  An epoch's uniforms come from one
-  ``rng.block`` call per slice (``_uniform_rows``), equal to the per-row
-  ``at`` draws.
+  replayed site by site (``_replay``).  Each (stream, time) row of
+  uniforms is drawn once: an epoch of span 2S draws only times [-2S, -S),
+  by one ``rng.block`` call per slice (``_uniform_rows``), equal to the
+  per-row ``at`` draws, and replays the rows of [-S, 0) the epoch before
+  kept, where they fit in _CFTP_HEIGHTS doubles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -67,6 +70,7 @@ from .feasibility import (
     _energy_table,
     _fundamental_torus_steps,
     _InArcs,
+    _integer_weights,
     _local_energy,
     _neighbor_terms,
     _region_plan,
@@ -605,8 +609,7 @@ def _check_ergodic(pot, info) -> None:
         return
     steps, disps = _fundamental_torus_steps(pot)
     u = info.slope
-    q = math.lcm(u[0].denominator, u[1].denominator, *(w.denominator for w in steps.w.flat))
-    scaled = q * (steps.w - disps[..., 0] * u[0] - disps[..., 1] * u[1])
+    scaled = _integer_weights(steps, disps)(u)
     found = _InArcs(steps.sites, steps.index, steps.src, ((len(steps.sites) + 1) * scaled - 1).astype(float)).negative_cycle()
     if found is not None and _InArcs(steps.sites, steps.index, steps.src, scaled.astype(float)).negative_cycle() is None:
         raise NotErgodic(
@@ -667,12 +670,14 @@ def cftp_samples(pot, region, boundary, streams, max_epochs: int = 22) -> list[H
     most _CFTP_HEIGHTS chain heights, in stream order (``_cftp_chunk``):
     every epoch sweeps the chains of a chunk's samples that have not
     coalesced at once, and each sample uses ``stream.at(t).random(size)``
-    at time t, ``size`` the free sites, as it would alone.  An epoch's
-    draws come from ``rng.block`` in slices of at most
-    max(_CFTP_HEIGHTS, size) doubles (``_uniform_rows``), each row equal to
-    that ``at`` call bit for bit.  So sample a equals ``cftp_sample`` with
-    streams[a], and the batch raises what the first of those calls to fail
-    raises.
+    at time t, ``size`` the free sites, as it would alone.  Each such row
+    is drawn once: an epoch draws the times the epoch before did not sweep
+    from ``rng.block`` in slices of at most max(_CFTP_HEIGHTS, size)
+    doubles (``_uniform_rows``), each row equal to that ``at`` call bit for
+    bit, and replays the rows the epoch before kept (all its rows, where
+    they fit in _CFTP_HEIGHTS doubles).  So sample a equals ``cftp_sample``
+    with streams[a], and the batch raises what the first of those calls to
+    fail raises.
     """
     streams, region = list(streams), sorted(region)
     free = [v for v in region if v not in boundary]
@@ -696,16 +701,30 @@ def _cftp_chunk(chain, start, streams, max_epochs):
     of chains from the (2, N) ``start`` coalesces; each epoch puts sample a
     of the active ones in rows 2a and 2a + 1.  A failing sample and those
     after it leave the batch and the others go on, so the first sample to
-    fail or to exhaust the epoch budget is the one whose error is raised."""
+    fail or to exhaust the epoch budget is the one whose error is raised.
+
+    An epoch of span 2S sweeps times [-2S, 0), and the epoch before swept
+    [-S, 0) with the same rows: it draws [-2S, -S) and replays the ``kept``
+    rows.  It keeps its own rows for the next epoch when they fit, len(active)
+    * span * size <= _CFTP_HEIGHTS doubles (the bound of one slice), and
+    drops the rows of the samples that coalesce or fail; otherwise nothing is
+    kept and the next epoch draws all its times."""
     active = list(range(len(streams)))
     ends = [None] * len(streams)
     failure = None
-    span, sweeps = 1, 0
+    span, sweeps, size = 1, 0, len(chain.order)
     cols = [chain.index[v] for v in chain.start.values]
+    kept = np.empty((0, 0, size))  # (time, sample, site): the last epoch's rows of the active samples
     while active and max_epochs >= 0 and span <= (1 << max_epochs):
         chain.heights = np.tile(start, (len(active), 1))
-        for uniforms in _uniform_rows([streams[a] for a in active], range(-span, 0), len(chain.order)):
-            failed = _coupled_sweep(chain, uniforms[: len(active)])
+        keep = len(active) * span * size <= _CFTP_HEIGHTS
+        rows = []
+        drawn = _uniform_rows([streams[a] for a in active], range(-span, -len(kept)), size)
+        for uniforms in itertools.chain(drawn, kept):
+            uniforms = uniforms[: len(active)]
+            if keep:
+                rows.append(uniforms)
+            failed = _coupled_sweep(chain, uniforms)
             if failed is not None:
                 k, failure = failed
                 active, chain.heights = active[:k], chain.heights[: 2 * k]
@@ -716,6 +735,7 @@ def _cftp_chunk(chain, start, streams, max_epochs):
         done = (tops == chain.heights[1::2]).all(axis=1)
         for k, heights in zip(np.flatnonzero(done).tolist(), tops[done][:, cols].tolist()):
             ends[active[k]] = heights
+        kept = np.stack([u[: len(active)] for u in rows])[:, ~done] if rows else kept[:0]
         active = [a for a, d in zip(active, done.tolist()) if not d]
         span *= 2
     if active:
@@ -731,7 +751,9 @@ def _uniform_rows(streams, times, size, offsets=None):
     default), drawn by ``rng.block`` in slices of as many rows as fit in
     _CFTP_HEIGHTS doubles (one at least), a slice holding the rows of whole
     times while they fit.  So a slice holds at most max(_CFTP_HEIGHTS,
-    size) doubles."""
+    size) doubles.  Each call draws every row it yields; CFTP passes only
+    the times its last epoch did not keep, and thermodynamic integration
+    every sweep of every beta node once."""
     offsets = [0] * len(streams) if offsets is None else offsets
     rows = max(1, _CFTP_HEIGHTS // max(1, size))
     step = max(1, rows // len(streams))

@@ -56,8 +56,9 @@ def all_simple_path_distances(vertices, arcs):
     return dist
 
 
-def count_tilings_backtracking(squares):
-    """Exhaustive matching count by backtracking over the square set."""
+def backtrack_tiling_count(squares):
+    """Exhaustive matching count by plain backtracking over the square set:
+    ``tilings.count_tilings_bruteforce``'s recurrence without its memo."""
     sq = frozenset(squares)
 
     def rec(uncovered):

@@ -2,11 +2,14 @@ import collections
 import filecmp
 import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gradsurf.cli import main
+from gradsurf.cli import _samples_csv, main
+from gradsurf.heights import HeightConfig
 
 
 def _write_config(tmp_path, name, cfg):
@@ -328,6 +331,37 @@ _NOTCHED_6X6 = sorted([i, j] for i in range(6) for j in range(6) if (i, j) not i
 
 def _box_10x10(dx, dy):
     return [[i + dx, j + dy] for i in range(10) for j in range(10)]
+
+
+def _per_row_csv(configs):
+    """The sample table as rows of one f-string per site."""
+    rows = ["sample,x,y,height"]
+    for s, config in enumerate(configs):
+        rows.extend(f"{s},{x},{y},{h}" for (x, y), h in config.sorted_items())
+    return "\n".join(rows) + "\n"
+
+
+def test_samples_csv_equals_per_row_formatting():
+    # int, float and Fraction heights, alone and mixed, negative
+    # coordinates, a lone site, samples whose key sets differ (and come
+    # back) and the same sites inserted in another order format as the
+    # per-row f-strings do
+    rng = random.Random(3)
+    box = [(x, y) for x in range(-2, 3) for y in range(-1, 2)]
+    heights = [
+        lambda: rng.randint(-5, 5),
+        lambda: rng.uniform(-3, 3),
+        lambda: rng.choice([0.1, -0.0, 1e-300, 2.5e17, float("inf")]),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+    ]
+    configs = []
+    for k in range(24):
+        sites = rng.sample(box, rng.randint(1, len(box))) if k % 3 else box
+        height = heights[k % 4] if k < 16 else lambda: rng.choice(heights)()
+        configs.append(HeightConfig({v: height() for v in sites}, reference=sites[0]))
+    configs.append(HeightConfig(dict(reversed(configs[0].values.items())), reference=configs[0].reference))
+    assert _samples_csv(configs) == _per_row_csv(configs)
+    assert _samples_csv([]) == _per_row_csv([]) == "sample,x,y,height\n"
 
 
 def test_region_sample_starts_from_integer_heights(tmp_path):

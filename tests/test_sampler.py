@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -839,13 +840,22 @@ def test_cftp_samples_chunks(monkeypatch, sos_trunc1, nonconvex):
     # chunks of at most _CFTP_HEIGHTS chain heights, in stream order, give
     # the per-stream samples and errors; a bound below one sample's chains
     # runs one sample per chunk.  The draws come in rng.block slices of at
-    # most max(_CFTP_HEIGHTS, len(region)) doubles, and no bound changes
-    # an outcome.
-    sizes, drawn = [], []
+    # most max(_CFTP_HEIGHTS, len(region)) doubles, an epoch keeps its rows
+    # for the next only where they fit in the bound (at the default no
+    # (stream, counter) pair is drawn twice; at bound 1 nothing is kept and
+    # each epoch redraws the last one's times), and no bound changes an
+    # outcome.
+    sizes, drawn, pairs = [], [], collections.Counter()
     sweep_waves = sampler._sweep_waves
     monkeypatch.setattr(sampler, "_sweep_waves", lambda table, waves, heights, us: sizes.append(heights.size) or sweep_waves(table, waves, heights, us))
     block = rng.block
-    monkeypatch.setattr(rng, "block", lambda streams, counters, size: drawn.append(len(counters) * size) or block(streams, counters, size))
+
+    def counted(streams, counters, size):
+        drawn.append(len(counters) * size)
+        pairs.update(zip(streams, counters))
+        return block(streams, counters, size)
+
+    monkeypatch.setattr(rng, "block", counted)
     interior = sorted(box_region(3, 3))
     ring = {v: 0 for v in outer_boundary(interior)}
     heights = 2 * (len(interior) + len(ring))
@@ -856,6 +866,10 @@ def test_cftp_samples_chunks(monkeypatch, sos_trunc1, nonconvex):
         monkeypatch.setattr(sampler, "_CFTP_HEIGHTS", bound)
         sizes.clear()
         drawn.clear()
+        pairs.clear()
+        sampler.cftp_samples(sos_trunc1, interior, ring, streams)
+        if bound in (1 << 14, 1):
+            assert (max(pairs.values()) > 1) == (bound == 1)
         assert _batch_equals_loop(sos_trunc1, interior, ring, streams) == expected
         assert max(sizes) == heights * min(len(streams), max(1, bound // heights))
         assert max(drawn) <= max(bound, len(interior))
@@ -864,6 +878,34 @@ def test_cftp_samples_chunks(monkeypatch, sos_trunc1, nonconvex):
         # sample 2 shares a chunk with sample 3, or follows chunks of successes
         assert _batch_equals_loop(nonconvex, interior, ring, _LATE, 4) == _LATE_ERROR
         assert max(drawn) <= max(bound, len(interior))
+
+
+def test_cftp_draws_each_stream_time_once(monkeypatch, sos_trunc1):
+    # An epoch of span 2S draws only the times [-2S, -S) and replays the
+    # rows of [-S, 0) the epoch before kept, so each (stream, counter) pair
+    # is drawn once and a stream coalescing in the epoch of span T has
+    # drawn exactly the times [-T, 0).  With a bound below one epoch's rows
+    # nothing is kept, every epoch draws all its times (2T - 1 rows per
+    # stream) and the samples are the same.
+    pairs = collections.Counter()
+    block = rng.block
+    monkeypatch.setattr(rng, "block", lambda streams, counters, size: pairs.update(zip(streams, counters)) or block(streams, counters, size))
+    for side, streams, rows, redrawn in ((2, [RngStream(7, s) for s in range(200)], 480, 760), (8, [RngStream(0)], 32, 63)):
+        interior = sorted(box_region(side, side))
+        ring = {v: 0 for v in outer_boundary(interior)}
+        for bound in (1 << 14, 1):
+            monkeypatch.setattr(sampler, "_CFTP_HEIGHTS", bound)
+            pairs.clear()
+            samples = sampler.cftp_samples(sos_trunc1, interior, ring, streams)
+            if bound == 1 << 14:
+                expected = [s.values for s in samples]
+                assert sum(pairs.values()) == len(pairs) == rows
+                spans = collections.Counter(stream for stream, _ in pairs)
+                assert set(pairs) == {(s, t) for s in streams for t in range(-spans[s], 0)}
+                assert all(span & (span - 1) == 0 for span in spans.values())
+            else:
+                assert [s.values for s in samples] == expected
+                assert len(pairs) == rows and sum(pairs.values()) == redrawn == sum(2 * spans[s] - 1 for s in streams)
 
 
 def test_torus_start_built_once_per_potential(monkeypatch):

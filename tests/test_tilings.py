@@ -37,8 +37,8 @@ from gradsurf.tilings import (
 
 from oracles import (
     at_rows,
+    backtrack_tiling_count,
     bareiss_determinant,
-    count_tilings_backtracking,
     count_tilings_bareiss,
     enumerate_tilings,
     fibonacci_tiling_count,
@@ -142,7 +142,26 @@ def test_count_bruteforce_examples():
 def test_count_bruteforce_matches_oracle():
     for region in CORPUS:
         if len(region) <= 36:
-            assert count_tilings_bruteforce(region) == count_tilings_backtracking(region)
+            assert count_tilings_bruteforce(region) == backtrack_tiling_count(region)
+
+
+def test_memoized_count_equals_backtracking_on_random_regions():
+    # boxes of up to 20 squares, shifted anywhere, with random squares
+    # removed: holed, disconnected and untileable regions included
+    rng = random.Random(25)
+    holed = tileable = 0
+    for _ in range(300):
+        w = rng.randint(1, 6)
+        h = rng.randint(1, 20 // w)
+        dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+        box = {(dx + i, dy + j) for i in range(w) for j in range(h)}
+        removed = set(rng.sample(sorted(box), rng.randint(0, min(4, len(box)))))
+        region = frozenset(box - removed)
+        count = count_tilings_bruteforce(region)
+        assert count == backtrack_tiling_count(region)
+        holed += any(all(t in region for t in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))) for x, y in removed)
+        tileable += count > 0
+    assert holed >= 10 and tileable >= 50
 
 
 def test_count_bruteforce_region_too_large():
