@@ -45,8 +45,6 @@ from .tilings import (
 )
 from .verification import run_battery
 
-F = Fraction
-
 
 def _slope(spec) -> tuple[Fraction, Fraction]:
     """A slope [u1, u2] of two rationals; ConfigParse otherwise."""
@@ -61,9 +59,12 @@ def _slope(spec) -> tuple[Fraction, Fraction]:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigParse(f"config {path} must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _resolve_potential(cfg: dict) -> PeriodicPotential:
@@ -87,16 +88,28 @@ def _required(cfg: dict, key: str):
 
 
 def _integer(cfg: dict, key: str, default=None, least=None) -> int:
-    """cfg[key] as an integer, or the default when given and the key is
-    missing; ConfigParse naming the key otherwise, or when the integer is
-    below ``least``."""
+    """cfg[key] as an integer (an int, an integral float or a string of
+    digits), or the default when given and the key is missing; ConfigParse
+    naming the key otherwise (a bool or a fractional float among them), or
+    when the integer is below ``least``."""
     value = _required(cfg, key) if default is None else cfg.get(key, default)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         value = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigParse(f"{key!r} must be an integer, not {value!r}") from None
     if least is not None and value < least:
         raise ConfigParse(f"{key!r} must be at least {least}, not {value}")
+    return value
+
+
+def _list(cfg: dict, key: str, default=None) -> list:
+    """cfg[key], which must be a list, or the default when given and the
+    key is missing; ConfigParse naming the key otherwise."""
+    value = _required(cfg, key) if default is None else cfg.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigParse(f"{key!r} must be a list, not {value!r}")
     return value
 
 
@@ -254,7 +267,10 @@ def cmd_tile(cfg, seed, out: Path):
 
 def cmd_feasibility(cfg, seed, out: Path):
     pot = _resolve_potential(cfg)
-    items = [(_slope(_required(item, "slope")), _torus_side(pot, item)) for item in cfg.get("slopes", [])]
+    items = _list(cfg, "slopes", [])
+    if not all(isinstance(item, dict) for item in items):
+        raise ConfigParse(f"each feasibility item must be an object with 'slope' and 'n', not {items!r}")
+    items = [(_slope(_required(item, "slope")), _torus_side(pot, item)) for item in items]
     poly = allowed_slope_polytope(pot)
     _write(out / "polytope.csv", "\n".join(poly.csv_rows()) + "\n")
     if "distance_region" in cfg:
@@ -288,7 +304,7 @@ def cmd_sigma(cfg, seed, out: Path):
     budget = _integer(cfg, "budget", 2048, least=0)
     estimates = []
     records = []
-    for k, spec in enumerate(_required(cfg, "slopes")):
+    for k, spec in enumerate(_list(cfg, "slopes")):
         u = _slope(spec)
         est = sigma_estimate(pot, u, n, method=method, budget=budget, rng=RngStream(seed, k))
         estimates.append(est)

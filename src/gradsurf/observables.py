@@ -481,11 +481,16 @@ def variance_profile(
     C-hat is the largest sampled single-increment variance over unit edges;
     the verdict checks every requested distance at three standard errors.
     Raises NotErgodic where single-site moves cannot mix the class
-    (``sampler._check_ergodic``).
+    (``sampler._check_ergodic``), and ValueError for no distances, a
+    distance outside [1, n) or fewer than one trial or batch.
     """
     distances = tuple(sorted(distances))
-    if not distances or max(distances) >= n:
-        raise ValueError("distances must be nonempty and fit inside the torus")
+    if not distances or distances[0] < 1 or distances[-1] >= n:
+        raise ValueError(f"distances must be nonempty and lie in [1, n) = [1, {n}), not {distances}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
+    if batches < 1:
+        raise ValueError(f"batches must be at least 1, not {batches}")
     _check_ergodic(pot, torus_info(pot, n, slope))
     start, order = _torus_start(pot, n, slope)
     chain = _Chain(pot, start, order=order)

@@ -125,43 +125,22 @@ class PiecewiseLinearPotential:
 
 @dataclass(frozen=True)
 class QuadraticPotential:
-    """V(eta) = coeff * eta^2, kept exact for Gaussian conditionals."""
+    """V(eta) = coeff * eta^2 + shift, kept exact for Gaussian conditionals."""
 
     coeff: float
+    shift: float = 0.0
 
     def __call__(self, eta) -> float:
-        return self.coeff * eta * eta
+        return self.coeff * eta * eta + self.shift
 
     def support(self) -> tuple[float, float]:
         return (-INF, INF)
 
     def min_value(self) -> float:
-        return 0.0
+        return self.shift
 
-    def shifted(self, c: float):
-        if c == 0:
-            return self
-        # a shifted quadratic is no longer of this exact form; fall back
-        return _ShiftedPotential(self, c)
-
-
-@dataclass(frozen=True)
-class _ShiftedPotential:
-    base: object
-    shift: float
-
-    def __call__(self, eta) -> float:
-        return self.base(eta) + self.shift
-
-    def support(self):
-        return self.base.support()
-
-    def min_value(self) -> float:
-        return self.base.min_value() + self.shift
-
-    def shifted(self, c: float):
-        s = self.shift + c
-        return self.base if s == 0 else _ShiftedPotential(self.base, s)
+    def shifted(self, c: float) -> "QuadraticPotential":
+        return QuadraticPotential(self.coeff, self.shift + c)
 
 
 @dataclass(frozen=True)
@@ -320,6 +299,8 @@ class PeriodicPotential:
 
     @staticmethod
     def from_dict(spec: dict) -> "PeriodicPotential":
+        if not isinstance(spec, dict):
+            raise ConfigParse(f"a potential spec must be an object, not {spec!r}")
         try:
             return _potential_from_dict(spec)
         except (KeyError, TypeError, ValueError) as exc:
@@ -347,11 +328,8 @@ def _pot_to_dict(pot) -> dict:
             "right_slope": pot.right_slope,
         }
     if isinstance(pot, QuadraticPotential):
-        return {"kind": "quadratic", "coefficient": pot.coeff}
-    if isinstance(pot, _ShiftedPotential):
-        inner = _pot_to_dict(pot.base)
-        inner["shift"] = inner.get("shift", 0.0) + pot.shift
-        return inner
+        shift = {"shift": pot.shift} if pot.shift else {}
+        return {"kind": "quadratic", "coefficient": pot.coeff, **shift}
     raise ConfigParse(f"cannot serialize potential {pot!r}")
 
 
@@ -481,7 +459,7 @@ class SapReport:
 def _check_convex(pot) -> bool:
     if isinstance(pot, QuadraticPotential):
         return pot.coeff >= 0
-    if isinstance(pot, InterpolatedPotential) or isinstance(pot, _ShiftedPotential):
+    if isinstance(pot, InterpolatedPotential):
         return _check_convex(pot.base)
     if isinstance(pot, TablePotential):
         keys = [k for k, _ in pot.values]
@@ -516,7 +494,7 @@ def _is_symmetric(pot) -> bool:
     if isinstance(pot, TablePotential):
         d = pot.as_dict()
         return all(-k in d and d[-k] == v for k, v in d.items())
-    if isinstance(pot, (InterpolatedPotential, _ShiftedPotential)):
+    if isinstance(pot, InterpolatedPotential):
         return _is_symmetric(pot.base)
     if isinstance(pot, QuadraticPotential):
         return True
@@ -658,28 +636,22 @@ def _truncation_window(v) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class WedgePotential:
+class WedgePotential(PiecewiseLinearPotential):
     """Wedge-normalized potential: V minus the log of a tent reweighting.
 
-    Tabulated on a symmetric grid; linear interpolation between grid points,
-    +inf beyond the grid.
+    Tabulated on a symmetric ``grid``; linear interpolation between grid
+    points, +inf beyond the grid.
     """
 
-    base: object
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
+    base: object = field(kw_only=True)
 
-    def _table(self) -> PiecewiseLinearPotential:
-        table = getattr(self, "_cached", None)
-        if table is None:
-            table = PiecewiseLinearPotential(self.grid, self.values)
-            object.__setattr__(self, "_cached", table)
-        return table
+    @property
+    def grid(self) -> tuple[float, ...]:
+        return self.xs
 
-    def __call__(self, eta) -> float:
-        if eta < self.grid[0] or eta > self.grid[-1]:
-            return INF
-        return self._table()(eta)
+    @property
+    def values(self) -> tuple[float, ...]:
+        return self.ys
 
 
 def wedge_normalize(v, num_points: int = 513) -> WedgePotential:
@@ -725,4 +697,4 @@ def wedge_normalize(v, num_points: int = 513) -> WedgePotential:
             continue  # V-bar is +inf at the extreme grid ends
         kept_grid.append(x)
         values.append(v(x) - math.log(4.0 * tail / z))
-    return WedgePotential(base=v, grid=tuple(kept_grid), values=tuple(values))
+    return WedgePotential(tuple(kept_grid), tuple(values), base=v)

@@ -23,7 +23,8 @@ Which code runs: every heat-bath chain is a ``_Chain``, which asks
 ``_sweep_plan`` once (``torus_sample``, thermodynamic integration, variance
 profiles, region ``sample`` and CFTP keep one chain for all their sweeps,
 and ``heat_bath_sweep`` is one sweep of a new chain).  A ``_Chain`` keeps
-K rows of heights in one (K, N) array; a row never reads another row.
+K rows of heights in one (K, N) array; row k sweeps with row k of the
+uniforms and never reads another row.
 Thermodynamic integration runs its 21 beta chains as rows: a site of row k
 reads only row k's heights, its own uniform (the one its beta chain would
 draw alone) and the conditional rows of its potential, which one table
@@ -46,8 +47,8 @@ loop.  Every other route runs its rows under one potential.
   shift can move), tables over ``_TABLE_LIMIT`` keys and region sites with
   a neighbor outside region | boundary.
 - CFTP (``cftp_samples``) sweeps the top and bottom chains of many samples
-  as the rows of one chain, a sample's two rows reading one row of
-  uniforms; ``cftp_sample`` is its one-stream case.  A sweep that raises is
+  as the rows of one chain, a sample's uniform row repeated for its two
+  rows; ``cftp_sample`` is its one-stream case.  A sweep that raises is
   replayed site by site (``_replay``).  Each (stream, time) row of
   uniforms is drawn once: an epoch of span 2S draws only times [-2S, -S),
   by one ``rng.block`` call per slice (``_uniform_rows``), equal to the
@@ -509,7 +510,8 @@ class _Chain:
     copied for the K rows (``_copied_waves``, kept for fewer rows) and
     one ``_ConditionalTable`` over the copies; off it ``heights`` holds
     objects and each row is swept as a dict with ``site_conditional``'s
-    code.  ``config`` is read, never changed."""
+    code.  Either way row k sweeps with row k of the uniforms, which CFTP
+    repeats for a sample's two rows.  ``config`` is read, never changed."""
 
     def __init__(self, pot, config: HeightConfig, boundary=None, order=None, copies=None):
         if order is None:
@@ -529,34 +531,30 @@ class _Chain:
             self.plan, waves = found
             self.sites, self.index = self.plan.sites, self.plan.index
             self.table = _conditional_table(pot) if copies is None else _ConditionalTable(copies, _table_base(pot))
-            # ``copied``: the waves for rows that read the uniform rows ``uses``;
-            # ``schedule``: its first rows, for the last sweep's ``shape``
+            # ``schedule``: the last sweep's first ``rows`` rows of ``copied``
             self.waves = self.schedule = self.copied = waves
-            self.shape, self.uses = (1, 1), np.zeros(1, dtype=np.int64)
+            self.rows = self.copied_rows = 1
         row = [values.get(v) for v in self.sites]
         self.heights = np.array([row] * (1 if copies is None else len(copies)), dtype=object if found is None else np.int64)
 
     def sweep(self, uniforms) -> None:
-        """One sweep of the order in every row, with U rows of ``uniforms``
-        (one per site of the order) for the K rows of heights: row r takes
-        uniform row r * U // K."""
-        rows, urows = len(self.heights), len(uniforms)
+        """One sweep of the order in every row, row k with ``uniforms[k]``
+        (one uniform per site of the order)."""
         if self.plan is None:
-            for r, heights in enumerate(self.heights):
-                pot = self.pot if self.copies is None else self.copies[r]
+            for heights, us, pot in zip(self.heights, uniforms, self.copies or itertools.repeat(self.pot)):
                 values = {v: h for v, h in zip(self.sites, heights.tolist()) if h is not None}
-                for u, x in zip(uniforms[r * urows // rows], self.order):
+                for u, x in zip(us, self.order):
                     values[x] = _site_dist(pot, values, x, self.torus).quantile(u)
                 heights[:] = [values[v] for v in self.sites]
             return
-        if self.shape != (rows, urows):
-            uses = np.arange(rows) * urows // rows
-            if rows > len(self.uses) or (uses != self.uses[:rows]).any():
+        rows = len(self.heights)
+        if self.rows != rows:
+            if rows > self.copied_rows:
                 cell = 0 if self.copies is None else self.pot.lattice.index
-                self.copied = _copied_waves(self.waves, len(self.sites), len(self.order), uses, cell)
-                self.uses = uses
-            self.schedule = [[a[: len(a) // len(self.uses) * rows] for a in wave] for wave in self.copied]
-            self.shape = (rows, urows)
+                self.copied = _copied_waves(self.waves, len(self.sites), len(self.order), rows, cell)
+                self.copied_rows = rows
+            self.schedule = [[a[: len(a) // self.copied_rows * rows] for a in wave] for wave in self.copied]
+            self.rows = rows
         _sweep_waves(self.table, self.schedule, self.heights.reshape(-1), np.asarray(uniforms, dtype=np.float64).reshape(-1))
 
     def config(self, k: int = 0) -> HeightConfig:
@@ -769,14 +767,14 @@ def _uniform_rows(streams, times, size, offsets=None):
 
 def _coupled_sweep(chain, uniforms):
     """One ``chain.sweep`` of the CFTP pairs in its rows, sample a's top and
-    bottom chains in rows 2a and 2a + 1 with row a of ``uniforms``; returns
-    None, or (a, error) when sample a is the first to fail, after sweeping
-    the samples before it.  Each site is updated once, so the first site in
-    the order where a pair crosses after the sweep is where ``_replay``
-    sees it cross; a sweep that raises is undone and replayed."""
+    bottom chains in rows 2a and 2a + 1 both with row a of ``uniforms``;
+    returns None, or (a, error) when sample a is the first to fail, after
+    sweeping the samples before it.  Each site is updated once, so the
+    first site in the order where a pair crosses after the sweep is where
+    ``_replay`` sees it cross; a sweep that raises is undone and replayed."""
     before = chain.heights.copy()
     try:
-        chain.sweep(uniforms)
+        chain.sweep(np.repeat(uniforms, 2, axis=0))
     except GradsurfError:
         chain.heights[:] = before
         failed = _replay(chain, uniforms)
@@ -812,13 +810,14 @@ def _replay(chain, uniforms):
     return None
 
 
-def _copied_waves(waves, size, draws, uses, cell):
-    """The plan's wave schedule for the rows of one (K, N) array, K =
-    len(``uses``): row r holds its N = ``size`` heights at offset rN, draws
-    the uniform at position p + ``uses[r]`` * ``draws`` for position p and
-    reads the conditional rows of cell sig + r * ``cell``."""
-    row = np.arange(len(uses), dtype=np.int64)[:, None]
-    offset, first = row * size, np.asarray(uses, dtype=np.int64)[:, None] * draws
+def _copied_waves(waves, size, draws, rows, cell):
+    """The plan's wave schedule for ``rows`` rows of one (K, N) array: row r
+    holds its N = ``size`` heights at offset rN, draws the uniform at
+    position p + r * ``draws`` (in its own uniform row) for position p and
+    reads the conditional rows of cell sig + r * ``cell``; the first k rows
+    of each array serve k rows."""
+    row = np.arange(rows, dtype=np.int64)[:, None]
+    offset, first = row * size, row * draws
     return [
         (
             (pos + first).ravel(),

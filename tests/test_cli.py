@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gradsurf.cli import _samples_csv, main
+from gradsurf.cli import _integer, _samples_csv, main
 from gradsurf.heights import HeightConfig
 
 
@@ -614,21 +614,44 @@ _DOMINO = {"preset": "domino"}
         ("sample", {"potential": _DOMINO, "n": 4, "sweeps": -5}),
         ("sigma", {"potential": _DOMINO, "n": 4, "slopes": [[0, 0]], "budget": -1}),
     ]
-    + [(command, {"potential": _DOMINO, "region": region}) for region in ("3xq", [5], [[0, 0, 0]]) for command in ("tile", "cftp")],
+    + [(command, {"potential": _DOMINO, "region": region}) for region in ("3xq", [5], [[0, 0, 0]]) for command in ("tile", "cftp")]
+    + [
+        ("sample", [{"potential": _DOMINO, "n": 4}]),
+        ("sigma", {"potential": _DOMINO, "n": 4, "slopes": 5}),
+        ("feasibility", {"potential": _DOMINO, "slopes": [7]}),
+        ("feasibility", {"potential": _DOMINO, "slopes": {"slope": [0, 0], "n": 4}}),
+        ("cftp", {"potential": [1], "region": "2x2"}),
+        ("sigma", {"potential": _DOMINO, "n": 4.5, "slopes": [[0, 0]]}),
+        ("cftp", {"potential": _DOMINO, "region": "2x2", "samples": True}),
+        ("sample", {"potential": _DOMINO, "n": 4, "sweeps": False}),
+    ],
     ids=[
         "swap-no-trials", "sigma-no-slopes", "sigma-no-n", "cftp-no-region", "tile-no-region", "sample-no-region", "feasibility-item-no-n",
         "cftp-samples-not-int", "sample-bogus-mode", "sample-bad-slope", "sigma-zero-denominator", "feasibility-short-slope", "cftp-seed-not-int",
         "cftp-negative-samples", "sample-negative-sweeps", "sigma-negative-budget",
     ]
-    + [f"{command}-region-{name}" for name in ("bad-side", "not-pairs", "triple") for command in ("tile", "cftp")],
+    + [f"{command}-region-{name}" for name in ("bad-side", "not-pairs", "triple") for command in ("tile", "cftp")]
+    + [
+        "config-is-a-list", "sigma-slopes-not-a-list", "feasibility-item-not-an-object", "feasibility-slopes-an-object",
+        "potential-is-a-list", "sigma-fractional-n", "cftp-samples-bool", "sample-sweeps-bool",
+    ],
 )
 def test_malformed_config_writes_config_error(tmp_path, command, cfg):
-    # a missing key, a non-integer field, zero trials, a negative count of
-    # samples, sweeps or budget, an unknown mode, a slope that is not two
-    # rationals or a region that is not a box or a list of integer pairs
-    # exits 2 with a ConfigParse error, not a traceback, a wrong mode or a
-    # count of a region that is not one
+    # a missing key, a non-integer field (a bool or a fractional float
+    # among them), zero trials, a negative count of samples, sweeps or
+    # budget, an unknown mode, a slope that is not two rationals, a region
+    # that is not a box or a list of integer pairs, a config or potential
+    # that is not an object, slopes that are not a list or a feasibility
+    # item that is not an object exits 2 with a ConfigParse error, not a
+    # traceback, a wrong mode, a truncated count or a count of a region
+    # that is not one
     rc = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert err["error"] == "ConfigParse"
+
+
+def test_integer_fields_accept_ints_integral_floats_and_digit_strings():
+    for value in (4, "4", 4.0, " 4"):
+        assert _integer({"n": value}, "n") == 4
+    assert _integer({}, "n", 8) == 8

@@ -567,9 +567,14 @@ def test_variance_profile_deterministic_flat(sos):
 
 
 def test_variance_profile_rejects_empty_distances(sos_trunc1):
-    for distances in ((), (4,)):
+    # no distance, a distance outside [1, n), no trial or no batch raises
+    # before any sweep, naming the argument
+    for distances in ((), (4,), (0, -1), (0, 2), (-1,)):
         with pytest.raises(ValueError, match="distances"):
             variance_profile(sos_trunc1, 4, (F(0), F(0)), distances=distances, trials=2, rng=RngStream(5, 0))
+    for name in ("trials", "batches"):
+        with pytest.raises(ValueError, match=name):
+            variance_profile(sos_trunc1, 4, (F(0), F(0)), distances=(1, 2), rng=RngStream(5, 0), **{"trials": 2, name: 0})
 
 
 def test_variance_profile_sos_bound(sos_trunc1):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -166,6 +167,16 @@ def test_truncate_quadratic_tight():
     assert t.class_potentials[(0, (0, 0))].support() == (0, 0)
 
 
+def test_truncate_scans_from_an_argmin_away_from_zero():
+    # V(0) = 3 exceeds the cutoff, so the scan starts at the ternary-search
+    # argmin of |eta - 3| (``_integer_argmin``) and walks out both ways
+    pot = PeriodicPotential.isotropic("int", PiecewiseLinearPotential((3.0,), (0.0,), -1.0, 1.0))
+    t = lipschitz_truncate(pot, 2)
+    for cls in t.class_potentials:
+        assert t.class_potentials[cls].as_dict() == {1: 2, 2: 1, 3: 0, 4: 1, 5: 2}
+        assert t.offsets[cls] == 0.0
+
+
 def test_truncate_empty():
     pot = PeriodicPotential.isotropic("int", QuadraticPotential(1.0))
     with pytest.raises(EmptySupport):
@@ -223,6 +234,59 @@ def test_wedge_invariants_quadratic():
     # symmetry
     for x, val in zip(w.grid, w.values):
         assert w(-x) == pytest.approx(val, abs=1e-9)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "base, grid_digest, values_digest",
+    [(QuadraticPotential(1.0), "5059d964d9a14050", "e28e377ddaa75e71"), (sos_abs_potential(), "8943f35135f71e81", "c9a68488d19c5832")],
+    ids=["quadratic", "sos-abs"],
+)
+def test_wedge_values_digest_and_infinite_beyond_the_grid(base, grid_digest, values_digest):
+    # the digests pin the tabulation and its interpolation at 1,400 points
+    w = wedge_normalize(base)
+    assert w.base == base and len(w.grid) == len(w.values) == 511
+    assert _digest((w.grid, w.values)) == grid_digest
+    lo, hi = w.grid[0], w.grid[-1]
+    assert _digest([w(lo + (hi - lo) * i / 1399) for i in range(1400)]) == values_digest
+    assert w(lo) < INF and w(hi) < INF
+    assert w(lo - 1e-9) == INF and w(hi + 1e-9) == INF
+
+
+def test_quadratic_shift_spec_roundtrip(tmp_path):
+    # the shift becomes the class offset; to_dict writes it back, so the
+    # hash and the potential survive a round trip
+    spec = {"domain": "real", "period": [[1, 0], [0, 1]], "classes": {"kind": "quadratic", "coefficient": 1.0, "shift": 2.0}}
+    pot = PeriodicPotential.from_dict(spec)
+    assert pot.offsets == {(0, (0, 0)): 2.0, (1, (0, 0)): 2.0}
+    assert pot.edge_energy(((0, 0), 0), 0) == 0.0 and pot.edge_energy(((0, 0), 1), 1.5) == 2.25
+    entry = {"kind": "quadratic", "coefficient": 1.0, "shift": 2.0}
+    assert pot.to_dict() == {
+        "domain": "real",
+        "period": [[1, 0], [0, 1]],
+        "classes": [{"axis": 0, "base": [0, 0], "potential": entry}, {"axis": 1, "base": [0, 0], "potential": entry}],
+    }
+    assert pot.config_hash() == "c31c7522f6f01d62"
+    again = PeriodicPotential.from_dict(pot.to_dict())
+    assert again == pot and again.config_hash() == pot.config_hash()
+    path = tmp_path / "pot.json"
+    pot.save(path)
+    assert PeriodicPotential.load(path) == pot
+    # without a shift no key is written
+    plain = {**spec, "classes": {"kind": "quadratic", "coefficient": 1.0}}
+    assert PeriodicPotential.from_dict(plain).to_dict()["classes"][0]["potential"] == {"kind": "quadratic", "coefficient": 1.0}
+
+
+def test_quadratic_shifted_composes():
+    q = QuadraticPotential(1.0)
+    s = q.shifted(2.0).shifted(-0.5)
+    assert s(3) == 10.5 and s(-3) == 10.5
+    assert s.min_value() == 1.5 and s.support() == (-INF, INF)
+    assert q.shifted(2.0).shifted(-2.0) == q
+    assert q.shifted(2.0).shifted(-2.0)(1.5) == 2.25
 
 
 def test_potential_roundtrip(tmp_path, domino, sos, gaussian):
